@@ -17,27 +17,31 @@ import sys
 from .errors import (
     AdmissibilityError,
     InfeasibilityError,
-    ParameterError,
     RangeError,
     SamplingError,
-    SingularityError,
-    SupportError,
     ValidationError,
     VerificationError,
 )
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure
 from .particles import SimConfig, run
 from .potential import dominates, order_leq_sh_O, potential, potential_derivative
-from .repro import run_manifest
+from .repro import (
+    DOMAIN,
+    EXAMPLE_5_1,
+    LIPSCHITZ_CORNER,
+    MU1,
+    MU2,
+    lipschitz_ladder,
+    run_manifest,
+    weak_family,
+)
 from .solver import solve
 from .stability import (
-    LipschitzFamilyParams,
     lipschitz_closed_form_ratio,
     lipschitz_ratio,
     monotonicity_report,
     weak_convergence_experiment,
 )
-from .measure import indicator
 
 
 class CliInputError(Exception):
@@ -46,12 +50,9 @@ class CliInputError(Exception):
 
 _DOMAIN_ERRORS = (
     ValidationError,
-    SupportError,
     RangeError,
-    SingularityError,
     InfeasibilityError,
     AdmissibilityError,
-    ParameterError,
     SamplingError,
 )
 
@@ -192,7 +193,6 @@ def cmd_simulate(args) -> int:
         seed=int(args.seed if args.seed is not None else raw_cfg.get("seed", 0)),
         dt=raw_cfg.get("dt"),
         t_max=float(raw_cfg.get("t_max", 50.0)),
-        parallel_components=bool(raw_cfg.get("parallel_components", False)),
         hist_bins=int(raw_cfg.get("hist_bins", 64)),
     )
     report = run(mu, open_set, cfg)
@@ -215,21 +215,17 @@ def cmd_simulate(args) -> int:
 
 
 def _stability_lipschitz(args) -> tuple[dict, list[list]]:
-    ladder = [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95]
-    y = 1e-3
     rows = []
     reports = []
-    for t in ladder:
-        x = r = t
-        c = 0.5 * (x + 1.0)
-        report = lipschitz_ratio(LipschitzFamilyParams(x=x, y=y, r=r, c=c))
+    for params in lipschitz_ladder():
+        report = lipschitz_ratio(params)
         reports.append(report.to_json())
         rows.append(
             [
-                x,
-                y,
-                r,
-                c,
+                params.x,
+                params.y,
+                params.r,
+                params.c,
                 report.input_l1_gap,
                 report.output_l1_gap,
                 report.ratio,
@@ -239,25 +235,17 @@ def _stability_lipschitz(args) -> tuple[dict, list[list]]:
     payload = {
         "family": "lipschitz",
         "reports": reports,
-        "blow_up_corner_ratio": lipschitz_closed_form_ratio(0.999, 1e-4, 0.999, 0.999),
+        "blow_up_corner_ratio": lipschitz_closed_form_ratio(*LIPSCHITZ_CORNER),
     }
     return payload, rows
 
 
 def _stability_monotone(args) -> tuple[dict, list[list]]:
-    domain = OpenSet1D.interval(-1.0, 1.0)
-    pairs = [
-        ("narrow_vs_saturated", indicator(-0.9, 0.0), indicator(-1.0, 0.0)),
-        (
-            "equal_first_moments",
-            indicator(0.0, math.sqrt(0.75), 0.99),
-            indicator(-0.5, 1.0, 0.99),
-        ),
-    ]
+    pairs = [("narrow_vs_saturated", *EXAMPLE_5_1), ("equal_first_moments", MU1, MU2)]
     rows = []
     reports = []
     for name, mu1, mu2 in pairs:
-        report = monotonicity_report(mu1, mu2, domain)
+        report = monotonicity_report(mu1, mu2, DOMAIN)
         entry = report.to_json()
         entry["name"] = name
         reports.append(entry)
@@ -274,10 +262,8 @@ def _stability_monotone(args) -> tuple[dict, list[list]]:
 
 
 def _stability_weak(args) -> tuple[dict, list[list]]:
-    domain = OpenSet1D.interval(-1.0, 1.0)
-    mu = indicator(-0.5, 0.5)
-    seq = [indicator(-0.5, 0.5, 1.0 - 1.0 / l) for l in range(2, 65)]
-    table = weak_convergence_experiment(seq, mu, domain)
+    seq, mu = weak_family()
+    table = weak_convergence_experiment(seq, mu, DOMAIN)
     rows = [
         [row.index + 2, row.mass_gap, row.moment_gap, row.l1_gap]
         for row in table.rows

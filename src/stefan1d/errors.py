@@ -17,10 +17,6 @@ class RangeError(ValueError):
     """Scalar argument outside the documented range of an operation."""
 
 
-class SingularityError(ValueError):
-    """Kernel evaluated at its singular point."""
-
-
 class InfeasibilityError(ValueError):
     """Mass and first-moment data admit no two-block target."""
 

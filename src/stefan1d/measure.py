@@ -309,14 +309,6 @@ def _merged_cells(
         yield lo, hi, mu.density_at(mid), nu.density_at(mid)
 
 
-def mass(mu: StepMeasure) -> float:
-    return mu.mass
-
-
-def first_moment(mu: StepMeasure) -> float:
-    return mu.first_moment
-
-
 def positive_part_l1(mu: StepMeasure, nu: StepMeasure) -> float:
     """Integral of max(mu - nu, 0), exact over the merged break grid."""
     return sum(
@@ -339,14 +331,6 @@ def pointwise_leq(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) ->
 def measures_allclose(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> bool:
     """True iff the densities agree within tol a.e."""
     return all(abs(a - b) <= tol for _, _, a, b in _merged_cells(mu, nu))
-
-
-def cdf(mu: StepMeasure, y: float) -> float:
-    return mu.cdf(y)
-
-
-def quantile(mu: StepMeasure, u: float) -> float:
-    return mu.quantile(u)
 
 
 def restrict(

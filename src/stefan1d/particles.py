@@ -18,12 +18,11 @@ at their overshot position.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, SamplingError, ValidationError
+from .errors import AdmissibilityError, SamplingError, ValidationError, VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _from_cells, l1_distance, restrict
 from .solver import MaximalSolution
 
@@ -35,14 +34,13 @@ class SimConfig:
     dt is the time step in units of Brownian time; None picks
     1e-4 * (component length)^2 per component, since exit times scale
     diffusively. Seeds for component i derive from (seed, i), so per-component
-    results do not depend on execution order or the parallel flag.
+    results do not depend on execution order.
     """
 
     n_particles: int
     seed: int = 0
     dt: float | None = None
     t_max: float = 50.0
-    parallel_components: bool = False
     hist_bins: int = 64
 
     def __post_init__(self):
@@ -56,24 +54,7 @@ class SimConfig:
             raise ValidationError("hist_bins must be at least 1")
 
     def to_json(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "seed": self.seed,
-            "dt": self.dt,
-            "t_max": self.t_max,
-            "parallel_components": self.parallel_components,
-            "hist_bins": self.hist_bins,
-        }
-
-
-@dataclass
-class FrontState:
-    """Mutable per-component front bookkeeping; left <= right always."""
-
-    left: float
-    right: float
-    frozen_left: int = 0
-    frozen_right: int = 0
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,23 +80,8 @@ class ComponentRunReport:
         return _from_cells([(c, self.left_front, 1.0), (self.right_front, d, 1.0)])
 
     def to_json(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "n": self.n,
-            "unit_mass": self.unit_mass,
-            "frozen_left": self.frozen_left,
-            "frozen_right": self.frozen_right,
-            "unfrozen": self.unfrozen,
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "left_front": self.left_front,
-            "right_front": self.right_front,
-            "mean_freeze_time": self.mean_freeze_time,
-            "freeze_position_mean": self.freeze_position_mean,
-            "freeze_position_std": self.freeze_position_std,
-            "hist_edges": list(self.hist_edges),
-            "hist_counts": list(self.hist_counts),
-        }
+        fields = asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -179,7 +145,8 @@ def _simulate_component(
 ) -> ComponentRunReport:
     k = mu_n.mass
     m = k / n
-    front = FrontState(left=c, right=d)
+    left, right = c, d  # fronts; left <= right always
+    frozen_left = frozen_right = 0
     pos = _quantiles(mu_n, rng.random(n) * k)
 
     freeze_pos = np.empty(n)
@@ -191,30 +158,30 @@ def _simulate_component(
 
     def freeze(left_mask: np.ndarray, right_mask: np.ndarray, when: float):
         # fronts stay at exactly c + m*count and d - m*count
-        nonlocal n_frozen
+        nonlocal n_frozen, left, right, frozen_left, frozen_right
         nl = int(left_mask.sum())
         nr = int(right_mask.sum())
         if nl:
-            slots = front.left + m * (np.arange(nl) + 0.5)
+            slots = left + m * (np.arange(nl) + 0.5)
             freeze_pos[n_frozen : n_frozen + nl] = slots
             freeze_t[n_frozen : n_frozen + nl] = when
             n_frozen += nl
-            front.frozen_left += nl
-            front.left = c + m * front.frozen_left
+            frozen_left += nl
+            left = c + m * frozen_left
         if nr:
-            slots = front.right - m * (np.arange(nr) + 0.5)
+            slots = right - m * (np.arange(nr) + 0.5)
             freeze_pos[n_frozen : n_frozen + nr] = slots
             freeze_t[n_frozen : n_frozen + nr] = when
             n_frozen += nr
-            front.frozen_right += nr
-            front.right = d - m * front.frozen_right
+            frozen_right += nr
+            right = d - m * frozen_right
         return nl + nr
 
     def cascade(current: np.ndarray, when: float) -> np.ndarray:
         # advancing fronts may sweep past survivors; repeat until stable
         while current.size:
-            cl = current <= front.left
-            cr = (~cl) & (current >= front.right)
+            cl = current <= left
+            cr = (~cl) & (current >= right)
             if not freeze(cl, cr, when):
                 break
             current = current[~(cl | cr)]
@@ -245,17 +212,17 @@ def _simulate_component(
             # fronts; a post-step crossing makes the argument nonnegative, so
             # p >= 1 there and the comparison subsumes the hard-crossing test.
             p_l = tmp_a[:size]
-            np.subtract(pos, front.left, out=p_l)
+            np.subtract(pos, left, out=p_l)
             scratch = tmp_b[:size]
-            np.subtract(new, front.left, out=scratch)
+            np.subtract(new, left, out=scratch)
             np.multiply(p_l, scratch, out=p_l)
             np.multiply(p_l, inv_dt, out=p_l)
             np.exp(p_l, out=p_l)
             cross_l = u < p_l
             p_r = scratch
-            np.subtract(front.right, pos, out=p_r)
+            np.subtract(right, pos, out=p_r)
             tail = pos  # start positions no longer needed this step
-            np.subtract(front.right, new, out=tail)
+            np.subtract(right, new, out=tail)
             np.multiply(p_r, tail, out=p_r)
             np.multiply(p_r, inv_dt, out=p_r)
             np.exp(p_r, out=p_r)
@@ -269,9 +236,12 @@ def _simulate_component(
             else:
                 pos = new.copy()  # new is a view of step_buf
             # discrete stopping never leaves the component
-            assert front.left <= front.right + 1e-9 * max(1.0, abs(c), abs(d))
-            if pos.size:
-                assert pos.min() > front.left and pos.max() < front.right
+            if not left <= right + 1e-9 * max(1.0, abs(c), abs(d)):
+                raise VerificationError(f"fronts crossed: left {left!r} > right {right!r}")
+            if pos.size and not (pos.min() > left and pos.max() < right):
+                raise VerificationError(
+                    f"live walker outside the fronts ({left!r}, {right!r})"
+                )
 
     frozen = freeze_pos[:n_frozen]
     times = freeze_t[:n_frozen]
@@ -280,13 +250,13 @@ def _simulate_component(
         interval=(c, d),
         n=n,
         unit_mass=m,
-        frozen_left=front.frozen_left,
-        frozen_right=front.frozen_right,
+        frozen_left=frozen_left,
+        frozen_right=frozen_right,
         unfrozen=int(pos.size),
-        p_hat=m * front.frozen_left,
-        q_hat=m * front.frozen_right,
-        left_front=front.left,
-        right_front=front.right,
+        p_hat=m * frozen_left,
+        q_hat=m * frozen_right,
+        left_front=left,
+        right_front=right,
         mean_freeze_time=float(times.mean()) if n_frozen else math.nan,
         freeze_position_mean=float(frozen.mean()) if n_frozen else math.nan,
         freeze_position_std=float(frozen.std()) if n_frozen else math.nan,
@@ -315,9 +285,7 @@ def _allocate(n_total: int, masses: list[float]) -> list[int]:
 def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     """Simulate every component independently and assemble the frozen measure.
 
-    Component i draws from a generator seeded by (cfg.seed, i); with the
-    parallel flag the components run on a thread pool, with identical results
-    by construction.
+    Component i draws from a generator seeded by (cfg.seed, i).
     """
     if mu.max_density() > 1.0 + DEFAULT_TOL:
         raise AdmissibilityError(
@@ -356,12 +324,7 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
             mu_n, c, d, n_i, dt, cfg.t_max, rng, cfg.hist_bins
         )
 
-    indices = range(len(open_set.components))
-    if cfg.parallel_components and len(open_set.components) > 1:
-        with ThreadPoolExecutor() as pool:
-            components = tuple(pool.map(one, indices))
-    else:
-        components = tuple(one(i) for i in indices)
+    components = tuple(one(i) for i in range(len(open_set.components)))
 
     cells = []
     for comp in components:
@@ -385,22 +348,6 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...]
     total_l1: float
     max_p_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "interval": list(r.interval),
-                    "p_error": r.p_error,
-                    "q_error": r.q_error,
-                    "l1_gap": r.l1_gap,
-                    "sigma_hat": r.sigma_hat,
-                }
-                for r in self.rows
-            ],
-            "total_l1": self.total_l1,
-            "max_p_error": self.max_p_error,
-        }
 
 
 def compare_to_formula(report: RunReport, solution: MaximalSolution) -> ComparisonReport:

@@ -16,10 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SingularityError, ValidationError
+from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, restrict
-
-_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 #: Hypothesis of the order relation that cannot be checked from step data;
 #: recorded on every certificate produced by :func:`order_leq_sh_O`.
@@ -27,28 +25,6 @@ EXIT_TIME_ASSUMPTION = (
     "exit times of the open set and of its closure are assumed to agree "
     "almost surely for the started distribution (not verifiable from step data)",
 )
-
-
-def kernel(d: int, y) -> float:
-    """Fundamental-solution kernel in dimension d, evaluated at |y|.
-
-    Accepts a scalar displacement or a vector (its Euclidean norm is used).
-    Only point evaluation is supported for d in {2, 3}; potentials of
-    measures are implemented in d = 1 alone.
-    """
-    if d not in (1, 2, 3):
-        raise ValidationError(f"kernel dimension must be 1, 2 or 3, got {d!r}")
-    if isinstance(y, (int, float)):
-        r = abs(float(y))
-    else:
-        r = math.sqrt(sum(float(t) ** 2 for t in y))
-    if d == 1:
-        return -0.5 * r
-    if r == 0.0:
-        raise SingularityError(f"kernel singular at the origin for d={d}")
-    if d == 2:
-        return -2.0 * math.pi * math.log(r)
-    return r ** (2 - d) / (d * (d - 2) * _BALL_VOLUME[d])
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Named reproduction scenarios with expected values and tolerances.
 
-Each scenario pins inputs, the expected outputs, a comparison tolerance and
-a provenance label: "reference" for values quoted from the source analysis,
-"derived" for values recomputed here by an independent route, "direct" for
-elementary facts. The manifest is deterministic, including the particle
-cross-check, which runs on a fixed seed.
+The paper's scenario inputs are defined once, below; the command line and
+the acceptance tests read them from here. Each scenario pins inputs, the
+expected outputs, a comparison tolerance and a provenance label: "reference"
+for values quoted from the source analysis, "derived" for values recomputed
+here by an independent route, "direct" for elementary facts. The manifest is
+deterministic, including the particle cross-check, which runs on a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .measure import OpenSet1D, indicator, l1_distance, pointwise_leq
+from .measure import OpenSet1D, StepMeasure, indicator, l1_distance, pointwise_leq
 from .particles import SimConfig, compare_to_formula, run
 from .solver import critical_point, solve
 from .stability import (
@@ -26,7 +27,46 @@ from .stability import (
     weak_convergence_experiment,
 )
 
+# -- scenario inputs ----------------------------------------------------------
+
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
+
+#: Example 5.2: mu1 <= mu2 with equal first moments 0.37125; the targets are
+#: not ordered.
+MU1 = indicator(0.0, math.sqrt(0.75), 0.99)
+MU2 = indicator(-0.5, 1.0, 0.99)
+
+#: Example 5.1: chi_(-0.9, 0) <= chi_(-1, 0); the second is saturated, so it
+#: is its own target, and the targets are not ordered.
+EXAMPLE_5_1 = (indicator(-0.9, 0.0), indicator(-1.0, 0.0))
+
+#: The Lipschitz blow-up family: a feasible reference point, the (x, y, r, c)
+#: corner where the closed-form ratio exceeds 100, and the rungs x = r = t,
+#: c = (1 + t)/2, y = 1e-3 of the command line table.
+LIPSCHITZ_REFERENCE = LipschitzFamilyParams(x=0.9, y=0.01, r=0.9, c=0.99)
+LIPSCHITZ_CORNER = (0.999, 1e-4, 0.999, 0.999)
+LIPSCHITZ_LADDER = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.93, 0.95)
+
+#: Weak-convergence family (1 - 1/l) chi_(-1/2, 1/2), indexed by l.
+WEAK_LS = range(2, 65)
+
+
+def lipschitz_ladder() -> list[LipschitzFamilyParams]:
+    return [
+        LipschitzFamilyParams(x=t, y=1e-3, r=t, c=0.5 * (t + 1.0))
+        for t in LIPSCHITZ_LADDER
+    ]
+
+
+def weak_family() -> tuple[list[StepMeasure], StepMeasure]:
+    """The members for l in WEAK_LS and their limit chi_(-1/2, 1/2)."""
+    return (
+        [indicator(-0.5, 0.5, 1.0 - 1.0 / l) for l in WEAK_LS],
+        indicator(-0.5, 0.5),
+    )
+
+
+# -- manifest -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -42,14 +82,7 @@ class CheckRow:
         return abs(self.computed - self.expected) <= self.tol
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tol": self.tol,
-            "provenance": self.provenance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -105,13 +138,10 @@ class ReproManifest:
 
 def _scenario_example_5_1(tol: float | None) -> Scenario:
     t = 1e-12 if tol is None else tol
-    saturated = solve(indicator(-1.0, 0.0), DOMAIN)
-    diff = l1_distance(saturated.measure, indicator(-1.0, 0.0))
-    partial = solve(indicator(-0.9, 0.0), DOMAIN)
-    right_width = partial.blocks[0].q
-    report = monotonicity_report(
-        indicator(-0.9, 0.0), indicator(-1.0, 0.0), DOMAIN
-    )
+    narrow, saturated = EXAMPLE_5_1
+    diff = l1_distance(solve(saturated, DOMAIN).measure, saturated)
+    right_width = solve(narrow, DOMAIN).blocks[0].q
+    report = monotonicity_report(narrow, saturated, DOMAIN)
     rows = (
         CheckRow("saturated input is a fixed point (L1)", 0.0, diff, t, "reference"),
         CheckRow(
@@ -132,15 +162,13 @@ def _scenario_example_5_1(tol: float | None) -> Scenario:
 def _scenario_example_5_2(tol: float | None) -> Scenario:
     t_endpoint = 1e-6 if tol is None else tol
     t_beta = 1e-12 if tol is None else tol
-    mu1 = indicator(0.0, math.sqrt(0.75), 0.99)
-    mu2 = indicator(-0.5, 1.0, 0.99)
-    sol1 = solve(mu1, DOMAIN)
-    sol2 = solve(mu2, DOMAIN)
+    sol1 = solve(MU1, DOMAIN)
+    sol2 = solve(MU2, DOMAIN)
     b1 = sol1.blocks[0]
     b2 = sol2.blocks[0]
     rows = (
-        CheckRow("first moment of mu1", 0.37125, mu1.first_moment, t_beta, "reference"),
-        CheckRow("first moment of mu2", 0.37125, mu2.first_moment, t_beta, "reference"),
+        CheckRow("first moment of mu1", 0.37125, MU1.first_moment, t_beta, "reference"),
+        CheckRow("first moment of mu2", 0.37125, MU2.first_moment, t_beta, "reference"),
         CheckRow("A1 left block end", -0.896224371, b1.e, t_endpoint, "reference"),
         CheckRow("A1 right block start", 0.246410478, b1.f, t_endpoint, "reference"),
         CheckRow("A2 left block end", -0.978373786, b2.e, t_endpoint, "reference"),
@@ -158,7 +186,7 @@ def _scenario_example_5_2(tol: float | None) -> Scenario:
 
 def _scenario_lipschitz_family(tol: float | None) -> Scenario:
     t = 1e-9 if tol is None else tol
-    params = LipschitzFamilyParams(x=0.9, y=0.01, r=0.9, c=0.99)
+    params = LIPSCHITZ_REFERENCE
     report = lipschitz_ratio(params)
     rows = (
         CheckRow(
@@ -181,9 +209,7 @@ def _scenario_lipschitz_family(tol: float | None) -> Scenario:
         CheckRow(
             "ratio at the blow-up corner exceeds 100",
             1.0,
-            1.0
-            if lipschitz_closed_form_ratio(0.999, 1e-4, 0.999, 0.999) > 100.0
-            else 0.0,
+            1.0 if lipschitz_closed_form_ratio(*LIPSCHITZ_CORNER) > 100.0 else 0.0,
             0.0,
             "derived",
         ),
@@ -216,8 +242,7 @@ def _scenario_appendix_critical_point(tol: float | None) -> Scenario:
 
 def _scenario_weak_convergence(tol: float | None) -> Scenario:
     t = 1e-9 if tol is None else tol
-    mu = indicator(-0.5, 0.5)
-    seq = [indicator(-0.5, 0.5, 1.0 - 1.0 / l) for l in range(2, 65)]
+    seq, mu = weak_family()
     table = weak_convergence_experiment(seq, mu, DOMAIN)
     worst_defect = max(
         abs(row.l1_gap - 1.0 / (row.index + 2)) for row in table.rows
@@ -243,9 +268,8 @@ def _scenario_weak_convergence(tol: float | None) -> Scenario:
 
 def _scenario_particle_cross_check(tol: float | None) -> Scenario:
     t = 0.01 if tol is None else max(tol, 0.01)
-    mu1 = indicator(0.0, math.sqrt(0.75), 0.99)
-    sol = solve(mu1, DOMAIN)
-    report = run(mu1, DOMAIN, SimConfig(n_particles=20000, seed=20240817, dt=1e-3))
+    sol = solve(MU1, DOMAIN)
+    report = run(MU1, DOMAIN, SimConfig(n_particles=20000, seed=20240817, dt=1e-3))
     comparison = compare_to_formula(report, sol)
     rows = (
         CheckRow(
@@ -258,7 +282,7 @@ def _scenario_particle_cross_check(tol: float | None) -> Scenario:
         CheckRow(
             "mass accounting p+q-k",
             0.0,
-            report.components[0].p_hat + report.components[0].q_hat - mu1.mass,
+            report.components[0].p_hat + report.components[0].q_hat - MU1.mass,
             1e-12,
             "direct",
         ),

@@ -122,13 +122,13 @@ class StabilityReport:
         }
 
 
-def monotonicity_report(
+def _compare(
     mu1: StepMeasure,
     mu2: StepMeasure,
     open_set: OpenSet1D,
-    tol: float = DEFAULT_TOL,
+    tol: float,
+    closed_form_ratio: float = math.nan,
 ) -> StabilityReport:
-    """Compare pointwise order of two inputs with that of their targets."""
     sol1 = solve(mu1, open_set, tol)
     sol2 = solve(mu2, open_set, tol)
     in_gap = positive_part_l1(mu1, mu2)
@@ -139,10 +139,20 @@ def monotonicity_report(
         ratio=out_gap / in_gap if in_gap > 0.0 else math.nan,
         monotone_in=pointwise_leq(mu1, mu2, tol),
         monotone_out=pointwise_leq(sol1.measure, sol2.measure, tol),
-        closed_form_ratio=math.nan,
+        closed_form_ratio=closed_form_ratio,
         nu1=sol1.measure,
         nu2=sol2.measure,
     )
+
+
+def monotonicity_report(
+    mu1: StepMeasure,
+    mu2: StepMeasure,
+    open_set: OpenSet1D,
+    tol: float = DEFAULT_TOL,
+) -> StabilityReport:
+    """Compare pointwise order of two inputs with that of their targets."""
+    return _compare(mu1, mu2, open_set, tol)
 
 
 def lipschitz_ratio(
@@ -155,35 +165,24 @@ def lipschitz_ratio(
     that no uniform Lipschitz constant exists, so transcription slips here
     must fail loudly.
     """
-    mu1, mu2 = lipschitz_pair(params)
-    domain = OpenSet1D.interval(-1.0, 1.0)
-    sol1 = solve(mu1, domain, tol)
-    sol2 = solve(mu2, domain, tol)
-    in_gap = positive_part_l1(mu1, mu2)
-    out_gap = positive_part_l1(sol1.measure, sol2.measure)
-
+    report = _compare(
+        *lipschitz_pair(params),
+        OpenSet1D.interval(-1.0, 1.0),
+        tol,
+        lipschitz_closed_form_ratio(params.x, params.y, params.r, params.c),
+    )
     expected_in = params.r * params.y
     expected_out = lipschitz_closed_form_gap(params)
-    if abs(in_gap - expected_in) > 1e-9:
+    if abs(report.input_l1_gap - expected_in) > 1e-9:
         raise VerificationError(
-            f"input gap {in_gap!r} does not match r*y = {expected_in!r}"
+            f"input gap {report.input_l1_gap!r} does not match r*y = {expected_in!r}"
         )
-    if abs(out_gap - expected_out) > 1e-9:
+    if abs(report.output_l1_gap - expected_out) > 1e-9:
         raise VerificationError(
-            f"target gap {out_gap!r} does not match the closed form {expected_out!r}"
+            f"target gap {report.output_l1_gap!r} does not match the closed form "
+            f"{expected_out!r}"
         )
-    return StabilityReport(
-        input_l1_gap=in_gap,
-        output_l1_gap=out_gap,
-        ratio=out_gap / in_gap if in_gap > 0.0 else math.nan,
-        monotone_in=pointwise_leq(mu1, mu2, tol),
-        monotone_out=pointwise_leq(sol1.measure, sol2.measure, tol),
-        closed_form_ratio=lipschitz_closed_form_ratio(
-            params.x, params.y, params.r, params.c
-        ),
-        nu1=sol1.measure,
-        nu2=sol2.measure,
-    )
+    return report
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ structurally without an external dependency.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from stefan1d.errors import ValidationError
 
 MEASURE_SCHEMA = {
     "type": "object",

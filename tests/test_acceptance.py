@@ -33,12 +33,18 @@ from stefan1d import (
     sweep_states,
     weak_convergence_experiment,
 )
+from stefan1d.repro import (
+    DOMAIN,
+    EXAMPLE_5_1,
+    LIPSCHITZ_CORNER,
+    LIPSCHITZ_REFERENCE,
+    MU1,
+    MU2,
+    WEAK_LS,
+    weak_family,
+)
 from stefan1d.stability import LipschitzFamilyParams
 from helpers import random_admissible_measure, random_open_set, random_unit_blocks
-
-DOMAIN = OpenSet1D.interval(-1.0, 1.0)
-MU1 = indicator(0.0, math.sqrt(0.75), 0.99)
-MU2 = indicator(-0.5, 1.0, 0.99)
 
 
 def report(num, ok, detail):
@@ -69,12 +75,13 @@ def test_criterion_01_reference_solution_endpoints():
 
 
 def test_criterion_02_saturation_and_monotonicity_failure():
+    narrow, saturated = EXAMPLE_5_1
     t0 = time.perf_counter()
-    saturated = solve(indicator(-1.0, 0.0), DOMAIN)
-    partial = solve(indicator(-0.9, 0.0), DOMAIN)
-    rep = monotonicity_report(indicator(-0.9, 0.0), indicator(-1.0, 0.0), DOMAIN)
+    fixed = solve(saturated, DOMAIN)
+    partial = solve(narrow, DOMAIN)
+    rep = monotonicity_report(narrow, saturated, DOMAIN)
     elapsed = time.perf_counter() - t0
-    exact_fixed_point = saturated.measure == indicator(-1.0, 0.0)
+    exact_fixed_point = fixed.measure == saturated
     right_width = partial.blocks[0].q
     ok = (
         exact_fixed_point
@@ -169,7 +176,7 @@ def test_criterion_05_lipschitz_blowup():
     rng = np.random.default_rng(55)
     worst_in = worst_out = 0.0
     checked = 0
-    params_list = [LipschitzFamilyParams(x=0.9, y=0.01, r=0.9, c=0.99)]
+    params_list = [LIPSCHITZ_REFERENCE]
     while checked < 20:
         x = float(rng.uniform(0.3, 0.9))
         r = float(rng.uniform(0.3, 0.9))
@@ -186,7 +193,7 @@ def test_criterion_05_lipschitz_blowup():
         worst_out = max(
             worst_out, abs(rep.output_l1_gap - lipschitz_closed_form_gap(params))
         )
-    corner_ratio = lipschitz_closed_form_ratio(0.999, 1e-4, 0.999, 0.999)
+    corner_ratio = lipschitz_closed_form_ratio(*LIPSCHITZ_CORNER)
     elapsed = time.perf_counter() - t0
     ok = (
         worst_in <= 1e-9
@@ -305,15 +312,13 @@ def test_criterion_08_cost_independence():
 
 def test_criterion_09_weak_convergence_stability():
     t0 = time.perf_counter()
-    mu = indicator(-0.5, 0.5)
-    ls = range(2, 65)
-    seq = [indicator(-0.5, 0.5, 1.0 - 1.0 / l) for l in ls]
+    seq, mu = weak_family()
     table = weak_convergence_experiment(seq, mu, DOMAIN)
     gaps = [row.l1_gap for row in table.rows]
     # The family has beta = 0 and k = 1 - 1/l, so the closed form gives
     # p = q = k/2: each interior endpoint moves by 1/(2l) from the limit's,
     # and the L1 gap to the limit target is exactly 1/l.
-    rate_defect = max(abs(gap - 1.0 / l) for gap, l in zip(gaps, ls))
+    rate_defect = max(abs(gap - 1.0 / l) for gap, l in zip(gaps, WEAK_LS))
     rate_ok = rate_defect <= 1e-12
     bound_ok = all(
         row.l1_gap <= 4.0 * (row.mass_gap + row.moment_gap) + 1e-12

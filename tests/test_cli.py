@@ -4,7 +4,7 @@ import math
 import pytest
 
 from stefan1d.cli import main
-from stefan1d.schemas import (
+from schemas import (
     CERTIFICATE_SCHEMA,
     MANIFEST_SCHEMA,
     RUN_REPORT_SCHEMA,
@@ -230,3 +230,15 @@ def test_repro_tolerance_override_can_fail():
     # a 1e-15 tolerance is below float resolution of the reproductions
     code = main(["repro", "--tol", "1e-15"])
     assert code == 5
+
+
+def test_public_api_names_resolve():
+    import stefan1d
+
+    names = stefan1d.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(stefan1d, name)]
+    assert missing == []
+    namespace = {}
+    exec("from stefan1d import *", namespace)
+    assert set(names) <= namespace.keys()

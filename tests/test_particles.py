@@ -86,16 +86,6 @@ def test_run_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
-def test_parallel_flag_does_not_change_results():
-    O = OpenSet1D.of((-1.0, 0.0), (0.5, 1.5))
-    mu = indicator(-0.8, -0.2, 0.9) + indicator(0.7, 1.3, 0.5)
-    serial = run(mu, O, SimConfig(n_particles=4000, seed=17, dt=1e-3))
-    parallel = run(
-        mu, O, SimConfig(n_particles=4000, seed=17, dt=1e-3, parallel_components=True)
-    )
-    assert serial.to_json()["components"] == parallel.to_json()["components"]
-
-
 def test_t_max_flags_unfrozen_walkers():
     mu = indicator(-0.25, 0.25)
     rep = run(mu, DOMAIN, SimConfig(n_particles=500, seed=1, dt=1e-4, t_max=5e-3))

@@ -1,15 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from stefan1d import (
     OpenSet1D,
-    SingularityError,
-    ValidationError,
     dominates,
     indicator,
-    kernel,
     make_step_measure,
     measures_allclose,
     order_leq_sh_O,
@@ -20,26 +15,6 @@ from stefan1d import (
     zero_measure,
 )
 from helpers import random_admissible_measure, random_open_set, random_unit_blocks
-
-
-# -- kernel ---------------------------------------------------------------
-
-
-def test_kernel_values():
-    assert kernel(1, 2.0) == -1.0
-    assert kernel(1, -2.0) == -1.0
-    assert kernel(2, 1.0) == 0.0
-    assert kernel(3, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-    assert kernel(3, [0.0, 0.0, 2.0]) == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-14)
-
-
-def test_kernel_singularities():
-    assert kernel(1, 0.0) == 0.0
-    for d in (2, 3):
-        with pytest.raises(SingularityError):
-            kernel(d, 0.0)
-    with pytest.raises(ValidationError):
-        kernel(4, 1.0)
 
 
 # -- potentials -----------------------------------------------------------

@@ -324,3 +324,30 @@ def test_check_c0_sufficient():
     assert check_c0_sufficient(indicator(-0.5, 0.5, 0.5), O, 0.5)
     with pytest.raises(ValidationError):
         check_c0_sufficient(indicator(0.0, 1.0, 0.5), O, 1.0)
+
+
+# -- known faults: answers that depend on coordinates -----------------------------
+# Both assert the correct behaviour and fail today; they pass once solving and
+# certifying are done in coordinates local to each component, with tolerances
+# scaled to the dimension of each quantity.
+
+
+@pytest.mark.xfail(strict=True, reason="moments about 0 lose digits far from the origin")
+@pytest.mark.parametrize("s", [1e5, 1e8])
+def test_solve_is_translation_equivariant(s):
+    top = math.sqrt(0.75)
+    at_origin = solve(indicator(0.0, top, 0.99), DOMAIN).blocks[0]
+    moved = solve(indicator(s, s + top, 0.99), OpenSet1D.interval(s - 1.0, s + 1.0))
+    assert moved.certificate.ordered
+    for got, want in zip(moved.blocks[0].as_tuple(), at_origin.as_tuple()):
+        assert got == pytest.approx(want + s, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="an absolute tolerance hides gaps of order L^2")
+def test_check_admissible_rejects_unreachable_target_at_small_scale():
+    L = 1e-4
+    # the same pair at L = 1 is rejected with worst gap 0.031
+    cert = check_admissible(
+        indicator(-L / 4, L / 4), indicator(-L / 2, L / 2, 0.5), OpenSet1D.interval(-L, L)
+    )
+    assert not cert.ordered
