@@ -10,6 +10,7 @@ meaningful.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -188,6 +189,9 @@ def cmd_simulate(args) -> int:
     raw_cfg = obj.get("config", {})
     if not isinstance(raw_cfg, dict):
         raise CliInputError("field 'config' must be an object")
+    unknown = sorted(set(raw_cfg) - {f.name for f in dataclasses.fields(SimConfig)})
+    if unknown:
+        raise CliInputError(f"unknown keys in 'config': {', '.join(unknown)}")
     cfg = SimConfig(
         n_particles=int(raw_cfg.get("n_particles", 10000)),
         seed=int(args.seed if args.seed is not None else raw_cfg.get("seed", 0)),
@@ -214,7 +218,7 @@ def cmd_simulate(args) -> int:
     return 0 if report.all_frozen else 4
 
 
-def _stability_lipschitz(args) -> tuple[dict, list[list]]:
+def _stability_lipschitz() -> tuple[dict, list[list]]:
     rows = []
     reports = []
     for params in lipschitz_ladder():
@@ -240,7 +244,7 @@ def _stability_lipschitz(args) -> tuple[dict, list[list]]:
     return payload, rows
 
 
-def _stability_monotone(args) -> tuple[dict, list[list]]:
+def _stability_monotone() -> tuple[dict, list[list]]:
     pairs = [("narrow_vs_saturated", *EXAMPLE_5_1), ("equal_first_moments", MU1, MU2)]
     rows = []
     reports = []
@@ -261,7 +265,7 @@ def _stability_monotone(args) -> tuple[dict, list[list]]:
     return {"family": "monotone", "reports": reports}, rows
 
 
-def _stability_weak(args) -> tuple[dict, list[list]]:
+def _stability_weak() -> tuple[dict, list[list]]:
     seq, mu = weak_family()
     table = weak_convergence_experiment(seq, mu, DOMAIN)
     rows = [
@@ -284,7 +288,7 @@ def cmd_stability(args) -> int:
         "weak": (_stability_weak, ["l", "mass_gap", "moment_gap", "l1_gap"]),
     }
     builder, header = builders[args.family]
-    payload, rows = builder(args)
+    payload, rows = builder()
     _emit(payload, args.out)
     if args.csv:
         _write_csv(args.csv, header, rows)
@@ -320,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", metavar="FILE", help="input JSON file")
         p.add_argument("--out", metavar="FILE", help="write JSON output here")
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
 
     p_solve = sub.add_parser("solve", help="compute the two-block target")
     common(p_solve)
@@ -357,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_repro, needs_input=False)
     p_repro.add_argument("--json", action="store_true", help="machine-readable output")
     p_repro.set_defaults(func=cmd_repro)
+
+    for p in (p_solve, p_order, p_repro):
+        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
 
     return parser
 

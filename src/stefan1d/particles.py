@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, SamplingError, ValidationError, VerificationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _from_cells, l1_distance, restrict
-from .solver import MaximalSolution
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, l1_distance, restrict
+from .solver import MaximalSolution, _blocks_measure
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,12 @@ class ComponentRunReport:
     hist_edges: tuple[float, ...]
     hist_counts: tuple[int, ...]
 
-    def frozen_measure(self) -> StepMeasure:
+    def _frozen_ends(self) -> tuple[float, float, float, float]:
         c, d = self.interval
-        return _from_cells([(c, self.left_front, 1.0), (self.right_front, d, 1.0)])
+        return (c, self.left_front, self.right_front, d)
+
+    def frozen_measure(self) -> StepMeasure:
+        return _blocks_measure([self._frozen_ends()])
 
     def to_json(self) -> dict:
         fields = asdict(self)
@@ -325,13 +328,8 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
         )
 
     components = tuple(one(i) for i in range(len(open_set.components)))
-
-    cells = []
-    for comp in components:
-        c, d = comp.interval
-        cells.append((c, comp.left_front, 1.0))
-        cells.append((comp.right_front, d, 1.0))
-    return RunReport(components=components, measure=_from_cells(cells), config=cfg)
+    measure = _blocks_measure(comp._frozen_ends() for comp in components)
+    return RunReport(components=components, measure=measure, config=cfg)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ interior vertex or an endpoint, everywhere else at endpoints.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,7 @@ from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, restrict
 
 #: Hypothesis of the order relation that cannot be checked from step data;
-#: recorded on every certificate produced by :func:`order_leq_sh_O`.
+#: recorded on every certificate built by :func:`_componentwise`.
 EXIT_TIME_ASSUMPTION = (
     "exit times of the open set and of its closure are assumed to agree "
     "almost surely for the started distribution (not verifiable from step data)",
@@ -28,15 +29,15 @@ EXIT_TIME_ASSUMPTION = (
 
 
 @dataclass(frozen=True)
-class PiecewiseQuadratic:
-    """a*y^2 + b*y + c per piece; piece i covers [breakpoints[i-1], breakpoints[i]].
+class _Piecewise:
+    """Polynomial per piece; piece i covers [breakpoints[i-1], breakpoints[i]].
 
-    Piece 0 and the last piece are the unbounded tails. For potentials of
-    finite measures the tails are linear (a = 0) with slopes +-mass/2.
+    ``coeffs[i]`` lists piece i's coefficients from the highest power down.
+    Piece 0 and the last piece are the unbounded tails.
     """
 
     breakpoints: tuple[float, ...]
-    coeffs: tuple[tuple[float, float, float], ...]
+    coeffs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.breakpoints) + 1:
@@ -46,23 +47,34 @@ class PiecewiseQuadratic:
         return bisect_right(self.breakpoints, y)
 
     def __call__(self, y: float) -> float:
-        a, b, c = self.coeffs[self.piece_index(y)]
-        return (a * y + b) * y + c
+        coeffs = self.coeffs[self.piece_index(y)]
+        val = coeffs[0]
+        for coef in coeffs[1:]:
+            val = val * y + coef
+        return val
+
+    def __sub__(self, other: "_Piecewise") -> "_Piecewise":
+        bp = sorted({*self.breakpoints, *other.breakpoints})
+        coeffs = []
+        for i in range(len(bp) + 1):
+            y = _sample_point(bp, i)
+            mine = self.coeffs[self.piece_index(y)]
+            theirs = other.coeffs[other.piece_index(y)]
+            coeffs.append(tuple(map(operator.sub, mine, theirs)))
+        return type(self)(tuple(bp), tuple(coeffs))
+
+
+class PiecewiseQuadratic(_Piecewise):
+    """a*y^2 + b*y + c per piece.
+
+    For potentials of finite measures the tails are linear (a = 0) with
+    slopes +-mass/2.
+    """
 
     def derivative(self) -> "PiecewiseLinear":
         return PiecewiseLinear(
             self.breakpoints, tuple((2.0 * a, b) for a, b, _ in self.coeffs)
         )
-
-    def __sub__(self, other: "PiecewiseQuadratic") -> "PiecewiseQuadratic":
-        bp = sorted({*self.breakpoints, *other.breakpoints})
-        coeffs = []
-        for i in range(len(bp) + 1):
-            y = _sample_point(bp, i)
-            a1, b1, c1 = self.coeffs[self.piece_index(y)]
-            a2, b2, c2 = other.coeffs[other.piece_index(y)]
-            coeffs.append((a1 - a2, b1 - b2, c1 - c2))
-        return PiecewiseQuadratic(tuple(bp), tuple(coeffs))
 
     def negated(self) -> "PiecewiseQuadratic":
         return PiecewiseQuadratic(
@@ -109,33 +121,8 @@ class PiecewiseQuadratic:
         }
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """m*y + b per piece, same piece convention as PiecewiseQuadratic."""
-
-    breakpoints: tuple[float, ...]
-    coeffs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.breakpoints) + 1:
-            raise ValidationError("need len(coeffs) == len(breakpoints) + 1")
-
-    def piece_index(self, y: float) -> int:
-        return bisect_right(self.breakpoints, y)
-
-    def __call__(self, y: float) -> float:
-        m, b = self.coeffs[self.piece_index(y)]
-        return m * y + b
-
-    def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bp = sorted({*self.breakpoints, *other.breakpoints})
-        coeffs = []
-        for i in range(len(bp) + 1):
-            y = _sample_point(bp, i)
-            m1, b1 = self.coeffs[self.piece_index(y)]
-            m2, b2 = other.coeffs[other.piece_index(y)]
-            coeffs.append((m1 - m2, b1 - b2))
-        return PiecewiseLinear(tuple(bp), tuple(coeffs))
+class PiecewiseLinear(_Piecewise):
+    """m*y + b per piece."""
 
     def roots(self, lo: float, hi: float) -> tuple[list[float], list[tuple[float, float]]]:
         """All zeros on [lo, hi]: isolated roots plus flat zero segments.
@@ -308,8 +295,11 @@ def order_leq_sh_O(
     """
     mus = restrict(mu, open_set, tol)
     nus = restrict(nu, open_set, tol)
-    per = tuple(dominates(m_n, n_n, tol) for m_n, n_n in zip(mus, nus))
-    ordered = all(c.ordered for c in per)
+    return _componentwise([dominates(m_n, n_n, tol) for m_n, n_n in zip(mus, nus)])
+
+
+def _componentwise(per: Sequence[OrderCertificate]) -> OrderCertificate:
+    """Order on an open set: holds iff on every component; worst gaps win."""
     worst_gap, worst_point = 0.0, 0.0
     mass_gap = moment_gap = 0.0
     for c in per:
@@ -318,11 +308,11 @@ def order_leq_sh_O(
         mass_gap = max(mass_gap, c.mass_gap)
         moment_gap = max(moment_gap, c.moment_gap)
     return OrderCertificate(
-        ordered,
+        all(c.ordered for c in per),
         mass_gap,
         moment_gap,
         worst_point,
         worst_gap,
-        per_component=per,
+        per_component=tuple(per),
         assumptions=EXIT_TIME_ASSUMPTION,
     )

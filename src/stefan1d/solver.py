@@ -35,6 +35,8 @@ from .measure import (
 )
 from .potential import (
     OrderCertificate,
+    _componentwise,
+    dominates,
     order_leq_sh_O,
     potential,
     potential_derivative,
@@ -68,7 +70,7 @@ class BlockPair:
         return self.d - self.f
 
     def measure(self) -> StepMeasure:
-        return _from_cells([(self.c, self.e, 1.0), (self.f, self.d, 1.0)])
+        return _blocks_measure([self.as_tuple()])
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c, self.e, self.f, self.d)
@@ -142,9 +144,9 @@ def solve(
     """Maximal target for mu on the open set, certified before returning.
 
     Each component is solved independently from its restricted mass and
-    first moment. The assembled target is then checked against mu with the
-    component-wise potential order verifier; a failed check raises
-    VerificationError carrying the certificate.
+    first moment, and certified against that restricted input with the
+    potential order verifier; a failed check raises VerificationError
+    carrying the certificate.
     """
     top = mu.max_density()
     if top > 1.0 + tol:
@@ -152,29 +154,29 @@ def solve(
             f"density {top:.9g} exceeds the admissible bound 1"
         )
     parts = restrict(mu, open_set, tol)
-    blocks: list[BlockPair] = []
-    stats: list[tuple[float, float]] = []
-    for (c, d), mu_n in zip(open_set.components, parts):
-        k = mu_n.mass
-        beta = mu_n.first_moment
-        blocks.append(solve_component(c, d, k, beta))
-        stats.append((k, beta))
-    target = _blocks_measure(blocks)
-    certificate = order_leq_sh_O(mu, target, open_set, tol)
+    stats = tuple((mu_n.mass, mu_n.first_moment) for mu_n in parts)
+    blocks = tuple(
+        solve_component(c, d, k, beta)
+        for (c, d), (k, beta) in zip(open_set.components, stats)
+    )
+    certificate = _componentwise(
+        [dominates(mu_n, b.measure(), tol) for mu_n, b in zip(parts, blocks)]
+    )
     if not certificate.ordered:
         raise VerificationError(
             "solver output failed the potential order certification "
             f"(worst gap {certificate.worst_gap:.3e} at {certificate.worst_point:.9g})",
             certificate,
         )
-    return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
+    target = _blocks_measure(b.as_tuple() for b in blocks)
+    return MaximalSolution(blocks, target, stats, certificate)
 
 
-def _blocks_measure(blocks: Iterable[BlockPair]) -> StepMeasure:
+def _blocks_measure(blocks: Iterable[tuple[float, ...]]) -> StepMeasure:
+    """Indicator of (c, e) union (f, d) over every (c, e, f, d) given."""
     cells = []
-    for b in blocks:
-        cells.append((b.c, b.e, 1.0))
-        cells.append((b.f, b.d, 1.0))
+    for c, e, f, d in blocks:
+        cells.extend(((c, e, 1.0), (f, d, 1.0)))
     return _from_cells(cells)
 
 
@@ -234,7 +236,7 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     route independent.
     """
     block, _ = _sweep(mu, open_set)
-    target = _blocks_measure([block])
+    target = block.measure()
     return MaximalSolution(
         (block,), target, ((mu.mass, mu.first_moment),), certificate=None
     )

@@ -119,6 +119,7 @@ def test_criterion_03_potential_certification_random():
         sol = solve(mu, open_set)
         cert = order_leq_sh_O(mu, sol.measure, open_set)
         assert cert.ordered
+        assert sol.certificate == cert
         worst_gap = max(worst_gap, cert.worst_gap)
         diff = potential(sol.measure) - potential(mu)
         for a, b, c in _pieces_outside(diff, open_set):

@@ -166,6 +166,25 @@ def test_simulate_seed_flag_overrides(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
+    sim_in = write(
+        tmp_path / "sim.json",
+        {
+            "measure": {"breaks": [-0.25, 0.25], "values": [1.0]},
+            "open_set": {"components": [[-1.0, 1.0]]},
+            "config": {"n_particle": 50},
+        },
+    )
+    assert main(["simulate", "--input", sim_in, "--out", str(tmp_path / "r.json")]) == 1
+    assert "n_particle" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_tol_only_where_read():
+    with pytest.raises(SystemExit):
+        main(["potential", "--tol", "1e-3"])
+
+
 def test_stability_lipschitz_csv_matches_closed_form(tmp_path):
     csv = tmp_path / "lip.csv"
     assert main(["stability", "--family", "lipschitz", "--csv", str(csv),

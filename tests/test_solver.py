@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from stefan1d import (
     InfeasibilityError,
     OpenSet1D,
     ValidationError,
+    VerificationError,
     check_admissible,
     check_c0_sufficient,
     critical_point,
@@ -17,6 +19,7 @@ from stefan1d import (
     indicator,
     measures_allclose,
     moment_window,
+    order_leq_sh_O,
     potential,
     primal_objective,
     solve,
@@ -140,6 +143,49 @@ def test_solve_conserves_mass_and_moment_per_component():
             assert block.p + block.q == pytest.approx(k, abs=1e-9)
             m = block.measure()
             assert m.first_moment == pytest.approx(beta, abs=1e-9)
+
+
+def test_certificate_matches_order_check_on_touching_components():
+    # touching components (0 and 1, 1 and 2), a zero-mass and a saturated one
+    O = OpenSet1D.of((-2.0, -1.0), (-1.0, 0.5), (0.5, 1.0), (2.0, 3.0))
+    mu = indicator(-1.8, -1.2, 0.6) + indicator(-1.0, 0.2, 0.9) + indicator(2.0, 3.0)
+    sol = solve(mu, O)
+    assert sol.certificate == order_leq_sh_O(mu, sol.measure, O)
+    assert sol.certificate.ordered and len(sol.certificate.per_component) == 4
+    assert sol.blocks[2].p == 0.0 and sol.blocks[2].q == 0.0
+    assert sol.blocks[3].measure() == indicator(2.0, 3.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e4, 1e5])
+def test_certificate_matches_order_check_under_translation(s):
+    top = math.sqrt(0.75)
+    mu = indicator(s, s + top, 0.99)
+    O = OpenSet1D.interval(s - 1.0, s + 1.0)
+    try:
+        cert = solve(mu, O).certificate
+    except VerificationError as exc:
+        cert = exc.certificate
+    target = solve_component(s - 1.0, s + 1.0, mu.mass, mu.first_moment).measure()
+    assert cert == order_leq_sh_O(mu, target, O)
+
+
+def test_solve_restricts_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # by module path: the package attribute `potential` is the function
+    for name in ("stefan1d.solver", "stefan1d.potential"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "restrict", counted(module.restrict))
+    O = OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.5))
+    solve(indicator(-2.8, -2.5) + indicator(-0.5, 0.5, 0.7) + indicator(2.5, 3.0), O)
+    assert len(calls) == 1
 
 
 def test_zero_mass_solution():
