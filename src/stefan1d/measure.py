@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -86,15 +86,6 @@ class StepMeasure:
 
     def max_density(self) -> float:
         return max(self.values, default=0.0)
-
-    def density_at(self, y: float) -> float:
-        """Density at y; at a break the right cell wins (a.e. irrelevant)."""
-        if not self.breaks or y < self.breaks[0] or y >= self.breaks[-1]:
-            return 0.0
-        i = bisect_right(self.breaks, y) - 1
-        if i < 0 or i >= self.ncells:
-            return 0.0
-        return self.values[i]
 
     # -- integral transforms ----------------------------------------------
 
@@ -191,9 +182,6 @@ class OpenSet1D:
             return (0.0, 0.0)
         return self.components[0][0], self.components[-1][1]
 
-    def contains_point(self, x: float) -> bool:
-        return any(c < x < d for c, d in self.components)
-
     def to_json(self) -> dict:
         return {"components": [[c, d] for c, d in self.components]}
 
@@ -244,11 +232,6 @@ def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
     return StepMeasure(tuple(breaks), tuple(values))
 
 
-def canonicalize(mu: StepMeasure) -> StepMeasure:
-    """Re-normalise a StepMeasure; idempotent on canonical inputs."""
-    return _from_cells(mu.cells())
-
-
 def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepMeasure:
     """Validated constructor; the result is canonical and equal a.e. to the input."""
     b = _as_float_tuple(breaks)
@@ -289,24 +272,41 @@ def zero_measure() -> StepMeasure:
     return StepMeasure((), ())
 
 
-def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
-    out = zero_measure()
-    for mu in measures:
-        out = out + mu
-    return out
-
-
 # -- merged-grid operations ---------------------------------------------------
+
+
+def _merge_walk(a: Sequence[float], b: Sequence[float]) -> Iterator[tuple]:
+    """Walk the merged grid of two strictly increasing break sequences.
+
+    Yields (lo, hi, i, j) for every interval, both unbounded tails included;
+    i and j count the breaks of a and of b that are <= lo, so they index the
+    piece of each side covering it. A break both sides hold comes once, as a's.
+    """
+    a, b = (*a, math.inf), (*b, math.inf)
+    i = j = 0
+    lo = -math.inf
+    while lo < math.inf:
+        x, y = a[i], b[j]
+        if x <= y:
+            yield lo, x, i, j
+            lo = x
+            i += 1
+            j += x == y
+        else:
+            yield lo, y, i, j
+            lo = y
+            j += 1
 
 
 def _merged_cells(
     mu: StepMeasure, nu: StepMeasure
 ) -> Iterator[tuple[float, float, float, float]]:
     """Yield (lo, hi, density_mu, density_nu) over the merged break grid."""
-    grid = sorted({*mu.breaks, *nu.breaks})
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * (lo + hi)
-        yield lo, hi, mu.density_at(mid), nu.density_at(mid)
+    # a count of breaks <= lo indexes the densities padded by both zero tails
+    mv, nv = (0.0, *mu.values, 0.0), (0.0, *nu.values, 0.0)
+    for lo, hi, i, j in _merge_walk(mu.breaks, nu.breaks):
+        if -math.inf < lo and hi < math.inf:
+            yield lo, hi, mv[i], nv[j]
 
 
 def positive_part_l1(mu: StepMeasure, nu: StepMeasure) -> float:
@@ -342,15 +342,25 @@ def restrict(
     the parts equals mu restricted to the set. Mass outside the set beyond
     tol (relative to max(1, total mass)) raises SupportError carrying the
     leaked amount.
+
+    Costs O(cells + components · log cells): each component bisects its
+    endpoints into mu's breaks and slices the cells between them.
     """
+    b, v = mu.breaks, mu.values
     parts: list[StepMeasure] = []
     for c, d in open_set.components:
-        sub = [
-            (max(lo, c), min(hi, d), v)
-            for lo, hi, v in mu.cells()
-            if min(hi, d) > max(lo, c)
-        ]
-        parts.append(_from_cells(sub))
+        # mu's cells lo..hi-1 meet (c, d): drop zero end cells, clip end breaks
+        lo = max(bisect_right(b, c) - 1, 0)
+        hi = min(bisect_left(b, d), len(v))
+        while lo < hi and not v[lo]:
+            lo += 1
+        while lo < hi and not v[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            parts.append(zero_measure())
+            continue
+        breaks = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d)))
+        parts.append(StepMeasure(breaks, v[lo:hi]))
     leaked = mu.mass - sum(p.mass for p in parts)
     if leaked > tol * max(1.0, mu.mass):
         raise SupportError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _merge_walk, restrict
 
 #: Hypothesis of the order relation that cannot be checked from step data;
 #: recorded on every certificate built by :func:`_componentwise`.
@@ -43,24 +43,21 @@ class _Piecewise:
         if len(self.coeffs) != len(self.breakpoints) + 1:
             raise ValidationError("need len(coeffs) == len(breakpoints) + 1")
 
-    def piece_index(self, y: float) -> int:
-        return bisect_right(self.breakpoints, y)
-
     def __call__(self, y: float) -> float:
-        coeffs = self.coeffs[self.piece_index(y)]
+        coeffs = self.coeffs[bisect_right(self.breakpoints, y)]
         val = coeffs[0]
         for coef in coeffs[1:]:
             val = val * y + coef
         return val
 
     def __sub__(self, other: "_Piecewise") -> "_Piecewise":
-        bp = sorted({*self.breakpoints, *other.breakpoints})
+        mine, theirs = self.coeffs, other.coeffs
+        bp: list[float] = []
         coeffs = []
-        for i in range(len(bp) + 1):
-            y = _sample_point(bp, i)
-            mine = self.coeffs[self.piece_index(y)]
-            theirs = other.coeffs[other.piece_index(y)]
-            coeffs.append(tuple(map(operator.sub, mine, theirs)))
+        for _, hi, i, j in _merge_walk(self.breakpoints, other.breakpoints):
+            bp.append(hi)
+            coeffs.append(tuple(map(operator.sub, mine[i], theirs[j])))
+        bp.pop()  # the right tail's infinite end
         return type(self)(tuple(bp), tuple(coeffs))
 
 
@@ -155,16 +152,6 @@ class PiecewiseLinear(_Piecewise):
                 continue
             merged.append(p)
         return merged, flats
-
-
-def _sample_point(bp: Sequence[float], piece: int) -> float:
-    if not bp:
-        return 0.0
-    if piece == 0:
-        return bp[0] - 1.0
-    if piece == len(bp):
-        return bp[-1] + 1.0
-    return 0.5 * (bp[piece - 1] + bp[piece])
 
 
 # -- potentials ----------------------------------------------------------------

@@ -431,17 +431,21 @@ def check_admissible(
             note=f"density {top:.9g} exceeds the unit bound",
         )
     try:
-        restrict(nu, open_set, tol)
-    except ValidationError as exc:
-        return OrderCertificate(
-            ordered=False,
-            mass_gap=0.0,
-            moment_gap=0.0,
-            worst_point=0.0,
-            worst_gap=math.inf,
-            note=f"support violation: {exc}",
-        )
-    return order_leq_sh_O(mu, nu, open_set, tol)
+        return order_leq_sh_O(mu, nu, open_set, tol)
+    except ValidationError:
+        # nu outside the set fails the certificate even when mu leaks too
+        try:
+            restrict(nu, open_set, tol)
+        except ValidationError as exc:
+            return OrderCertificate(
+                ordered=False,
+                mass_gap=0.0,
+                moment_gap=0.0,
+                worst_point=0.0,
+                worst_gap=math.inf,
+                note=f"support violation: {exc}",
+            )
+        raise
 
 
 def independence_check(

@@ -1,10 +1,37 @@
-"""Random instance generators shared by the property and acceptance tests."""
+"""Random instance generators and reference implementations for the tests."""
 
 from __future__ import annotations
 
-import numpy as np
+import operator
+from bisect import bisect_right
+from typing import Iterable
 
-from stefan1d import OpenSet1D, StepMeasure, indicator, make_step_measure, sum_measures
+import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from stefan1d import (
+    DEFAULT_TOL,
+    OpenSet1D,
+    StepMeasure,
+    SupportError,
+    indicator,
+    make_step_measure,
+    zero_measure,
+)
+from stefan1d.measure import _from_cells
+
+
+def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
+    out = zero_measure()
+    for mu in measures:
+        out = out + mu
+    return out
+
+
+def canonicalize(mu: StepMeasure) -> StepMeasure:
+    """Re-normalise a StepMeasure; idempotent on canonical inputs."""
+    return _from_cells(mu.cells())
 
 
 def random_open_set(rng: np.random.Generator, max_components: int = 3) -> OpenSet1D:
@@ -62,3 +89,123 @@ def random_unit_blocks(
         for i in range(n_blocks)
     ]
     return sum_measures(blocks)
+
+
+# -- references: the direct algorithms that the fast paths must reproduce ------
+
+
+def density_at(mu: StepMeasure, y: float) -> float:
+    """Density at y; at a break the right cell wins (a.e. irrelevant)."""
+    if not mu.breaks or y < mu.breaks[0] or y >= mu.breaks[-1]:
+        return 0.0
+    return mu.values[bisect_right(mu.breaks, y) - 1]
+
+
+def restrict_reference(
+    mu: StepMeasure, open_set: OpenSet1D, tol: float = DEFAULT_TOL
+) -> list[StepMeasure]:
+    """Quadratic restriction: clip every cell of mu to every component."""
+    parts: list[StepMeasure] = []
+    for c, d in open_set.components:
+        sub = [
+            (max(lo, c), min(hi, d), v)
+            for lo, hi, v in mu.cells()
+            if min(hi, d) > max(lo, c)
+        ]
+        parts.append(_from_cells(sub))
+    leaked = mu.mass - sum(p.mass for p in parts)
+    if leaked > tol * max(1.0, mu.mass):
+        raise SupportError(
+            f"measure carries mass {leaked:.9g} outside the open set", leaked
+        )
+    return parts
+
+
+def merged_cells_reference(mu: StepMeasure, nu: StepMeasure) -> list[tuple]:
+    """(lo, hi, density_mu, density_nu) on the sorted union of both grids.
+
+    Reads each density at the cell midpoint, so it is right only where that
+    midpoint falls strictly inside the cell (see :func:`midpoints_interior`).
+    """
+    grid = sorted({*mu.breaks, *nu.breaks})
+    return [
+        (lo, hi, density_at(mu, 0.5 * (lo + hi)), density_at(nu, 0.5 * (lo + hi)))
+        for lo, hi in zip(grid, grid[1:])
+    ]
+
+
+def _sample_point(bp, piece: int) -> float:
+    if not bp:
+        return 0.0
+    if piece == 0:
+        return bp[0] - 1.0
+    if piece == len(bp):
+        return bp[-1] + 1.0
+    return 0.5 * (bp[piece - 1] + bp[piece])
+
+
+def sub_reference(f, g):
+    """f - g for piecewise polynomials, one bisect per piece on each side.
+
+    Right only where every sample point falls strictly inside its piece
+    (see :func:`midpoints_interior`).
+    """
+    bp = sorted({*f.breakpoints, *g.breakpoints})
+    coeffs = []
+    for i in range(len(bp) + 1):
+        y = _sample_point(bp, i)
+        mine = f.coeffs[bisect_right(f.breakpoints, y)]
+        theirs = g.coeffs[bisect_right(g.breakpoints, y)]
+        coeffs.append(tuple(map(operator.sub, mine, theirs)))
+    return type(f)(tuple(bp), tuple(coeffs))
+
+
+def midpoints_interior(*grids) -> bool:
+    """Whether every sample point of the references lies inside its piece.
+
+    It fails on ulp-adjacent breaks, whose midpoint rounds onto an end, and
+    on tails whose sample point rounds onto the outermost break.
+    """
+    bp = sorted({x for grid in grids for x in grid})
+    if bp and not (bp[0] - 1.0 < bp[0] and bp[-1] < bp[-1] + 1.0):
+        return False
+    return all(lo < 0.5 * (lo + hi) < hi for lo, hi in zip(bp, bp[1:]))
+
+
+# -- strategies for the reference comparisons -----------------------------------
+
+#: Breaks, breakpoints and component endpoints share this grid, so endpoints
+#: fall exactly on breaks, components touch or miss the support, and -0.0
+#: meets 0.0.
+GRID = [k / 4 for k in range(-12, 13)] + [-0.0]
+
+
+def grid_breaks(min_size: int = 0, max_size: int = 8):
+    """Strictly increasing tuples mixing grid points and arbitrary floats."""
+    point = st.one_of(st.sampled_from(GRID), st.floats(-4.0, 4.0))
+    return st.lists(point, min_size=min_size, max_size=max_size, unique=True).map(
+        lambda xs: tuple(sorted(xs))
+    )
+
+
+@st.composite
+def grid_measures(draw):
+    """Canonical measures on grid breaks, with zero cells inside and at the ends."""
+    breaks = draw(grid_breaks())
+    if len(breaks) < 2:
+        return zero_measure()
+    density = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 5.0))
+    values = draw(st.lists(density, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return make_step_measure(breaks, values)
+
+
+@st.composite
+def grid_open_sets(draw):
+    """Open sets on grid endpoints; a step of 1 makes the next component touch."""
+    ends = draw(grid_breaks(min_size=2, max_size=9))
+    assume(len(ends) >= 2)
+    comps, i = [], 0
+    while i + 1 < len(ends):
+        comps.append((ends[i], ends[i + 1]))
+        i += draw(st.sampled_from([1, 2]))
+    return OpenSet1D.of(*comps)

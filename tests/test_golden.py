@@ -1,0 +1,119 @@
+"""Byte identity of deterministic CLI output.
+
+Each case runs ``stefan1d.cli.main`` in-process on a fixed input and compares
+the sha256 of its standard output, standard error and CSV file, and its exit
+code, with digests recorded before restriction and the merged-grid operations
+became linear-time. A change that moves any output byte fails here; when the
+change is meant, record the new digests and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from stefan1d.cli import main
+
+README_EXAMPLE = {
+    "measure": {"breaks": [0.0, 0.8660254037844386], "values": [0.99]},
+    "open_set": {"components": [[-1.0, 1.0]]},
+}
+THREE_COMPONENTS = {
+    "measure": {
+        "breaks": [-2.8, -2.5, -0.5, 0.5, 2.5, 3.0],
+        "values": [1.0, 0.0, 0.7, 0.0, 1.0],
+    },
+    "open_set": {"components": [[-3.0, -2.0], [-1.0, 1.0], [2.0, 3.5]]},
+}
+# criterion 10: ordered on (-1, 1), not on (-1, 0) with (0, 1)
+SPLIT_PAIR = {
+    "mu": {"breaks": [-0.5, 0.5], "values": [1.0]},
+    "nu": {"breaks": [-1.0, -0.5, 0.5, 1.0], "values": [1.0, 0.0, 1.0]},
+    "open_set": {"components": [[-1.0, 0.0], [0.0, 1.0]]},
+}
+THREE_CELLS = {"measure": {"breaks": [-0.5, 0.0, 0.25, 0.75], "values": [0.5, 1.0, 0.25]}}
+
+# name: (argv before the file options, input or None, writes a CSV)
+CASES = {
+    "solve_readme": (["solve"], README_EXAMPLE, True),
+    "solve_three_components": (["solve"], THREE_COMPONENTS, True),
+    "order_split_pair": (["order"], SPLIT_PAIR, False),
+    "potential_three_cells": (["potential"], THREE_CELLS, True),
+    "stability_weak": (["stability", "--family", "weak"], None, False),
+}
+
+EXPECTED = {
+    "order_split_pair": {
+        "exit": 0,
+        "stdout": "67dd603dae7559460824a0e7f73ae0d83d8e1c2dcceef20d81e3914f1eb5ef39",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "potential_three_cells": {
+        "exit": 0,
+        "stdout": "a40077480cb98088110f92eaaa1b9d4ebd13f47bca89cd40bcd318ed3ed34a7c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "f03da0beab37bbe3847187b3b0cc75f8278cf3110490e7e5aab81234d24f6cf6",
+    },
+    "solve_readme": {
+        "exit": 0,
+        "stdout": "73e8313019cd89fac7a001f67a6381ee1b40e1b819d8633c778c7d362df4885c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "5eeaf09fee1641ae2260ac9b8201458e18e782bd774968bd9be835f9bc0f62db",
+    },
+    "solve_three_components": {
+        "exit": 0,
+        "stdout": "94c2cc3d84b18cb83af8d4e54e63fafa5a33be7059b9438751af9656f3b48f4e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "04865476db048418b0c9bbca6770645d6ebded5a52792d12c67f244c1ce3bc2f",
+    },
+    "stability_weak": {
+        "exit": 0,
+        "stdout": "68b764329aea167b080d084845de28f6ad8b97f89f6b30c24fd03e2cceff08d9",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name: str) -> dict:
+    """Exit code and the digest of every output of one case."""
+    argv, payload, writes_csv = CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        if payload is not None:
+            path = Path(tmp) / "in.json"
+            path.write_text(json.dumps(payload))
+            argv += ["--input", str(path)]
+        csv = Path(tmp) / "out.csv"
+        if writes_csv:
+            argv += ["--csv", str(csv)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digests = {
+            "exit": code,
+            "stdout": _sha(out.getvalue().encode()),
+            "stderr": _sha(err.getvalue().encode()),
+        }
+        if writes_csv:
+            digests["csv"] = _sha(csv.read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_unchanged(name):
+    assert run_case(name) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    # print the digests of the package on the path, to record them above
+    print(json.dumps({name: run_case(name) for name in sorted(CASES)}, indent=4))

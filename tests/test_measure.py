@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stefan1d import (
@@ -11,7 +11,6 @@ from stefan1d import (
     RangeError,
     SupportError,
     ValidationError,
-    canonicalize,
     indicator,
     l1_distance,
     make_step_measure,
@@ -20,6 +19,15 @@ from stefan1d import (
     restrict,
     zero_measure,
 )
+from helpers import (
+    canonicalize,
+    grid_measures,
+    grid_open_sets,
+    merged_cells_reference,
+    midpoints_interior,
+    restrict_reference,
+)
+from stefan1d.measure import _merged_cells
 
 
 def test_indicator_constructor():
@@ -136,7 +144,7 @@ def test_open_set_validation():
     # touching components are allowed and stay separate
     O = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
     assert len(O.components) == 2
-    assert not O.contains_point(0.0)
+    assert not any(c < 0.0 < d for c, d in O.components)
 
 
 @st.composite
@@ -205,3 +213,67 @@ def test_scaled_and_canonical_merging():
     assert mu.breaks == (0.0, 2.0)  # equal neighbours merged
     assert mu.scaled(0.0) == zero_measure()
     assert mu.scaled(2.0).values == (1.0,)
+
+
+# -- the bisect-and-slice restriction and the merge walk against references --
+
+
+def _restrict_outcome(fn, mu, open_set, tol):
+    try:
+        return fn(mu, open_set, tol)
+    except SupportError as exc:
+        return ("SupportError", str(exc), exc.leaked_mass)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_measures(), grid_open_sets(), st.sampled_from([1e-9, 0.1, 10.0]))
+# interior zero cell, components touching each other and on breaks
+@example(
+    make_step_measure([-1.0, -0.5, 0.0, 0.5, 1.0], [0.5, 0.0, 1.0, 0.25]),
+    OpenSet1D.of((-1.0, -0.5), (-0.5, 0.0), (0.0, 1.0)),
+    1e-9,
+)
+# components outside the support and one holding only a zero cell
+@example(
+    make_step_measure([-1.0, -0.5, 0.5, 1.0], [1.0, 0.0, 1.0]),
+    OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.0)),
+    1e-9,
+)
+@example(
+    make_step_measure([-1.0, -0.5, 0.5, 1.0], [1.0, 0.0, 1.0]),
+    OpenSet1D.of((-2.0, -1.0), (-0.25, 0.25), (1.0, 3.0)),
+    1e-9,
+)
+# leaking mass: raised under a tight tolerance, forgiven under a loose one
+@example(indicator(-1.0, 1.0, 0.5), OpenSet1D.of((-0.25, 0.75)), 1e-9)
+@example(indicator(-1.0, 1.0, 0.5), OpenSet1D.of((-0.25, 0.75)), 10.0)
+# -0.0 endpoints against 0.0 breaks, at either end of a component
+@example(indicator(0.0, 1.0), OpenSet1D.of((-0.0, 0.5), (0.5, 1.0)), 1e-9)
+@example(indicator(-1.0, 0.0), OpenSet1D.of((-1.0, -0.0)), 1e-9)
+def test_restrict_matches_reference(mu, O, tol):
+    new = _restrict_outcome(restrict, mu, O, tol)
+    ref = _restrict_outcome(restrict_reference, mu, O, tol)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_measures(), grid_measures())
+def test_merged_cells_match_reference(mu, nu):
+    assume(midpoints_interior(mu.breaks, nu.breaks))
+    new = list(_merged_cells(mu, nu))
+    ref = merged_cells_reference(mu, nu)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+def test_merged_grid_on_ulp_adjacent_breaks():
+    # the midpoint of the ulp-wide cell (a, b) rounds onto b, so a density read
+    # at midpoints would see 0.4 there where it is 0.9
+    a = math.nextafter(1.0, 2.0)
+    b = math.nextafter(a, 2.0)
+    mu = make_step_measure([0.0, a, b, 2.0], [0.2, 0.9, 0.4])
+    assert [v for _, _, v, _ in _merged_cells(mu, zero_measure())] == [0.2, 0.9, 0.4]
+    assert mu + zero_measure() == mu
+    assert l1_distance(mu, mu) == 0.0
+    assert l1_distance(mu, zero_measure()) == mu.mass

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stefan1d import (
     OpenSet1D,
+    PiecewiseLinear,
+    PiecewiseQuadratic,
     dominates,
     indicator,
     make_step_measure,
@@ -14,7 +20,15 @@ from stefan1d import (
     sweep_states,
     zero_measure,
 )
-from helpers import random_admissible_measure, random_open_set, random_unit_blocks
+from helpers import (
+    density_at,
+    grid_breaks,
+    midpoints_interior,
+    random_admissible_measure,
+    random_open_set,
+    random_unit_blocks,
+    sub_reference,
+)
 
 
 # -- potentials -----------------------------------------------------------
@@ -161,7 +175,7 @@ def test_antisymmetry_on_random_pairs():
             mid = 0.5 * (mu.support()[0] + mu.support()[1])
             nu = make_step_measure(
                 sorted({*mu.breaks, mid}),
-                [mu.density_at(0.5 * (a + b)) for a, b in zip(
+                [density_at(mu, 0.5 * (a + b)) for a, b in zip(
                     sorted({*mu.breaks, mid}), sorted({*mu.breaks, mid})[1:]
                 )],
             )
@@ -199,3 +213,41 @@ def test_slope_limits_at_infinity():
         assert U.coeffs[0][1] == pytest.approx(k / 2.0, rel=1e-12, abs=1e-15)
         assert U.coeffs[-1][1] == pytest.approx(-k / 2.0, rel=1e-12, abs=1e-15)
         assert U.coeffs[0][0] == 0.0 and U.coeffs[-1][0] == 0.0
+
+
+# -- the walk-merged subtraction against its reference -------------------------
+
+
+@st.composite
+def piecewise_pairs(draw):
+    """Two piecewise polynomials of one class on breakpoints from a shared grid."""
+    cls, width = draw(st.sampled_from([(PiecewiseQuadratic, 3), (PiecewiseLinear, 2)]))
+    coef = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+    def one():
+        bp = draw(grid_breaks(max_size=6))
+        pieces = st.tuples(*[coef] * width)
+        coeffs = draw(st.lists(pieces, min_size=len(bp) + 1, max_size=len(bp) + 1))
+        return cls(bp, tuple(coeffs))
+
+    return one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_pairs())
+def test_subtraction_matches_reference(pair):
+    f, g = pair
+    assume(midpoints_interior(f.breakpoints, g.breakpoints))
+    new, ref = f - g, sub_reference(f, g)
+    assert type(new) is type(ref)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+def test_subtraction_on_ulp_adjacent_breaks():
+    # the midpoint of the ulp-wide piece (a, b) rounds onto b, so a lookup at
+    # midpoints would take the coefficients of the piece right of b there
+    a = math.nextafter(1.0, 2.0)
+    b = math.nextafter(a, 2.0)
+    P = potential(make_step_measure([0.0, a, b, 2.0], [0.2, 0.9, 0.4]))
+    assert (P - potential(zero_measure())).coeffs == P.coeffs

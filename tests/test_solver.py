@@ -9,6 +9,8 @@ from stefan1d import (
     ConcaveGrid,
     InfeasibilityError,
     OpenSet1D,
+    OrderCertificate,
+    SupportError,
     ValidationError,
     VerificationError,
     check_admissible,
@@ -347,6 +349,66 @@ def test_check_admissible_examples():
     assert check_admissible(mu, mu, DOMAIN).ordered
     cert = check_admissible(indicator(0.0, 0.5, 1.5), mu, DOMAIN)
     assert not cert.ordered and "density" in cert.note
+
+
+# Two components with a gap (0, 0.5) between them; each "_OUT" measure puts mass
+# in the gap. Expected certificates and errors are those of the version that
+# restricted nu before calling order_leq_sh_O.
+ADM_O = OpenSet1D.of((-1.0, 0.0), (0.5, 1.5))
+ADM_MU = indicator(-0.8, -0.2, 0.5) + indicator(0.7, 1.2, 0.5)
+ADM_MU_OUT = indicator(-0.8, 0.75, 0.5)
+ADM_NU_OUT = indicator(-0.5, 0.8, 0.4)
+NU_OUTSIDE = OrderCertificate(
+    False, 0.0, 0.0, 0.0, math.inf,
+    note="support violation: measure carries mass 0.2 outside the open set",
+)
+
+
+@pytest.mark.parametrize(
+    "nu, mu, expected",
+    [
+        (ADM_NU_OUT, ADM_MU, NU_OUTSIDE),
+        (ADM_NU_OUT, ADM_MU_OUT, NU_OUTSIDE),
+        # the density bound is checked before either support
+        (
+            indicator(-0.5, 0.8, 1.5),
+            ADM_MU_OUT,
+            OrderCertificate(
+                False, 0.0, 0.0, 0.15000000000000002, 0.5,
+                note="density 1.5 exceeds the unit bound",
+            ),
+        ),
+    ],
+    ids=["nu-outside", "both-outside", "nu-too-dense"],
+)
+def test_check_admissible_failed_certificates(nu, mu, expected):
+    assert check_admissible(nu, mu, ADM_O) == expected
+
+
+def test_check_admissible_raises_for_mu_outside():
+    nu = solve(ADM_MU, ADM_O).measure
+    with pytest.raises(SupportError) as err:
+        check_admissible(nu, ADM_MU_OUT, ADM_O)
+    assert str(err.value) == "measure carries mass 0.25 outside the open set"
+    assert err.value.leaked_mass == 0.25
+
+
+def test_check_admissible_restricts_nu_once(monkeypatch):
+    nu = solve(ADM_MU, ADM_O).measure
+    seen = []
+
+    def counted(fn):
+        def wrapper(measure, *args, **kwargs):
+            seen.append(measure)
+            return fn(measure, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("stefan1d.solver", "stefan1d.potential"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "restrict", counted(module.restrict))
+    assert check_admissible(nu, ADM_MU, ADM_O).ordered
+    assert sum(m is nu for m in seen) == 1
 
 
 def test_maximality_among_admissible_candidates():
