@@ -37,7 +37,6 @@ from .particles import (
     SimConfig,
     compare_to_formula,
     run,
-    sample_initial,
 )
 from .potential import (
     OrderCertificate,
@@ -131,7 +130,6 @@ __all__ = [
     "restrict",
     "run",
     "run_manifest",
-    "sample_initial",
     "solve",
     "solve_by_sweep",
     "solve_component",

@@ -13,6 +13,14 @@ Brownian bridge crossing probability against the start-of-step fronts, which
 keeps the weak error of the frozen split first order in dt. Walkers crossing
 a front are recorded at the front (slot midpoints of the swept region), not
 at their overshot position.
+
+The walk runs in blocks of _BLOCK fine steps. A walker farther than
+_Z * sqrt(_BLOCK * dt), plus a margin, from both fronts at the start of a
+block is coarse: one Gaussian increment for the whole block, no uniform. The
+fine scheme would freeze it within the block with probability below 2**-24,
+the granularity of the float32 uniform its crossing test draws. When a
+freeze moves a front into a coarse walker's band, the walker rejoins the
+fine walk from its Brownian bridge point, which is exact in law.
 """
 
 from __future__ import annotations
@@ -22,9 +30,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, SamplingError, ValidationError, VerificationError
+from .errors import AdmissibilityError, ValidationError, VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, l1_distance, restrict
 from .solver import MaximalSolution, _blocks_measure
+
+# A path reaches a level z below its start within time T with probability
+# erfc(z / sqrt(2 T)) (reflection principle), so a walker _Z * sqrt(T) from
+# both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
+_BLOCK = 8
+_Z = 5.55
 
 
 @dataclass(frozen=True)
@@ -126,14 +140,10 @@ def _quantiles(mu: StepMeasure, u: np.ndarray) -> np.ndarray:
     return lb[idx] + (u - cum[idx]) / dens[idx]
 
 
-def sample_initial(mu: StepMeasure, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws from mu / mass(mu) by exact inversion of the cdf."""
-    if mu.ncells == 0 or mu.mass <= 0.0:
-        raise SamplingError("cannot sample from a zero-mass measure")
-    if n < 1:
-        raise ValidationError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    return _quantiles(mu, rng.random(n) * mu.mass)
+def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, rng) -> np.ndarray:
+    """Levy's bridge: the path at fraction a of span, N(x0 + a (x1 - x0), a (1 - a) span)."""
+    z = rng.standard_normal(x0.size, dtype=np.float32)
+    return x0 + a * (x1 - x0) + math.sqrt(a * (1.0 - a) * span) * z
 
 
 def _simulate_component(
@@ -157,13 +167,12 @@ def _simulate_component(
     n_frozen = 0
     sqrt_dt = math.sqrt(dt)
     inv_dt = -2.0 / dt
-    t = 0.0
 
     def freeze(left_mask: np.ndarray, right_mask: np.ndarray, when: float):
         # fronts stay at exactly c + m*count and d - m*count
         nonlocal n_frozen, left, right, frozen_left, frozen_right
-        nl = int(left_mask.sum())
-        nr = int(right_mask.sum())
+        nl = int(np.count_nonzero(left_mask))
+        nr = int(np.count_nonzero(right_mask))
         if nl:
             slots = left + m * (np.arange(nl) + 0.5)
             freeze_pos[n_frozen : n_frozen + nl] = slots
@@ -192,6 +201,15 @@ def _simulate_component(
 
     pos = cascade(pos, 0.0)  # mass starting on the boundary freezes at once
 
+    def check(current: np.ndarray):
+        # discrete stopping never leaves the component
+        if not left <= right + 1e-9 * max(1.0, abs(c), abs(d)):
+            raise VerificationError(f"fronts crossed: left {left!r} > right {right!r}")
+        if current.size and not (current.min() > left and current.max() < right):
+            raise VerificationError(
+                f"live walker outside the fronts ({left!r}, {right!r})"
+            )
+
     # The walk runs in float32: position rounding (~1e-7) is far below the
     # statistical resolution, and the narrower arrays nearly halve the step
     # cost. Front bookkeeping stays in float64 scalars, so the mass and
@@ -201,50 +219,73 @@ def _simulate_component(
     u_buf = np.empty(n, dtype=np.float32)
     tmp_a = np.empty(n, dtype=np.float32)
     tmp_b = np.empty(n, dtype=np.float32)
+    n_steps = math.ceil(t_max / dt - 0.5)  # the steps ending before t_max - dt/2
+    step = 0
 
     with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
-        while pos.size and t < t_max - 0.5 * dt:
-            size = pos.size
-            new = step_buf[:size]
-            rng.standard_normal(dtype=np.float32, out=new)
-            np.multiply(new, sqrt_dt, out=new)
-            np.add(new, pos, out=new)
-            u = u_buf[:size]
-            rng.random(dtype=np.float32, out=u)
-            # Brownian bridge crossing probability against the start-of-step
-            # fronts; a post-step crossing makes the argument nonnegative, so
-            # p >= 1 there and the comparison subsumes the hard-crossing test.
-            p_l = tmp_a[:size]
-            np.subtract(pos, left, out=p_l)
-            scratch = tmp_b[:size]
-            np.subtract(new, left, out=scratch)
-            np.multiply(p_l, scratch, out=p_l)
-            np.multiply(p_l, inv_dt, out=p_l)
-            np.exp(p_l, out=p_l)
-            cross_l = u < p_l
-            p_r = scratch
-            np.subtract(right, pos, out=p_r)
-            tail = pos  # start positions no longer needed this step
-            np.subtract(right, new, out=tail)
-            np.multiply(p_r, tail, out=p_r)
-            np.multiply(p_r, inv_dt, out=p_r)
-            np.exp(p_r, out=p_r)
-            np.add(p_l, p_r, out=p_l)
-            cross_any = u < p_l
-            cross_r = cross_any & ~cross_l
-            t += dt
-            if cross_any.any():
-                freeze(cross_l, cross_r, t)
-                pos = cascade(new[~cross_any], t)  # mask indexing copies
-            else:
-                pos = new.copy()  # new is a view of step_buf
-            # discrete stopping never leaves the component
-            if not left <= right + 1e-9 * max(1.0, abs(c), abs(d)):
-                raise VerificationError(f"fronts crossed: left {left!r} > right {right!r}")
-            if pos.size and not (pos.min() > left and pos.max() < right):
-                raise VerificationError(
-                    f"live walker outside the fronts ({left!r}, {right!r})"
-                )
+        while pos.size and step < n_steps:
+            block = min(_BLOCK, n_steps - step)  # the last block ends at n_steps
+            span = block * dt
+            band = _Z * math.sqrt(span)
+            split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
+            far = (pos - left > split) & (right - pos > split)
+            x0 = pos[far]
+            x1 = x0 + math.sqrt(span) * rng.standard_normal(x0.size, dtype=np.float32)
+            fine = pos[~far]
+            # the front positions that enter the outermost coarse walker's band
+            lo, hi = float(x0.min(initial=np.inf)) - band, float(x0.max(initial=-np.inf)) + band
+            for j in range(1, block + 1):
+                t = (step + j) * dt
+                if not fine.size:
+                    continue
+                size = fine.size
+                new = step_buf[:size]
+                rng.standard_normal(dtype=np.float32, out=new)
+                np.multiply(new, sqrt_dt, out=new)
+                np.add(new, fine, out=new)
+                u = u_buf[:size]
+                rng.random(dtype=np.float32, out=u)
+                # Brownian bridge crossing probability against the start-of-step
+                # fronts; a post-step crossing makes the argument nonnegative, so
+                # p >= 1 there and the comparison subsumes the hard-crossing test.
+                p_l = tmp_a[:size]
+                np.subtract(fine, left, out=p_l)
+                scratch = tmp_b[:size]
+                np.subtract(new, left, out=scratch)
+                np.multiply(p_l, scratch, out=p_l)
+                np.multiply(p_l, inv_dt, out=p_l)
+                np.exp(p_l, out=p_l)
+                cross_l = u < p_l
+                p_r = scratch
+                np.subtract(right, fine, out=p_r)
+                tail = fine  # start positions no longer needed this step
+                np.subtract(right, new, out=tail)
+                np.multiply(p_r, tail, out=p_r)
+                np.multiply(p_r, inv_dt, out=p_r)
+                np.exp(p_r, out=p_r)
+                np.add(p_l, p_r, out=p_l)
+                cross_any = u < p_l
+                cross_r = cross_any & ~cross_l
+                if cross_any.any():
+                    freeze(cross_l, cross_r, t)
+                    fine = cascade(new[~cross_any], t)  # mask indexing copies
+                    while left > lo or right < hi:
+                        # a front entered coarse bands; float64, as for lo and hi,
+                        # so the outermost walker is always among the refined
+                        near = (np.subtract(x0, band, dtype=np.float64) < left) | (
+                            np.add(x0, band, dtype=np.float64) > right
+                        )
+                        mid = _bridge_point(x0[near], x1[near], j / block, span, rng)
+                        fine = cascade(np.concatenate((fine, mid)), t)
+                        x0, x1 = x0[~near], x1[~near]
+                        lo, hi = float(x0.min(initial=np.inf)) - band, float(x0.max(initial=-np.inf)) + band
+                else:
+                    fine = new.copy()  # new is a view of step_buf
+                check(fine)
+            # a coarse endpoint beyond a front (probability < 2**-24) freezes here
+            pos = cascade(np.concatenate((fine, x1)), t)
+            check(pos)
+            step += block
 
     frozen = freeze_pos[:n_frozen]
     times = freeze_t[:n_frozen]

@@ -106,8 +106,9 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
     """Closed-form two-block target on a single interval.
 
     Infeasible (k, beta) raises InfeasibilityError naming the violated bound;
-    floating dust at the window edges is absorbed by clamping the block
-    widths into [0, k].
+    floating dust at the window edges is absorbed: a first moment on or past
+    an edge gives the one-block answer exactly, and inside the window the
+    block widths are clamped into [0, k].
     """
     if not c < d:
         raise ValidationError(f"interval is empty or reversed: ({c!r}, {d!r})")
@@ -133,8 +134,10 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
         # saturated component: blocks cover (c, d)
         mid = 0.5 * (c + d)
         return BlockPair(c, mid, mid, d)
-    p = (k * (d - 0.5 * k) - beta) / (width - k)
-    p = min(max(p, 0.0), k)
+    if beta <= lo or beta >= hi:  # a window edge: one block exactly, no rounding dust
+        p = k if beta <= lo else 0.0
+    else:
+        p = min(max((k * (d - 0.5 * k) - beta) / (width - k), 0.0), k)
     return BlockPair(c, c + p, d - (k - p), d)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from typing import Iterable
@@ -13,13 +14,17 @@ from hypothesis import strategies as st
 from stefan1d import (
     DEFAULT_TOL,
     OpenSet1D,
+    SamplingError,
     StepMeasure,
     SupportError,
+    ValidationError,
+    VerificationError,
     indicator,
     make_step_measure,
     zero_measure,
 )
 from stefan1d.measure import _from_cells
+from stefan1d.particles import ComponentRunReport, _quantiles
 
 
 def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
@@ -170,6 +175,156 @@ def midpoints_interior(*grids) -> bool:
     if bp and not (bp[0] - 1.0 < bp[0] and bp[-1] < bp[-1] + 1.0):
         return False
     return all(lo < 0.5 * (lo + hi) < hi for lo, hi in zip(bp, bp[1:]))
+
+
+# -- particle system: exact initial sampling and the single-rate loop -----------
+
+
+def sample_initial(mu: StepMeasure, n: int, seed) -> np.ndarray:
+    """n i.i.d. draws from mu / mass(mu) by exact inversion of the cdf."""
+    if mu.ncells == 0 or mu.mass <= 0.0:
+        raise SamplingError("cannot sample from a zero-mass measure")
+    if n < 1:
+        raise ValidationError("sample size must be at least 1")
+    rng = np.random.default_rng(seed)
+    return _quantiles(mu, rng.random(n) * mu.mass)
+
+
+def simulate_component_reference(
+    mu_n: StepMeasure,
+    c: float,
+    d: float,
+    n: int,
+    dt: float,
+    t_max: float,
+    rng: np.random.Generator,
+    hist_bins: int,
+) -> ComponentRunReport:
+    """One component's run with the fine step for every walker at every step.
+
+    The particle system before multi-rate stepping: ``particles.run`` must
+    reproduce its law, not its random stream.
+    """
+    k = mu_n.mass
+    m = k / n
+    left, right = c, d  # fronts; left <= right always
+    frozen_left = frozen_right = 0
+    pos = _quantiles(mu_n, rng.random(n) * k)
+
+    freeze_pos = np.empty(n)
+    freeze_t = np.empty(n)
+    n_frozen = 0
+    sqrt_dt = math.sqrt(dt)
+    inv_dt = -2.0 / dt
+    t = 0.0
+
+    def freeze(left_mask: np.ndarray, right_mask: np.ndarray, when: float):
+        # fronts stay at exactly c + m*count and d - m*count
+        nonlocal n_frozen, left, right, frozen_left, frozen_right
+        nl = int(left_mask.sum())
+        nr = int(right_mask.sum())
+        if nl:
+            slots = left + m * (np.arange(nl) + 0.5)
+            freeze_pos[n_frozen : n_frozen + nl] = slots
+            freeze_t[n_frozen : n_frozen + nl] = when
+            n_frozen += nl
+            frozen_left += nl
+            left = c + m * frozen_left
+        if nr:
+            slots = right - m * (np.arange(nr) + 0.5)
+            freeze_pos[n_frozen : n_frozen + nr] = slots
+            freeze_t[n_frozen : n_frozen + nr] = when
+            n_frozen += nr
+            frozen_right += nr
+            right = d - m * frozen_right
+        return nl + nr
+
+    def cascade(current: np.ndarray, when: float) -> np.ndarray:
+        # advancing fronts may sweep past survivors; repeat until stable
+        while current.size:
+            cl = current <= left
+            cr = (~cl) & (current >= right)
+            if not freeze(cl, cr, when):
+                break
+            current = current[~(cl | cr)]
+        return current
+
+    pos = cascade(pos, 0.0)  # mass starting on the boundary freezes at once
+
+    # The walk runs in float32: position rounding (~1e-7) is far below the
+    # statistical resolution, and the narrower arrays nearly halve the step
+    # cost. Front bookkeeping stays in float64 scalars, so the mass and
+    # moment accounting is unaffected.
+    pos = pos.astype(np.float32)
+    step_buf = np.empty(n, dtype=np.float32)
+    u_buf = np.empty(n, dtype=np.float32)
+    tmp_a = np.empty(n, dtype=np.float32)
+    tmp_b = np.empty(n, dtype=np.float32)
+
+    with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
+        while pos.size and t < t_max - 0.5 * dt:
+            size = pos.size
+            new = step_buf[:size]
+            rng.standard_normal(dtype=np.float32, out=new)
+            np.multiply(new, sqrt_dt, out=new)
+            np.add(new, pos, out=new)
+            u = u_buf[:size]
+            rng.random(dtype=np.float32, out=u)
+            # Brownian bridge crossing probability against the start-of-step
+            # fronts; a post-step crossing makes the argument nonnegative, so
+            # p >= 1 there and the comparison subsumes the hard-crossing test.
+            p_l = tmp_a[:size]
+            np.subtract(pos, left, out=p_l)
+            scratch = tmp_b[:size]
+            np.subtract(new, left, out=scratch)
+            np.multiply(p_l, scratch, out=p_l)
+            np.multiply(p_l, inv_dt, out=p_l)
+            np.exp(p_l, out=p_l)
+            cross_l = u < p_l
+            p_r = scratch
+            np.subtract(right, pos, out=p_r)
+            tail = pos  # start positions no longer needed this step
+            np.subtract(right, new, out=tail)
+            np.multiply(p_r, tail, out=p_r)
+            np.multiply(p_r, inv_dt, out=p_r)
+            np.exp(p_r, out=p_r)
+            np.add(p_l, p_r, out=p_l)
+            cross_any = u < p_l
+            cross_r = cross_any & ~cross_l
+            t += dt
+            if cross_any.any():
+                freeze(cross_l, cross_r, t)
+                pos = cascade(new[~cross_any], t)  # mask indexing copies
+            else:
+                pos = new.copy()  # new is a view of step_buf
+            # discrete stopping never leaves the component
+            if not left <= right + 1e-9 * max(1.0, abs(c), abs(d)):
+                raise VerificationError(f"fronts crossed: left {left!r} > right {right!r}")
+            if pos.size and not (pos.min() > left and pos.max() < right):
+                raise VerificationError(
+                    f"live walker outside the fronts ({left!r}, {right!r})"
+                )
+
+    frozen = freeze_pos[:n_frozen]
+    times = freeze_t[:n_frozen]
+    counts, edges = np.histogram(frozen, bins=hist_bins, range=(c, d))
+    return ComponentRunReport(
+        interval=(c, d),
+        n=n,
+        unit_mass=m,
+        frozen_left=frozen_left,
+        frozen_right=frozen_right,
+        unfrozen=int(pos.size),
+        p_hat=m * frozen_left,
+        q_hat=m * frozen_right,
+        left_front=left,
+        right_front=right,
+        mean_freeze_time=float(times.mean()) if n_frozen else math.nan,
+        freeze_position_mean=float(frozen.mean()) if n_frozen else math.nan,
+        freeze_position_std=float(frozen.std()) if n_frozen else math.nan,
+        hist_edges=tuple(edges.tolist()),
+        hist_counts=tuple(int(x) for x in counts),
+    )
 
 
 # -- strategies for the reference comparisons -----------------------------------

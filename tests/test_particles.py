@@ -11,11 +11,14 @@ from stefan1d import (
     ValidationError,
     compare_to_formula,
     indicator,
+    restrict,
     run,
-    sample_initial,
     solve,
     zero_measure,
 )
+from stefan1d import particles
+
+from helpers import sample_initial, simulate_component_reference
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
 
@@ -116,6 +119,61 @@ def test_frozen_histogram_is_saturated_near_boundaries():
     assert dens_first == pytest.approx(1.0, abs=0.05)
     mid = len(comp.hist_counts) // 2
     assert comp.hist_counts[mid] == 0
+
+
+# -- multi-rate stepping --------------------------------------------------------
+
+
+def test_multi_rate_law_matches_single_rate_reference(monkeypatch):
+    # At dt = 1e-4 the coarse band is 5.55 * sqrt(8e-4) = 0.16 wide, so the
+    # walkers of the right cell start coarse; the left cell is saturated
+    # against the boundary, so its front sweeps through coarse bands and
+    # refinement engages. t_max cuts the run while both fronts still move.
+    mu = indicator(-1.0, -0.6) + indicator(0.2, 0.9, 0.9)
+    n, dt, t_max, seeds = 2000, 1e-4, 0.05, 24
+    refined = []
+    bridge_point = particles._bridge_point
+
+    def counting_bridge(x0, *args):
+        refined.append(x0.size)
+        return bridge_point(x0, *args)
+
+    monkeypatch.setattr(particles, "_bridge_point", counting_bridge)
+    mu_n = restrict(mu, DOMAIN)[0]
+    multi, single = [], []
+    for s in range(seeds):
+        cfg = SimConfig(n_particles=n, seed=s, dt=dt, t_max=t_max)
+        comp = run(mu, DOMAIN, cfg).components[0]
+        multi.append((comp.p_hat, comp.q_hat, comp.mean_freeze_time))
+        rng = np.random.default_rng([1000 + s, 0])
+        comp = simulate_component_reference(mu_n, -1.0, 1.0, n, dt, t_max, rng, 64)
+        single.append((comp.p_hat, comp.q_hat, comp.mean_freeze_time))
+    assert sum(refined) > 0
+    multi, single = np.asarray(multi), np.asarray(single)
+    gap = multi.mean(axis=0) - single.mean(axis=0)
+    se = np.sqrt((multi.var(axis=0, ddof=1) + single.var(axis=0, ddof=1)) / seeds)
+    assert (np.abs(gap) <= 4.0 * se).all(), (gap, se)
+
+
+def test_coarse_band_meets_the_float32_budget():
+    # a walker Z block deviations from both fronts meets one within its block
+    # with probability at most 2 erfc(Z / sqrt(2)); the law test above cannot
+    # resolve a budget this small, so it is checked here
+    assert 2.0 * math.erfc(particles._Z / math.sqrt(2.0)) <= 2.0**-24
+
+
+def test_bridge_point_follows_the_levy_construction():
+    rng = np.random.default_rng(31)
+    size, span, a = 20000, 8e-4, 0.375
+    x0 = rng.uniform(-0.5, 0.5, size).astype(np.float32)
+    x1 = (x0 + math.sqrt(span) * rng.standard_normal(size)).astype(np.float32)
+    mid = particles._bridge_point(x0, x1, a, span, rng)
+    assert mid.dtype == np.float32
+    # conditionally on both ends, and marginally given the start alone
+    z_bridge = (mid - (x0 + a * (x1 - x0))) / math.sqrt(a * (1.0 - a) * span)
+    z_start = (mid - x0) / math.sqrt(a * span)
+    for z in (z_bridge, z_start):
+        assert stats.kstest(z, "norm").statistic < 1.63 / math.sqrt(size)  # 1% level
 
 
 def test_compare_to_formula_zero_for_synthesised_report():

@@ -80,6 +80,23 @@ def test_solve_component_saturated():
     assert measures_allclose(bp.measure(), indicator(0.0, 1.0), 0.0)
 
 
+def test_window_edges_give_one_block_exactly():
+    # Packed inputs sit on an edge of the moment window. The closed form's
+    # rounding used to leave the empty block one ulp wide (f = 0.9999999999999999
+    # and e = 5.6e-16 here); the edges now return the one-block answer.
+    unit = OpenSet1D.interval(0.0, 1.0)
+    left = solve(indicator(0.0, 0.500000001), unit)
+    assert left.blocks[0].as_tuple() == (0.0, 0.500000001, 1.0, 1.0)
+    assert left.measure == indicator(0.0, 0.500000001)
+    mu = indicator(1.0 - 0.9, 1.0)
+    right = solve(mu, unit)
+    assert right.blocks[0].as_tuple() == (0.0, 0.0, 1.0 - mu.mass, 1.0)
+    assert right.measure.breaks == (1.0 - mu.mass, 1.0)
+    lo, hi = moment_window(-1.0, 2.0, 0.75)
+    assert solve_component(-1.0, 2.0, 0.75, lo).as_tuple() == (-1.0, -0.25, 2.0, 2.0)
+    assert solve_component(-1.0, 2.0, 0.75, hi).as_tuple() == (-1.0, -1.0, 1.25, 2.0)
+
+
 def test_feasibility_window_always_passes_for_admissible_densities():
     rng = np.random.default_rng(22)
     for _ in range(100):
