@@ -54,7 +54,6 @@ from .solver import (
     CostIndependenceReport,
     MaximalSolution,
     check_admissible,
-    check_c0_sufficient,
     critical_point,
     independence_check,
     moment_window,
@@ -106,7 +105,6 @@ __all__ = [
     "VerificationError",
     "WeakConvergenceTable",
     "check_admissible",
-    "check_c0_sufficient",
     "compare_to_formula",
     "critical_point",
     "dominates",

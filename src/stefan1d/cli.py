@@ -102,6 +102,12 @@ def _load_input(path: str | None) -> dict:
     return obj
 
 
+def _reject_tol_key(obj: dict) -> None:
+    # an input tolerance would silently differ from the one --tol sets
+    if "tol" in obj:
+        raise CliInputError("input key 'tol' is not read; set the tolerance with --tol")
+
+
 def _measure_from(obj: dict, key: str) -> StepMeasure:
     try:
         raw = obj[key]
@@ -135,10 +141,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_solve(args) -> int:
     obj = _load_input(args.input)
+    _reject_tol_key(obj)
     mu = _measure_from(obj, "measure")
     open_set = _open_set_from(obj)
-    tol = args.tol if args.tol is not None else float(obj.get("tol", DEFAULT_TOL))
-    solution = solve(mu, open_set, tol)
+    solution = solve(mu, open_set, args.tol)
     _emit(solution.to_json(), args.out)
     if args.csv:
         _write_csv(
@@ -151,13 +157,13 @@ def cmd_solve(args) -> int:
 
 def cmd_order(args) -> int:
     obj = _load_input(args.input)
+    _reject_tol_key(obj)
     mu = _measure_from(obj, "mu")
     nu = _measure_from(obj, "nu")
-    tol = args.tol if args.tol is not None else float(obj.get("tol", DEFAULT_TOL))
     if "open_set" in obj:
-        cert = order_leq_sh_O(mu, nu, _open_set_from(obj), tol)
+        cert = order_leq_sh_O(mu, nu, _open_set_from(obj), args.tol)
     else:
-        cert = dominates(mu, nu, tol)
+        cert = dominates(mu, nu, args.tol)
     _emit(cert.to_json(), args.out)
     return 0
 
@@ -296,7 +302,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    manifest = run_manifest(tol=args.tol)
+    manifest = run_manifest()
     if args.json:
         _emit(manifest.to_json(), args.out)
     else:
@@ -361,8 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--json", action="store_true", help="machine-readable output")
     p_repro.set_defaults(func=cmd_repro)
 
-    for p in (p_solve, p_order, p_repro):
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+    for p in (p_solve, p_order):
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=DEFAULT_TOL,
+            help=f"comparison tolerance (default {DEFAULT_TOL:g})",
+        )
 
     return parser
 

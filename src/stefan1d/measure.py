@@ -125,11 +125,6 @@ class StepMeasure:
             (lo, hi, a + b) for lo, hi, a, b in _merged_cells(self, other)
         )
 
-    def scaled(self, factor: float) -> "StepMeasure":
-        if factor < 0.0:
-            raise ValidationError("scaling factor must be nonnegative")
-        return _from_cells((lo, hi, v * factor) for lo, hi, v in self.cells())
-
     # -- wire format --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -172,15 +167,6 @@ class OpenSet1D:
     @classmethod
     def of(cls, *intervals: tuple[float, float]) -> "OpenSet1D":
         return cls(tuple((float(c), float(d)) for c, d in intervals))
-
-    @property
-    def length(self) -> float:
-        return sum(d - c for c, d in self.components)
-
-    def hull(self) -> tuple[float, float]:
-        if not self.components:
-            return (0.0, 0.0)
-        return self.components[0][0], self.components[-1][1]
 
     def to_json(self) -> dict:
         return {"components": [[c, d] for c, d in self.components]}

@@ -73,11 +73,6 @@ class PiecewiseQuadratic(_Piecewise):
             self.breakpoints, tuple((2.0 * a, b) for a, b, _ in self.coeffs)
         )
 
-    def negated(self) -> "PiecewiseQuadratic":
-        return PiecewiseQuadratic(
-            self.breakpoints, tuple((-a, -b, -c) for a, b, c in self.coeffs)
-        )
-
     def max_on(self, lo: float, hi: float) -> tuple[float, float]:
         """Exact maximum of the function over [lo, hi] and its location."""
         if hi < lo:
@@ -106,10 +101,6 @@ class PiecewiseQuadratic(_Piecewise):
             a, b, c = self.coeffs[0]
             return c, 0.0
         return self.max_on(self.breakpoints[0], self.breakpoints[-1])
-
-    def min_on(self, lo: float, hi: float) -> tuple[float, float]:
-        val, arg = self.negated().max_on(lo, hi)
-        return -val, arg
 
     def to_json(self) -> dict:
         return {

@@ -136,19 +136,18 @@ class ReproManifest:
         return "\n".join(lines)
 
 
-def _scenario_example_5_1(tol: float | None) -> Scenario:
-    t = 1e-12 if tol is None else tol
+def _scenario_example_5_1() -> Scenario:
     narrow, saturated = EXAMPLE_5_1
     diff = l1_distance(solve(saturated, DOMAIN).measure, saturated)
     right_width = solve(narrow, DOMAIN).blocks[0].q
     report = monotonicity_report(narrow, saturated, DOMAIN)
     rows = (
-        CheckRow("saturated input is a fixed point (L1)", 0.0, diff, t, "reference"),
+        CheckRow("saturated input is a fixed point (L1)", 0.0, diff, 1e-12, "reference"),
         CheckRow(
             "right block width of chi(-0.9,0) target",
             0.9 / 1.1 * 0.1,  # q = k - p with p = k/(2-k) scaled, equals 9/110
             right_width,
-            max(t, 1e-12),
+            1e-12,
             "derived",
         ),
         CheckRow("inputs ordered", 1.0, 1.0 if report.monotone_in else 0.0, 0.0, "direct"),
@@ -159,9 +158,8 @@ def _scenario_example_5_1(tol: float | None) -> Scenario:
     return Scenario("example_5_1", rows)
 
 
-def _scenario_example_5_2(tol: float | None) -> Scenario:
-    t_endpoint = 1e-6 if tol is None else tol
-    t_beta = 1e-12 if tol is None else tol
+def _scenario_example_5_2() -> Scenario:
+    t_endpoint, t_beta = 1e-6, 1e-12
     sol1 = solve(MU1, DOMAIN)
     sol2 = solve(MU2, DOMAIN)
     b1 = sol1.blocks[0]
@@ -184,8 +182,8 @@ def _scenario_example_5_2(tol: float | None) -> Scenario:
     return Scenario("example_5_2", rows)
 
 
-def _scenario_lipschitz_family(tol: float | None) -> Scenario:
-    t = 1e-9 if tol is None else tol
+def _scenario_lipschitz_family() -> Scenario:
+    t = 1e-9
     params = LIPSCHITZ_REFERENCE
     report = lipschitz_ratio(params)
     rows = (
@@ -204,7 +202,7 @@ def _scenario_lipschitz_family(tol: float | None) -> Scenario:
             "reference",
         ),
         CheckRow(
-            "gap ratio", 3.761 / 0.76, report.closed_form_ratio, max(t, 1e-9), "derived"
+            "gap ratio", 3.761 / 0.76, report.closed_form_ratio, t, "derived"
         ),
         CheckRow(
             "ratio at the blow-up corner exceeds 100",
@@ -217,8 +215,7 @@ def _scenario_lipschitz_family(tol: float | None) -> Scenario:
     return Scenario("lipschitz_family", rows)
 
 
-def _scenario_appendix_critical_point(tol: float | None) -> Scenario:
-    t = 1e-10 if tol is None else tol
+def _scenario_appendix_critical_point() -> Scenario:
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(100):
@@ -233,15 +230,15 @@ def _scenario_appendix_critical_point(tol: float | None) -> Scenario:
             "worst stationary-point defect over 100 draws",
             0.0,
             worst,
-            t,
+            1e-10,
             "reference",
         ),
     )
     return Scenario("appendix_critical_point", rows)
 
 
-def _scenario_weak_convergence(tol: float | None) -> Scenario:
-    t = 1e-9 if tol is None else tol
+def _scenario_weak_convergence() -> Scenario:
+    t = 1e-9
     seq, mu = weak_family()
     table = weak_convergence_experiment(seq, mu, DOMAIN)
     worst_defect = max(
@@ -266,8 +263,7 @@ def _scenario_weak_convergence(tol: float | None) -> Scenario:
     return Scenario("weak_convergence", rows)
 
 
-def _scenario_particle_cross_check(tol: float | None) -> Scenario:
-    t = 0.01 if tol is None else max(tol, 0.01)
+def _scenario_particle_cross_check() -> Scenario:
     sol = solve(MU1, DOMAIN)
     report = run(MU1, DOMAIN, SimConfig(n_particles=20000, seed=20240817, dt=1e-3))
     comparison = compare_to_formula(report, sol)
@@ -290,25 +286,25 @@ def _scenario_particle_cross_check(tol: float | None) -> Scenario:
             "frozen split vs solver block width",
             sol.blocks[0].p,
             report.components[0].p_hat,
-            t,
+            0.01,
             "derived",
         ),
         CheckRow(
-            "frozen measure L1 gap", 0.0, comparison.total_l1, 2.0 * t, "derived"
+            "frozen measure L1 gap", 0.0, comparison.total_l1, 0.02, "derived"
         ),
     )
     return Scenario("particle_cross_check", rows)
 
 
-def run_manifest(tol: float | None = None, include_simulation: bool = True) -> ReproManifest:
-    """Run every scenario; tol overrides each row's comparison tolerance."""
-    scenarios = [
-        _scenario_example_5_1(tol),
-        _scenario_example_5_2(tol),
-        _scenario_lipschitz_family(tol),
-        _scenario_appendix_critical_point(tol),
-        _scenario_weak_convergence(tol),
-    ]
-    if include_simulation:
-        scenarios.append(_scenario_particle_cross_check(tol))
-    return ReproManifest(tuple(scenarios))
+def run_manifest() -> ReproManifest:
+    """Run every scenario, each row at its own fixed comparison tolerance."""
+    return ReproManifest(
+        (
+            _scenario_example_5_1(),
+            _scenario_example_5_2(),
+            _scenario_lipschitz_family(),
+            _scenario_appendix_critical_point(),
+            _scenario_weak_convergence(),
+            _scenario_particle_cross_check(),
+        )
+    )

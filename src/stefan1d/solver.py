@@ -299,14 +299,18 @@ def critical_point(k: float, beta: float) -> float:
             f"stationary point {interior[0]!r} disagrees with the closed form {s0!r}"
         )
 
-    diff = potential(target) - potential(source)
+    u_target, u_source = potential(target), potential(source)
+    diff = u_target - u_source
     scale = max(1.0, k)
     if abs(diff(-1.0)) > 1e-10 * scale or abs(diff(1.0)) > 1e-10 * scale:
         raise VerificationError("potential difference does not vanish at the endpoints")
     top, _ = diff.max_on(-1.0, 1.0)
     if top > 1e-10 * scale:
         raise VerificationError(f"potential difference positive inside: {top!r}")
-    bottom, arg = diff.min_on(-1.0, 1.0)
+    # the minimum of diff is minus the maximum of its negation, which IEEE
+    # subtraction gives exactly as u_source - u_target
+    neg_bottom, arg = (u_source - u_target).max_on(-1.0, 1.0)
+    bottom = -neg_bottom
     if abs(diff(s0) - bottom) > 1e-10 * scale:
         raise VerificationError(
             f"minimum at {arg!r} with value {bottom!r} is not attained at s0={s0!r}"
@@ -416,14 +420,11 @@ class CostIndependenceReport:
 
 
 def check_admissible(
-    nu: StepMeasure,
-    mu: StepMeasure,
-    open_set: OpenSet1D,
-    tol: float = DEFAULT_TOL,
+    nu: StepMeasure, mu: StepMeasure, open_set: OpenSet1D
 ) -> OrderCertificate:
     """Certificate that nu is a reachable target for mu inside the open set."""
     top = nu.max_density()
-    if top > 1.0 + tol:
+    if top > 1.0 + DEFAULT_TOL:
         lo_s, hi_s = nu.support()
         return OrderCertificate(
             ordered=False,
@@ -434,11 +435,11 @@ def check_admissible(
             note=f"density {top:.9g} exceeds the unit bound",
         )
     try:
-        return order_leq_sh_O(mu, nu, open_set, tol)
+        return order_leq_sh_O(mu, nu, open_set)
     except ValidationError:
         # nu outside the set fails the certificate even when mu leaks too
         try:
-            restrict(nu, open_set, tol)
+            restrict(nu, open_set)
         except ValidationError as exc:
             return OrderCertificate(
                 ordered=False,
@@ -456,16 +457,15 @@ def independence_check(
     open_set: OpenSet1D,
     candidates: Sequence[StepMeasure],
     costs: Sequence[ConcaveGrid],
-    tol: float = DEFAULT_TOL,
 ) -> CostIndependenceReport:
     """Compare primal objectives of admissible candidates against the solver output."""
-    solution = solve(mu, open_set, tol)
+    solution = solve(mu, open_set)
     star = solution.measure
     optimal = tuple(primal_objective(star, cost) for cost in costs)
 
     rows: list[CandidateResult] = []
     for i, cand in enumerate(candidates):
-        cert = check_admissible(cand, mu, open_set, tol)
+        cert = check_admissible(cand, mu, open_set)
         if cert.ordered:
             objs = tuple(primal_objective(cand, cost) for cost in costs)
         else:
@@ -498,16 +498,3 @@ def independence_check(
         ok=ok,
     )
 
-
-def check_c0_sufficient(mu: StepMeasure, open_set: OpenSet1D, delta: float) -> bool:
-    """Sufficient (not necessary) admissibility check: sup density <= delta < 1.
-
-    The measure itself then witnesses the required intermediate target.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
-    try:
-        restrict(mu, open_set)
-    except ValidationError:
-        return False
-    return mu.max_density() <= delta

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import ParameterError, VerificationError
 from .measure import (
-    DEFAULT_TOL,
     OpenSet1D,
     StepMeasure,
     indicator,
@@ -126,19 +125,18 @@ def _compare(
     mu1: StepMeasure,
     mu2: StepMeasure,
     open_set: OpenSet1D,
-    tol: float,
     closed_form_ratio: float = math.nan,
 ) -> StabilityReport:
-    sol1 = solve(mu1, open_set, tol)
-    sol2 = solve(mu2, open_set, tol)
+    sol1 = solve(mu1, open_set)
+    sol2 = solve(mu2, open_set)
     in_gap = positive_part_l1(mu1, mu2)
     out_gap = positive_part_l1(sol1.measure, sol2.measure)
     return StabilityReport(
         input_l1_gap=in_gap,
         output_l1_gap=out_gap,
         ratio=out_gap / in_gap if in_gap > 0.0 else math.nan,
-        monotone_in=pointwise_leq(mu1, mu2, tol),
-        monotone_out=pointwise_leq(sol1.measure, sol2.measure, tol),
+        monotone_in=pointwise_leq(mu1, mu2),
+        monotone_out=pointwise_leq(sol1.measure, sol2.measure),
         closed_form_ratio=closed_form_ratio,
         nu1=sol1.measure,
         nu2=sol2.measure,
@@ -146,18 +144,13 @@ def _compare(
 
 
 def monotonicity_report(
-    mu1: StepMeasure,
-    mu2: StepMeasure,
-    open_set: OpenSet1D,
-    tol: float = DEFAULT_TOL,
+    mu1: StepMeasure, mu2: StepMeasure, open_set: OpenSet1D
 ) -> StabilityReport:
     """Compare pointwise order of two inputs with that of their targets."""
-    return _compare(mu1, mu2, open_set, tol)
+    return _compare(mu1, mu2, open_set)
 
 
-def lipschitz_ratio(
-    params: LipschitzFamilyParams, tol: float = DEFAULT_TOL
-) -> StabilityReport:
+def lipschitz_ratio(params: LipschitzFamilyParams) -> StabilityReport:
     """Solve the blow-up pair and cross-check both gaps against closed forms.
 
     The input gap must equal r*y and the target gap the closed form, both to
@@ -168,7 +161,6 @@ def lipschitz_ratio(
     report = _compare(
         *lipschitz_pair(params),
         OpenSet1D.interval(-1.0, 1.0),
-        tol,
         lipschitz_closed_form_ratio(params.x, params.y, params.r, params.c),
     )
     expected_in = params.r * params.y
@@ -238,7 +230,6 @@ def weak_convergence_experiment(
     sequence: Sequence[StepMeasure],
     mu: StepMeasure,
     open_set: OpenSet1D,
-    tol: float = DEFAULT_TOL,
 ) -> WeakConvergenceTable:
     """Target L1 gaps along a sequence of inputs converging to mu.
 
@@ -248,9 +239,9 @@ def weak_convergence_experiment(
     the largest local sensitivity over the family and the limit, valid while
     component masses stay away from the component lengths.
     """
-    limit = solve(mu, open_set, tol)
+    limit = solve(mu, open_set)
     k0, b0 = mu.mass, mu.first_moment
-    members = [solve(m, open_set, tol) for m in sequence]
+    members = [solve(m, open_set) for m in sequence]
 
     constant = 0.0
     for sol in members + [limit]:

@@ -181,8 +181,37 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
 
 
 def test_tol_only_where_read():
-    with pytest.raises(SystemExit):
-        main(["potential", "--tol", "1e-3"])
+    for argv in (["potential", "--tol", "1e-3"], ["repro", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+
+# chi_(-1/2, 1/2) against (1 + 1e-6) chi_(-1/2, 1/2): the mass gap is 1e-6
+TOL_PAIR = {
+    "mu": {"breaks": [-0.5, 0.5], "values": [1.0]},
+    "nu": {"breaks": [-0.5, 0.5], "values": [1.0 + 1e-6]},
+}
+
+
+def test_tol_flag_reaches_the_verdict(tmp_path):
+    inp = write(tmp_path / "pair.json", TOL_PAIR)
+    out = tmp_path / "cert.json"
+    assert main(["order", "--input", inp, "--out", str(out)]) == 0
+    assert read(out)["ordered"] is False
+    assert main(["order", "--input", inp, "--out", str(out), "--tol", "1e-5"]) == 0
+    assert read(out)["ordered"] is True
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("solve", SOLVE_INPUT), ("order", TOL_PAIR)],
+)
+def test_input_tol_key_is_rejected(tmp_path, capsys, command, payload):
+    inp = write(tmp_path / "in.json", dict(payload, tol=1e-3))
+    out = tmp_path / "out.json"
+    assert main([command, "--input", inp, "--out", str(out)]) == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stability_lipschitz_csv_matches_closed_form(tmp_path):
@@ -243,12 +272,6 @@ def test_repro_table_output(capsys):
     assert code == 0
     assert "example_5_2" in captured
     assert "overall: pass" in captured
-
-
-def test_repro_tolerance_override_can_fail():
-    # a 1e-15 tolerance is below float resolution of the reproductions
-    code = main(["repro", "--tol", "1e-15"])
-    assert code == 5
 
 
 def test_public_api_names_resolve():

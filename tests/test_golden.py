@@ -3,8 +3,9 @@
 Each case runs ``stefan1d.cli.main`` in-process on a fixed input and compares
 the sha256 of its standard output, standard error and CSV file, and its exit
 code, with digests recorded before restriction and the merged-grid operations
-became linear-time. A change that moves any output byte fails here; when the
-change is meant, record the new digests and say why in CHANGES.md.
+became linear-time (``repro_json`` before the manifest's tolerance override
+was removed). A change that moves any output byte fails here; when the change
+is meant, record the new digests and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ CASES = {
     "solve_three_components": (["solve"], THREE_COMPONENTS, True),
     "order_split_pair": (["order"], SPLIT_PAIR, False),
     "potential_three_cells": (["potential"], THREE_CELLS, True),
+    "repro_json": (["repro", "--json"], None, False),
     "stability_weak": (["stability", "--family", "weak"], None, False),
 }
 
@@ -59,6 +61,11 @@ EXPECTED = {
         "stdout": "a40077480cb98088110f92eaaa1b9d4ebd13f47bca89cd40bcd318ed3ed34a7c",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "f03da0beab37bbe3847187b3b0cc75f8278cf3110490e7e5aab81234d24f6cf6",
+    },
+    "repro_json": {
+        "exit": 0,
+        "stdout": "0be3615547aca7a5be6ee758cfb1156ab12d91353c413cfb7e607e831e790fc8",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "solve_readme": {
         "exit": 0,

@@ -208,11 +208,9 @@ def test_zero_measure_propagates():
     assert restrict(z, OpenSet1D.interval(0.0, 1.0)) == [zero_measure()]
 
 
-def test_scaled_and_canonical_merging():
+def test_canonical_merging_of_equal_neighbours():
     mu = make_step_measure([0.0, 1.0, 2.0], [0.5, 0.5])
     assert mu.breaks == (0.0, 2.0)  # equal neighbours merged
-    assert mu.scaled(0.0) == zero_measure()
-    assert mu.scaled(2.0).values == (1.0,)
 
 
 # -- the bisect-and-slice restriction and the merge walk against references --

@@ -14,7 +14,6 @@ from stefan1d import (
     ValidationError,
     VerificationError,
     check_admissible,
-    check_c0_sufficient,
     critical_point,
     dominates,
     independence_check,
@@ -440,15 +439,6 @@ def test_maximality_among_admissible_candidates():
                 measures_allclose(cand, sol.measure, 1e-9)
                 or not dominates(sol.measure, cand).ordered
             )
-
-
-def test_check_c0_sufficient():
-    O = DOMAIN
-    assert check_c0_sufficient(indicator(0.0, math.sqrt(0.75), 0.99), O, 0.995)
-    assert not check_c0_sufficient(indicator(-1.0, 0.0), O, 0.9999)
-    assert check_c0_sufficient(indicator(-0.5, 0.5, 0.5), O, 0.5)
-    with pytest.raises(ValidationError):
-        check_c0_sufficient(indicator(0.0, 1.0, 0.5), O, 1.0)
 
 
 # -- known faults: answers that depend on coordinates -----------------------------
