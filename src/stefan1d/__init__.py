@@ -11,8 +11,6 @@ from .errors import (
     AdmissibilityError,
     InfeasibilityError,
     ParameterError,
-    RangeError,
-    SamplingError,
     SupportError,
     ValidationError,
     VerificationError,
@@ -93,10 +91,8 @@ __all__ = [
     "ParameterError",
     "PiecewiseLinear",
     "PiecewiseQuadratic",
-    "RangeError",
     "ReproManifest",
     "RunReport",
-    "SamplingError",
     "SimConfig",
     "StabilityReport",
     "StepMeasure",

@@ -18,8 +18,6 @@ import sys
 from .errors import (
     AdmissibilityError,
     InfeasibilityError,
-    RangeError,
-    SamplingError,
     ValidationError,
     VerificationError,
 )
@@ -49,13 +47,7 @@ class CliInputError(Exception):
     """Input file missing, unreadable, or structurally malformed."""
 
 
-_DOMAIN_ERRORS = (
-    ValidationError,
-    RangeError,
-    InfeasibilityError,
-    AdmissibilityError,
-    SamplingError,
-)
+_DOMAIN_ERRORS = (ValidationError, InfeasibilityError, AdmissibilityError)
 
 
 def _fmt(x: float) -> float:
@@ -125,6 +117,14 @@ def _open_set_from(obj: dict, key: str = "open_set") -> OpenSet1D:
         raise CliInputError(f"missing key {key!r} in input") from exc
     except (TypeError, AttributeError) as exc:
         raise CliInputError(f"field {key!r} is not an open-set object") from exc
+
+
+def _tolerance(text: str) -> float:
+    # nan, inf or a negative value would read as a fault of the solver or input
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -370,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_solve, p_order):
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance,
             default=DEFAULT_TOL,
-            help=f"comparison tolerance (default {DEFAULT_TOL:g})",
+            help=f"comparison tolerance, finite and >= 0 (default {DEFAULT_TOL:g})",
         )
 
     return parser

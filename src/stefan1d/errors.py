@@ -13,10 +13,6 @@ class SupportError(ValidationError):
         self.leaked_mass = leaked_mass
 
 
-class RangeError(ValueError):
-    """Scalar argument outside the documented range of an operation."""
-
-
 class InfeasibilityError(ValueError):
     """Mass and first-moment data admit no two-block target."""
 
@@ -27,10 +23,6 @@ class AdmissibilityError(ValueError):
 
 class ParameterError(ValidationError):
     """Parameter set violates the constraints of a named family."""
-
-
-class SamplingError(ValueError):
-    """Sampling requested from a degenerate measure."""
 
 
 class VerificationError(RuntimeError):

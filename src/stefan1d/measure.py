@@ -15,14 +15,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import RangeError, SamplingError, SupportError, ValidationError
+from .errors import SupportError, ValidationError
 
 #: Default absolute comparison tolerance used across the package.
 DEFAULT_TOL = 1e-9
 
 #: Densities below the smallest normal float are flushed to zero at
 #: construction: a subnormal density makes cell masses underflow, so cdf and
-#: quantile could no longer invert each other.
+#: the particle sampler's inverse cdf could no longer invert each other.
 _MIN_DENSITY = sys.float_info.min
 
 
@@ -98,26 +98,6 @@ class StepMeasure:
             acc += v * (min(y, hi) - lo)
         return acc
 
-    def quantile(self, u: float) -> float:
-        """Generalized inverse of the cdf, defined for u in [0, mass]."""
-        m = self.mass
-        if not self.breaks or m <= 0.0:
-            raise SamplingError("quantile of a zero-mass measure is undefined")
-        if u < 0.0 or u > m + 1e-12 * max(1.0, m):
-            raise RangeError(f"quantile argument {u!r} outside [0, {m!r}]")
-        u = min(u, m)
-        acc = 0.0
-        last_hi = self.breaks[0]
-        for lo, hi, v in self.cells():
-            if v <= 0.0:
-                continue
-            cell_mass = v * (hi - lo)
-            if u <= acc + cell_mass:
-                return lo + (u - acc) / v
-            acc += cell_mass
-            last_hi = hi
-        return last_hi
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "StepMeasure") -> "StepMeasure":
@@ -168,13 +148,9 @@ class OpenSet1D:
     def of(cls, *intervals: tuple[float, float]) -> "OpenSet1D":
         return cls(tuple((float(c), float(d)) for c, d in intervals))
 
-    def to_json(self) -> dict:
-        return {"components": [[c, d] for c, d in self.components]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "OpenSet1D":
-        comps = obj["components"]
-        return cls(tuple((float(c), float(d)) for c, d in comps))
+        return cls.of(*obj["components"])
 
 
 # -- constructors ------------------------------------------------------------

@@ -67,9 +67,6 @@ class SimConfig:
         if self.hist_bins < 1:
             raise ValidationError("hist_bins must be at least 1")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ComponentRunReport:
@@ -96,10 +93,6 @@ class ComponentRunReport:
     def frozen_measure(self) -> StepMeasure:
         return _blocks_measure([self._frozen_ends()])
 
-    def to_json(self) -> dict:
-        fields = asdict(self)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -114,12 +107,7 @@ class RunReport:
         return all(c.unfrozen == 0 for c in self.components)
 
     def to_json(self) -> dict:
-        return {
-            "components": [c.to_json() for c in self.components],
-            "measure": self.measure.to_json(),
-            "config": self.config.to_json(),
-            "all_frozen": self.all_frozen,
-        }
+        return {**asdict(self), "all_frozen": self.all_frozen}
 
 
 def _positive_cell_arrays(mu: StepMeasure):
@@ -157,7 +145,7 @@ def _simulate_component(
     hist_bins: int,
 ) -> ComponentRunReport:
     k = mu_n.mass
-    m = k / n
+    m = k / n if n else 0.0
     left, right = c, d  # fronts; left <= right always
     frozen_left = frozen_right = 0
     pos = _quantiles(mu_n, rng.random(n) * k)
@@ -341,31 +329,11 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
 
     def one(i: int) -> ComponentRunReport:
         c, d = open_set.components[i]
-        mu_n = parts[i]
-        n_i = alloc[i]
-        if n_i == 0 or masses[i] <= 0.0:
-            edges = np.linspace(c, d, cfg.hist_bins + 1)
-            return ComponentRunReport(
-                interval=(c, d),
-                n=0,
-                unit_mass=0.0,
-                frozen_left=0,
-                frozen_right=0,
-                unfrozen=0,
-                p_hat=0.0,
-                q_hat=0.0,
-                left_front=c,
-                right_front=d,
-                mean_freeze_time=math.nan,
-                freeze_position_mean=math.nan,
-                freeze_position_std=math.nan,
-                hist_edges=tuple(edges.tolist()),
-                hist_counts=tuple(0 for _ in range(cfg.hist_bins)),
-            )
         rng = np.random.default_rng([cfg.seed, i])
         dt = cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2
+        n_i = alloc[i] if masses[i] > 0.0 else 0
         return _simulate_component(
-            mu_n, c, d, n_i, dt, cfg.t_max, rng, cfg.hist_bins
+            parts[i], c, d, n_i, dt, cfg.t_max, rng, cfg.hist_bins
         )
 
     components = tuple(one(i) for i in range(len(open_set.components)))

@@ -266,8 +266,7 @@ def critical_point(k: float, beta: float) -> float:
     """
     if not 0.0 < k < 2.0:
         raise InfeasibilityError(f"mass must satisfy 0 < k < 2, got {k!r}")
-    lo = 0.5 * k * k - k
-    hi = k - 0.5 * k * k
+    lo, hi = moment_window(-1.0, 1.0, k)
     if not lo < beta < hi:
         raise InfeasibilityError(
             f"first moment {beta!r} outside the open window ({lo!r}, {hi!r})"

@@ -9,7 +9,7 @@ first moment (weak convergence of the inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ParameterError, VerificationError
@@ -55,12 +55,7 @@ class LipschitzFamilyParams:
         # formalises "y small": the target displacement must stay below the
         # middle gap of the limiting target, else the one-sided L1 gap
         # saturates at 2 - 2rx and the closed forms no longer describe it
-        displacement = (
-            2 * self.r * self.x * self.y
-            + 2 * self.c * self.r * self.y
-            - self.r * self.y**2
-            - (self.r * self.y) ** 2
-        ) / (2.0 * (2.0 - 2.0 * self.r * self.x))
+        displacement = lipschitz_closed_form_gap(self)
         if not displacement < 2.0 - 2.0 * self.r * self.x:
             raise ParameterError(
                 f"y={self.y!r} too large: target displacement {displacement:.6g} "
@@ -109,16 +104,7 @@ class StabilityReport:
     nu2: StepMeasure
 
     def to_json(self) -> dict:
-        return {
-            "input_l1_gap": self.input_l1_gap,
-            "output_l1_gap": self.output_l1_gap,
-            "ratio": self.ratio,
-            "monotone_in": self.monotone_in,
-            "monotone_out": self.monotone_out,
-            "closed_form_ratio": self.closed_form_ratio,
-            "nu1": self.nu1.to_json(),
-            "nu2": self.nu2.to_json(),
-        }
+        return asdict(self)
 
 
 def _compare(
@@ -192,19 +178,7 @@ class WeakConvergenceTable:
     bounded: bool
 
     def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "bounded": self.bounded,
-            "rows": [
-                {
-                    "index": r.index,
-                    "mass_gap": r.mass_gap,
-                    "moment_gap": r.moment_gap,
-                    "l1_gap": r.l1_gap,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def _endpoint_sensitivity(c: float, d: float, k: float, beta: float) -> float:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from stefan1d import (
     DEFAULT_TOL,
     OpenSet1D,
-    SamplingError,
     StepMeasure,
     SupportError,
     ValidationError,
@@ -183,7 +182,7 @@ def midpoints_interior(*grids) -> bool:
 def sample_initial(mu: StepMeasure, n: int, seed) -> np.ndarray:
     """n i.i.d. draws from mu / mass(mu) by exact inversion of the cdf."""
     if mu.ncells == 0 or mu.mass <= 0.0:
-        raise SamplingError("cannot sample from a zero-mass measure")
+        raise ValidationError("cannot sample from a zero-mass measure")
     if n < 1:
         raise ValidationError("sample size must be at least 1")
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stefan1d.cli import main
+from stefan1d.cli import build_parser, main
 from schemas import (
     CERTIFICATE_SCHEMA,
     MANIFEST_SCHEMA,
@@ -184,6 +184,21 @@ def test_tol_only_where_read():
     for argv in (["potential", "--tol", "1e-3"], ["repro", "--tol", "1e-3"]):
         with pytest.raises(SystemExit):
             main(argv)
+
+
+@pytest.mark.parametrize("command", ["solve", "order"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, value):
+    inp = write(tmp_path / "in.json", SOLVE_INPUT if command == "solve" else TOL_PAIR)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp, "--tol", value])
+    assert exc.value.code == 2
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "order"])
+def test_zero_tol_is_accepted(command):
+    assert build_parser().parse_args([command, "--tol", "0"]).tol == 0.0
 
 
 # chi_(-1/2, 1/2) against (1 + 1e-6) chi_(-1/2, 1/2): the mass gap is 1e-6

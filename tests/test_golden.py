@@ -4,7 +4,9 @@ Each case runs ``stefan1d.cli.main`` in-process on a fixed input and compares
 the sha256 of its standard output, standard error and CSV file, and its exit
 code, with digests recorded before restriction and the merged-grid operations
 became linear-time (``repro_json`` before the manifest's tolerance override
-was removed). A change that moves any output byte fails here; when the change
+was removed; ``simulate_empty_middle`` and the ``lipschitz`` and ``monotone``
+stability cases before the report serialisers became ``asdict`` and empty
+components went through the simulator). A change that moves any output byte fails here; when the change
 is meant, record the new digests and say why in CHANGES.md.
 """
 
@@ -39,15 +41,27 @@ SPLIT_PAIR = {
     "open_set": {"components": [[-1.0, 0.0], [0.0, 1.0]]},
 }
 THREE_CELLS = {"measure": {"breaks": [-0.5, 0.0, 0.25, 0.75], "values": [0.5, 1.0, 0.25]}}
+# the middle component carries no mass, so it gets no walkers
+EMPTY_MIDDLE = {
+    "measure": {
+        "breaks": [-2.8, -2.2, 2.4, 3.0],
+        "values": [0.8, 0.0, 0.6],
+    },
+    "open_set": {"components": [[-3.0, -2.0], [-1.0, 1.0], [2.0, 3.5]]},
+    "config": {"n_particles": 2000, "seed": 5, "dt": 0.001},
+}
 
-# name: (argv before the file options, input or None, writes a CSV)
+# name: (argv before the file options, input or None, CSV flag or None)
 CASES = {
-    "solve_readme": (["solve"], README_EXAMPLE, True),
-    "solve_three_components": (["solve"], THREE_COMPONENTS, True),
-    "order_split_pair": (["order"], SPLIT_PAIR, False),
-    "potential_three_cells": (["potential"], THREE_CELLS, True),
-    "repro_json": (["repro", "--json"], None, False),
-    "stability_weak": (["stability", "--family", "weak"], None, False),
+    "solve_readme": (["solve"], README_EXAMPLE, "--csv"),
+    "solve_three_components": (["solve"], THREE_COMPONENTS, "--csv"),
+    "order_split_pair": (["order"], SPLIT_PAIR, None),
+    "potential_three_cells": (["potential"], THREE_CELLS, "--csv"),
+    "repro_json": (["repro", "--json"], None, None),
+    "simulate_empty_middle": (["simulate"], EMPTY_MIDDLE, "--hist"),
+    "stability_lipschitz": (["stability", "--family", "lipschitz"], None, "--csv"),
+    "stability_monotone": (["stability", "--family", "monotone"], None, "--csv"),
+    "stability_weak": (["stability", "--family", "weak"], None, None),
 }
 
 EXPECTED = {
@@ -67,6 +81,12 @@ EXPECTED = {
         "stdout": "0be3615547aca7a5be6ee758cfb1156ab12d91353c413cfb7e607e831e790fc8",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "simulate_empty_middle": {
+        "exit": 0,
+        "stdout": "0e7ba5d9f747090345289de40df5725afc4420b0e8f6d27b50f0e4d1d87f37a0",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "55a8400603bff80fe0d19303a7bd9c7ad9ae84506965859f9a3b3c7b9c59b5b7",
+    },
     "solve_readme": {
         "exit": 0,
         "stdout": "73e8313019cd89fac7a001f67a6381ee1b40e1b819d8633c778c7d362df4885c",
@@ -78,6 +98,18 @@ EXPECTED = {
         "stdout": "94c2cc3d84b18cb83af8d4e54e63fafa5a33be7059b9438751af9656f3b48f4e",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "04865476db048418b0c9bbca6770645d6ebded5a52792d12c67f244c1ce3bc2f",
+    },
+    "stability_lipschitz": {
+        "exit": 0,
+        "stdout": "91435b372ffd7b6a940487a57bc42e2ed05d5e2bcec182869f63fc220aee362f",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "10b70ee35edc924b851f1bd865dd84b9cfa770dd8967ce43b0b963817e16249c",
+    },
+    "stability_monotone": {
+        "exit": 0,
+        "stdout": "ed9dcd65075423a0840d96c2ef3409b9ce8cde0aa781ad4e2ebb127e59a65621",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "csv": "a390cb07182a751b9fa3228e8e4340cf2ba4ce675d7820cd9cf17cdac9978323",
     },
     "stability_weak": {
         "exit": 0,
@@ -93,7 +125,7 @@ def _sha(data: bytes) -> str:
 
 def run_case(name: str) -> dict:
     """Exit code and the digest of every output of one case."""
-    argv, payload, writes_csv = CASES[name]
+    argv, payload, csv_flag = CASES[name]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
@@ -102,8 +134,8 @@ def run_case(name: str) -> dict:
             path.write_text(json.dumps(payload))
             argv += ["--input", str(path)]
         csv = Path(tmp) / "out.csv"
-        if writes_csv:
-            argv += ["--csv", str(csv)]
+        if csv_flag:
+            argv += [csv_flag, str(csv)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         digests = {
@@ -111,7 +143,7 @@ def run_case(name: str) -> dict:
             "stdout": _sha(out.getvalue().encode()),
             "stderr": _sha(err.getvalue().encode()),
         }
-        if writes_csv:
+        if csv_flag:
             digests["csv"] = _sha(csv.read_bytes())
     return digests
 

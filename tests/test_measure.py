@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stefan1d import (
     OpenSet1D,
-    RangeError,
     SupportError,
     ValidationError,
     indicator,
@@ -28,6 +27,7 @@ from helpers import (
     restrict_reference,
 )
 from stefan1d.measure import _merged_cells
+from stefan1d.particles import _quantiles
 
 
 def test_indicator_constructor():
@@ -89,12 +89,7 @@ def test_pointwise_leq():
 def test_cdf_quantile_examples():
     mu = indicator(-1.0, 1.0)
     assert mu.cdf(0.0) == pytest.approx(1.0, rel=1e-15)
-    assert mu.quantile(0.0) == -1.0
-    assert mu.quantile(mu.mass) == 1.0
-    with pytest.raises(RangeError):
-        mu.quantile(-0.1)
-    with pytest.raises(RangeError):
-        mu.quantile(2.5)
+    assert _quantiles(mu, np.array([0.0, mu.mass])).tolist() == [-1.0, 1.0]
     ys = np.linspace(-2.0, 2.0, 41)
     vals = [mu.cdf(y) for y in ys]
     assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
@@ -103,7 +98,7 @@ def test_cdf_quantile_examples():
 def test_quantile_skips_zero_density_gaps():
     mu = indicator(0.0, 1.0, 0.5) + indicator(2.0, 3.0, 0.5)
     # just past the first cell's mass the quantile must land in the second block
-    assert mu.quantile(0.5 + 1e-9) == pytest.approx(2.0, abs=1e-8)
+    assert _quantiles(mu, np.array([0.5 + 1e-9]))[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_restrict_examples():
@@ -196,7 +191,7 @@ def test_quantile_inverts_cdf_on_support(mu, frac):
             y = lo + frac * (hi - lo)
             y = min(max(y, lo + 1e-9 * (hi - lo)), hi - 1e-9 * (hi - lo))
             u = mu.cdf(y)
-            assert mu.quantile(u) == pytest.approx(y, rel=1e-9, abs=1e-9)
+            assert _quantiles(mu, np.array([u]))[0] == pytest.approx(y, rel=1e-9, abs=1e-9)
             break
 
 

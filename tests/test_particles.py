@@ -6,7 +6,6 @@ from scipy import stats
 
 from stefan1d import (
     OpenSet1D,
-    SamplingError,
     SimConfig,
     ValidationError,
     compare_to_formula,
@@ -49,7 +48,7 @@ def test_sampling_is_deterministic():
 
 
 def test_sampling_zero_mass_fails():
-    with pytest.raises(SamplingError):
+    with pytest.raises(ValidationError):
         sample_initial(zero_measure(), 10, seed=0)
 
 
@@ -119,6 +118,27 @@ def test_frozen_histogram_is_saturated_near_boundaries():
     assert dens_first == pytest.approx(1.0, abs=0.05)
     mid = len(comp.hist_counts) // 2
     assert comp.hist_counts[mid] == 0
+
+
+def test_empty_component_gets_no_walkers():
+    # the middle component carries no mass
+    mu = indicator(-2.8, -2.2, 0.8) + indicator(2.4, 3.0, 0.6)
+    open_set = OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.5))
+    bins = 16
+    rep = run(mu, open_set, SimConfig(n_particles=500, seed=5, dt=1e-3, hist_bins=bins))
+    assert rep.all_frozen
+    comp = rep.components[1]
+    c, d = comp.interval
+    assert (c, d) == (-1.0, 1.0)
+    assert comp.n == 0 and comp.unfrozen == 0
+    assert comp.frozen_left == comp.frozen_right == 0
+    assert comp.unit_mass == comp.p_hat == comp.q_hat == 0.0
+    assert (comp.left_front, comp.right_front) == (c, d)
+    assert comp.hist_counts == (0,) * bins
+    assert comp.hist_edges == tuple(np.linspace(c, d, bins + 1).tolist())
+    for stat in (comp.mean_freeze_time, comp.freeze_position_mean, comp.freeze_position_std):
+        assert math.isnan(stat)
+    assert sum(other.n for other in rep.components) == 500
 
 
 # -- multi-rate stepping --------------------------------------------------------
