@@ -127,6 +127,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _config_value(raw: dict, key: str, default, kind: type):
+    # an int, or for kind float any number: int() would run 200.5 walkers as
+    # 200, and JSON true is an int to Python; dt alone may be null
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        kind_name = "an integer" if kind is int else "a number"
+        raise CliInputError(f"config key {key!r} must be {kind_name}, got {value!r}")
+    return value
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -198,12 +210,15 @@ def cmd_simulate(args) -> int:
     unknown = sorted(set(raw_cfg) - {f.name for f in dataclasses.fields(SimConfig)})
     if unknown:
         raise CliInputError(f"unknown keys in 'config': {', '.join(unknown)}")
+    seed = _config_value(raw_cfg, "seed", 0, int) if args.seed is None else args.seed
+    if seed < 0:
+        raise CliInputError(f"seed must be a non-negative integer, got {seed}")
     cfg = SimConfig(
-        n_particles=int(raw_cfg.get("n_particles", 10000)),
-        seed=int(args.seed if args.seed is not None else raw_cfg.get("seed", 0)),
-        dt=raw_cfg.get("dt"),
-        t_max=float(raw_cfg.get("t_max", 50.0)),
-        hist_bins=int(raw_cfg.get("hist_bins", 64)),
+        n_particles=_config_value(raw_cfg, "n_particles", 10000, int),
+        seed=seed,
+        dt=_config_value(raw_cfg, "dt", None, float),
+        t_max=float(_config_value(raw_cfg, "t_max", 50.0, float)),
+        hist_bins=_config_value(raw_cfg, "hist_bins", 64, int),
     )
     report = run(mu, open_set, cfg)
     _emit(report.to_json(), args.out)

@@ -10,9 +10,12 @@ over merged break grids; nothing is approximated by quadrature.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SupportError, ValidationError
@@ -24,10 +27,6 @@ DEFAULT_TOL = 1e-9
 #: construction: a subnormal density makes cell masses underflow, so cdf and
 #: the particle sampler's inverse cdf could no longer invert each other.
 _MIN_DENSITY = sys.float_info.min
-
-
-def _as_float_tuple(xs: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,18 @@ class StepMeasure:
         return len(self.values)
 
     def cells(self) -> Iterator[tuple[float, float, float]]:
-        """Yield (lo, hi, density) triples."""
-        for i, v in enumerate(self.values):
-            yield self.breaks[i], self.breaks[i + 1], v
+        """(lo, hi, density) triples, left to right."""
+        return zip(self.breaks, self.breaks[1:], self.values)
 
-    @property
+    @cached_property
     def mass(self) -> float:
-        return sum(v * (hi - lo) for lo, hi, v in self.cells())
+        b = self.breaks
+        return sum([v * (hi - lo) for v, lo, hi in zip(self.values, b, b[1:])])
 
-    @property
+    @cached_property
     def first_moment(self) -> float:
-        return sum(v * (hi * hi - lo * lo) / 2.0 for lo, hi, v in self.cells())
+        b = self.breaks
+        return sum([v * (hi * hi - lo * lo) / 2.0 for v, lo, hi in zip(self.values, b, b[1:])])
 
     def support(self) -> tuple[float, float]:
         """Hull of the support; (0, 0) for the zero measure."""
@@ -195,30 +195,38 @@ def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
 
 
 def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepMeasure:
-    """Validated constructor; the result is canonical and equal a.e. to the input."""
-    b = _as_float_tuple(breaks)
-    v = _as_float_tuple(values)
-    if len(b) == 0 and len(v) == 0:
-        return StepMeasure((), ())
-    if len(v) != len(b) - 1:
+    """Validated constructor; the result is canonical and equal a.e. to the input.
+
+    The cells arrive sorted, so one pass canonicalises them: densities below
+    _MIN_DENSITY become 0, equal neighbours merge and zero end cells go.
+    """
+    b = tuple(map(float, breaks))
+    v = tuple(map(float, values))
+    if len(v) != max(len(b) - 1, 0):
         raise ValidationError(
             f"expected len(values) == len(breaks) - 1, got {len(v)} and {len(b)}"
         )
-    for i, x in enumerate(b):
-        if not math.isfinite(x):
-            raise ValidationError(f"breaks[{i}] is not finite: {x!r}")
-    for i in range(len(b) - 1):
-        if b[i + 1] <= b[i]:
-            raise ValidationError(
-                f"breaks must be strictly increasing: breaks[{i}]={b[i]!r} "
-                f">= breaks[{i + 1}]={b[i + 1]!r}"
-            )
-    for i, x in enumerate(v):
-        if not math.isfinite(x):
-            raise ValidationError(f"values[{i}] is not finite: {x!r}")
-        if x < 0.0:
-            raise ValidationError(f"values[{i}] is negative: {x!r}")
-    return _from_cells(zip(b, b[1:], v))
+    if not all(map(math.isfinite, b)):
+        i = [*map(math.isfinite, b)].index(False)
+        raise ValidationError(f"breaks[{i}] is not finite: {b[i]!r}")
+    if not all(map(operator.lt, b, b[1:])):
+        i = [*map(operator.lt, b, b[1:])].index(False)
+        raise ValidationError(
+            f"breaks must be strictly increasing: breaks[{i}]={b[i]!r} "
+            f">= breaks[{i + 1}]={b[i + 1]!r}"
+        )
+    if not (all(map(math.isfinite, v)) and min(v, default=0.0) >= 0.0):
+        i, x = next((i, x) for i, x in enumerate(v) if not 0.0 <= x < math.inf)
+        problem = "negative" if math.isfinite(x) else "not finite"
+        raise ValidationError(f"values[{i}] is {problem}: {x!r}")
+    v = [x if x >= _MIN_DENSITY else 0.0 for x in v]
+    starts = [True, *map(operator.ne, v[1:], v)]  # cell i starts a run of equal densities
+    values, cuts = [*compress(v, starts)], [*compress(b, starts), *b[-1:]]
+    if values and not values[-1]:
+        del values[-1], cuts[-1]
+    if values and not values[0]:
+        del values[0], cuts[0]
+    return StepMeasure(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
 
 
 def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:

@@ -15,7 +15,8 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _merge_walk, restrict
@@ -77,36 +78,44 @@ class PiecewiseQuadratic(_Piecewise):
         """Exact maximum of the function over [lo, hi] and its location."""
         if hi < lo:
             raise ValidationError("empty window")
-        best, arg = -math.inf, lo
         bp = self.breakpoints
-        for i, (a, b, c) in enumerate(self.coeffs):
-            seg_lo = lo if i == 0 else max(lo, bp[i - 1])
-            seg_hi = hi if i == len(bp) else min(hi, bp[i])
-            if seg_hi < seg_lo:
-                continue
-            candidates = [seg_lo, seg_hi]
-            if a < 0.0:
-                vertex = -b / (2.0 * a)
-                if seg_lo < vertex < seg_hi:
-                    candidates.append(vertex)
-            for y in candidates:
-                val = (a * y + b) * y + c
-                if val > best:
-                    best, arg = val, y
-        return best, arg
-
-    def max_on_hull(self) -> tuple[float, float]:
-        """Maximum over the breakpoint hull; beyond it the tails are linear."""
-        if not self.breakpoints:
-            a, b, c = self.coeffs[0]
-            return c, 0.0
-        return self.max_on(self.breakpoints[0], self.breakpoints[-1])
+        return _max_on_pieces(zip((-math.inf, *bp), (*bp, math.inf), *zip(*self.coeffs)), lo, hi)
 
     def to_json(self) -> dict:
         return {
             "breakpoints": list(self.breakpoints),
             "pieces": [list(p) for p in self.coeffs],
         }
+
+
+def _max_on_pieces(
+    pieces: Iterable[tuple[float, ...]], lo: float, hi: float
+) -> tuple[float, float]:
+    """First maximum of (a*y + b)*y + c over [lo, hi], and where it sits.
+
+    Each piece is (start, end, a, b, c), in order. A concave piece peaks at
+    its interior vertex or an endpoint, any other piece at an endpoint; a
+    later candidate wins only with a strictly larger value.
+    """
+    best, arg = -math.inf, lo
+    for p_lo, p_hi, a, b, c in pieces:
+        seg_lo = max(lo, p_lo)
+        seg_hi = min(hi, p_hi)
+        if seg_hi < seg_lo:
+            continue
+        val = (a * seg_lo + b) * seg_lo + c
+        if val > best:
+            best, arg = val, seg_lo
+        val = (a * seg_hi + b) * seg_hi + c
+        if val > best:
+            best, arg = val, seg_hi
+        if a < 0.0:
+            vertex = -b / (2.0 * a)
+            if seg_lo < vertex < seg_hi:
+                val = (a * vertex + b) * vertex + c
+                if val > best:
+                    best, arg = val, vertex
+    return best, arg
 
 
 class PiecewiseLinear(_Piecewise):
@@ -155,32 +164,28 @@ def potential(mu: StepMeasure) -> PiecewiseQuadratic:
     -values[j] (so U'' = -density); the left tail has slope +mass/2 and the
     right tail -mass/2.
     """
-    n = mu.ncells
-    if n == 0:
+    if not mu.ncells:
         return PiecewiseQuadratic((), ((0.0, 0.0, 0.0),))
-    b = mu.breaks
-    v = mu.values
-    cell_mass = [v[i] * (b[i + 1] - b[i]) for i in range(n)]
-    cell_mom = [v[i] * (b[i + 1] ** 2 - b[i] ** 2) / 2.0 for i in range(n)]
+    b, v = mu.breaks, mu.values
+    sq = [x ** 2 for x in b]
+    cell_mass = [x * (hi - lo) for x, lo, hi in zip(v, b, b[1:])]
+    cell_mom = [x * (s_hi - s_lo) / 2.0 for x, s_lo, s_hi in zip(v, sq, sq[1:])]
     k = sum(cell_mass)
     beta = sum(cell_mom)
-
-    pre_m = [0.0] * (n + 1)
-    pre_s = [0.0] * (n + 1)
-    for i in range(n):
-        pre_m[i + 1] = pre_m[i] + cell_mass[i]
-        pre_s[i + 1] = pre_s[i] + cell_mom[i]
+    pre_m = list(accumulate(cell_mass, initial=0.0))
+    pre_s = list(accumulate(cell_mom, initial=0.0))
     # mass/moment strictly right of cell i is total minus prefix through i
-    coeffs: list[tuple[float, float, float]] = [(0.0, k / 2.0, -beta / 2.0)]
-    for i in range(n):
-        suf_m = k - pre_m[i + 1]
-        suf_s = beta - pre_s[i + 1]
-        a = -v[i] / 2.0
-        bb = v[i] * (b[i] + b[i + 1]) / 2.0 + (suf_m - pre_m[i]) / 2.0
-        cc = -v[i] * (b[i] ** 2 + b[i + 1] ** 2) / 4.0 + (pre_s[i] - suf_s) / 2.0
-        coeffs.append((a, bb, cc))
-    coeffs.append((0.0, -k / 2.0, beta / 2.0))
-    return PiecewiseQuadratic(b, tuple(coeffs))
+    inner = [
+        (
+            -x / 2.0,
+            x * (lo + hi) / 2.0 + ((k - m_hi) - m_lo) / 2.0,
+            -x * (s_lo + s_hi) / 4.0 + (p_lo - (beta - p_hi)) / 2.0,
+        )
+        for x, lo, hi, s_lo, s_hi, m_lo, m_hi, p_lo, p_hi in zip(
+            v, b, b[1:], sq, sq[1:], pre_m, pre_m[1:], pre_s, pre_s[1:]
+        )
+    ]
+    return PiecewiseQuadratic(b, ((0.0, k / 2.0, -beta / 2.0), *inner, (0.0, -k / 2.0, beta / 2.0)))
 
 
 def potential_derivative(mu: StepMeasure) -> PiecewiseLinear:
@@ -249,8 +254,22 @@ class OrderCertificate:
 
 def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> OrderCertificate:
     """Certificate for U_mu >= U_nu on all of R (mu precedes nu in the order)."""
-    diff = potential(nu) - potential(mu)
-    gap, point = diff.max_on_hull()
+    # the worst gap of U_nu - U_mu over the hull of both grids, piece by piece
+    # along one merge walk; the walk, min and max each take a break both grids
+    # hold from nu, so its sign of zero is nu's wherever it bounds a window
+    u_nu, u_mu = potential(nu), potential(mu)
+    bn, bm = u_nu.breakpoints, u_mu.breakpoints
+    if bn or bm:
+        los, his, i, j = zip(*_merge_walk(bn, bm))
+        at_i, at_j = operator.itemgetter(*i), operator.itemgetter(*j)
+        diff = [
+            map(operator.sub, at_i(mine), at_j(theirs))
+            for mine, theirs in zip(zip(*u_nu.coeffs), zip(*u_mu.coeffs))
+        ]
+        hull = min(bn[:1] + bm[:1]), max(bn[-1:] + bm[-1:])
+        gap, point = _max_on_pieces(zip(los, his, *diff), *hull)
+    else:
+        gap, point = 0.0, 0.0
     mass_gap = abs(mu.mass - nu.mass)
     moment_gap = abs(mu.first_moment - nu.first_moment)
     scale = max(1.0, mu.mass)

@@ -222,9 +222,9 @@ def _scenario_appendix_critical_point() -> Scenario:
         k = rng.uniform(0.05, 1.95)
         half = k - 0.5 * k * k
         beta = rng.uniform(-0.98 * half, 0.98 * half)
-        s0 = critical_point(k, beta)
-        formula = 2.0 * beta * (1.0 - k) / (k * (2.0 - k))
-        worst = max(worst, abs(s0 - formula))
+        # the root finder's zero against the appendix's closed form
+        closed_form = 2.0 * beta * (1.0 - k) / (k * (2.0 - k))
+        worst = max(worst, abs(critical_point(k, beta) - closed_form))
     rows = (
         CheckRow(
             "worst stationary-point defect over 100 draws",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
 from typing import Iterable
 
@@ -24,6 +25,7 @@ from stefan1d import (
 )
 from stefan1d.measure import _from_cells
 from stefan1d.particles import ComponentRunReport, _quantiles
+from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
 
 
 def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
@@ -174,6 +176,109 @@ def midpoints_interior(*grids) -> bool:
     if bp and not (bp[0] - 1.0 < bp[0] and bp[-1] < bp[-1] + 1.0):
         return False
     return all(lo < 0.5 * (lo + hi) < hi for lo, hi in zip(bp, bp[1:]))
+
+
+# -- the solve path before it became one pass per cell ----------------------------
+
+
+def make_step_measure_reference(breaks, values) -> StepMeasure:
+    """Validate index by index, then sort and rebuild the cells in _from_cells."""
+    b = tuple(float(x) for x in breaks)
+    v = tuple(float(x) for x in values)
+    if len(b) == 0 and len(v) == 0:
+        return StepMeasure((), ())
+    if len(v) != len(b) - 1:
+        raise ValidationError(
+            f"expected len(values) == len(breaks) - 1, got {len(v)} and {len(b)}"
+        )
+    for i, x in enumerate(b):
+        if not math.isfinite(x):
+            raise ValidationError(f"breaks[{i}] is not finite: {x!r}")
+    for i in range(len(b) - 1):
+        if b[i + 1] <= b[i]:
+            raise ValidationError(
+                f"breaks must be strictly increasing: breaks[{i}]={b[i]!r} "
+                f">= breaks[{i + 1}]={b[i + 1]!r}"
+            )
+    for i, x in enumerate(v):
+        if not math.isfinite(x):
+            raise ValidationError(f"values[{i}] is not finite: {x!r}")
+        if x < 0.0:
+            raise ValidationError(f"values[{i}] is negative: {x!r}")
+    return _from_cells(zip(b, b[1:], v))
+
+
+def mass_reference(mu: StepMeasure) -> float:
+    return sum(v * (hi - lo) for lo, hi, v in mu.cells())
+
+
+def first_moment_reference(mu: StepMeasure) -> float:
+    return sum(v * (hi * hi - lo * lo) / 2.0 for lo, hi, v in mu.cells())
+
+
+def potential_reference(mu: StepMeasure) -> PiecewiseQuadratic:
+    """Coefficients cell by cell from explicit prefix sums."""
+    n = mu.ncells
+    if n == 0:
+        return PiecewiseQuadratic((), ((0.0, 0.0, 0.0),))
+    b = mu.breaks
+    v = mu.values
+    cell_mass = [v[i] * (b[i + 1] - b[i]) for i in range(n)]
+    cell_mom = [v[i] * (b[i + 1] ** 2 - b[i] ** 2) / 2.0 for i in range(n)]
+    k = sum(cell_mass)
+    beta = sum(cell_mom)
+    pre_m = [0.0] * (n + 1)
+    pre_s = [0.0] * (n + 1)
+    for i in range(n):
+        pre_m[i + 1] = pre_m[i] + cell_mass[i]
+        pre_s[i + 1] = pre_s[i] + cell_mom[i]
+    coeffs = [(0.0, k / 2.0, -beta / 2.0)]
+    for i in range(n):
+        suf_m = k - pre_m[i + 1]
+        suf_s = beta - pre_s[i + 1]
+        a = -v[i] / 2.0
+        bb = v[i] * (b[i] + b[i + 1]) / 2.0 + (suf_m - pre_m[i]) / 2.0
+        cc = -v[i] * (b[i] ** 2 + b[i + 1] ** 2) / 4.0 + (pre_s[i] - suf_s) / 2.0
+        coeffs.append((a, bb, cc))
+    coeffs.append((0.0, -k / 2.0, beta / 2.0))
+    return PiecewiseQuadratic(b, tuple(coeffs))
+
+
+def max_on_reference(f: PiecewiseQuadratic, lo: float, hi: float) -> tuple[float, float]:
+    """Candidates listed per piece, the window clipped piece by piece."""
+    if hi < lo:
+        raise ValidationError("empty window")
+    best, arg = -math.inf, lo
+    bp = f.breakpoints
+    for i, (a, b, c) in enumerate(f.coeffs):
+        seg_lo = lo if i == 0 else max(lo, bp[i - 1])
+        seg_hi = hi if i == len(bp) else min(hi, bp[i])
+        if seg_hi < seg_lo:
+            continue
+        candidates = [seg_lo, seg_hi]
+        if a < 0.0:
+            vertex = -b / (2.0 * a)
+            if seg_lo < vertex < seg_hi:
+                candidates.append(vertex)
+        for y in candidates:
+            val = (a * y + b) * y + c
+            if val > best:
+                best, arg = val, y
+    return best, arg
+
+
+def dominates_reference(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL):
+    """The certificate from the built difference, maximised over its hull."""
+    diff = potential_reference(nu) - potential_reference(mu)
+    if diff.breakpoints:
+        gap, point = max_on_reference(diff, diff.breakpoints[0], diff.breakpoints[-1])
+    else:
+        gap, point = diff.coeffs[0][2], 0.0
+    mass_gap = abs(mass_reference(mu) - mass_reference(nu))
+    moment_gap = abs(first_moment_reference(mu) - first_moment_reference(nu))
+    scale = max(1.0, mass_reference(mu))
+    ordered = gap <= tol and mass_gap <= tol * scale and moment_gap <= tol * scale
+    return OrderCertificate(ordered, mass_gap, moment_gap, point, gap)
 
 
 # -- particle system: exact initial sampling and the single-rate loop -----------
@@ -363,3 +468,28 @@ def grid_open_sets(draw):
         comps.append((ends[i], ends[i + 1]))
         i += draw(st.sampled_from([1, 2]))
     return OpenSet1D.of(*comps)
+
+
+#: A break whose libm square differs from the product: x ** 2 != x * x.
+POW_BREAK = 1.6650523950856364
+
+#: Densities at the edges of the flush: signed zero, subnormal, smallest normal.
+EDGE_DENSITIES = [0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, 0.25, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def raw_cells(draw):
+    """Input breaks and densities: grid points, -0.0, ulp neighbours, POW_BREAK."""
+    xs = list(draw(grid_breaks(max_size=7)))
+    xs += draw(st.lists(st.sampled_from([POW_BREAK, -POW_BREAK]), max_size=1))
+    for x in draw(st.lists(st.sampled_from(xs), max_size=2)) if xs else ():
+        xs.append(math.nextafter(x, math.inf))
+    breaks = sorted(set(xs))
+    density = st.one_of(st.sampled_from(EDGE_DENSITIES), st.floats(0.0, 5.0))
+    n = max(len(breaks) - 1, 0)
+    return breaks, draw(st.lists(density, min_size=n, max_size=n))
+
+
+def cell_measures():
+    """Canonical measures built from :func:`raw_cells`."""
+    return raw_cells().map(lambda bv: make_step_measure(*bv))

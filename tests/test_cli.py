@@ -180,6 +180,36 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"n_particles": 200.5}, []),
+        ({"n_particles": True}, []),
+        ({"n_particles": "abc"}, []),
+        ({"hist_bins": 3.5}, []),
+        ({"seed": -1}, []),
+        ({"seed": 2.0}, []),
+        ({}, ["--seed", "-1"]),
+        ({"dt": "abc"}, []),
+        ({"t_max": "abc"}, []),
+    ],
+)
+def test_simulate_rejects_ill_typed_config(tmp_path, capsys, config, argv):
+    sim_in = write(
+        tmp_path / "sim.json",
+        {
+            "measure": {"breaks": [-0.25, 0.25], "values": [1.0]},
+            "open_set": {"components": [[-1.0, 1.0]]},
+            "config": {"n_particles": 50, "dt": 1e-3, **config},
+        },
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", sim_in, "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_tol_only_where_read():
     for argv in (["potential", "--tol", "1e-3"], ["repro", "--tol", "1e-3"]):
         with pytest.raises(SystemExit):
@@ -279,6 +309,22 @@ def test_repro_manifest(tmp_path):
     ]
     assert payload["passed"] is True
     assert code == 0
+
+
+def test_critical_point_row_fails_on_a_shifted_root(monkeypatch):
+    from stefan1d import PiecewiseLinear, repro
+
+    (row,) = repro._scenario_appendix_critical_point().rows
+    assert 0.0 < row.computed <= 1e-12 and row.passed
+    roots = PiecewiseLinear.roots
+
+    def shifted(self, lo, hi):
+        points, flats = roots(self, lo, hi)
+        return [p + 1e-9 for p in points], flats
+
+    monkeypatch.setattr(PiecewiseLinear, "roots", shifted)
+    (row,) = repro._scenario_appendix_critical_point().rows
+    assert row.computed == pytest.approx(1e-9, rel=1e-3) and not row.passed
 
 
 def test_repro_table_output(capsys):

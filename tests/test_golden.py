@@ -3,11 +3,13 @@
 Each case runs ``stefan1d.cli.main`` in-process on a fixed input and compares
 the sha256 of its standard output, standard error and CSV file, and its exit
 code, with digests recorded before restriction and the merged-grid operations
-became linear-time (``repro_json`` before the manifest's tolerance override
-was removed; ``simulate_empty_middle`` and the ``lipschitz`` and ``monotone``
-stability cases before the report serialisers became ``asdict`` and empty
-components went through the simulator). A change that moves any output byte fails here; when the change
-is meant, record the new digests and say why in CHANGES.md.
+became linear-time (``simulate_empty_middle`` and the ``lipschitz`` and
+``monotone`` stability cases before the report serialisers became ``asdict``
+and empty components went through the simulator; ``repro_json`` when the
+``appendix_critical_point`` row began to compare the root finder's zero with
+the closed form, which moved its computed value from 0 to 2.2e-16). A change
+that moves any output byte fails here; when the change is meant, record the
+new digests and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ EXPECTED = {
     },
     "repro_json": {
         "exit": 0,
-        "stdout": "0be3615547aca7a5be6ee758cfb1156ab12d91353c413cfb7e607e831e790fc8",
+        "stdout": "8687f73b7df7ef671958f8e2356bebac93ff3180b9927619dc4cae229e028b7b",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "simulate_empty_middle": {

@@ -19,11 +19,16 @@ from stefan1d import (
     zero_measure,
 )
 from helpers import (
+    POW_BREAK,
     canonicalize,
+    first_moment_reference,
     grid_measures,
     grid_open_sets,
+    make_step_measure_reference,
+    mass_reference,
     merged_cells_reference,
     midpoints_interior,
+    raw_cells,
     restrict_reference,
 )
 from stefan1d.measure import _merged_cells
@@ -270,3 +275,60 @@ def test_merged_grid_on_ulp_adjacent_breaks():
     assert mu + zero_measure() == mu
     assert l1_distance(mu, mu) == 0.0
     assert l1_distance(mu, zero_measure()) == mu.mass
+
+
+# -- one-pass construction and the cached totals against their references ------
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_cells())
+@example(([-1.0, -0.0, 1.0], [0.5, -0.0]))
+@example(([-0.0, 1.0, 2.0], [5e-324, 0.5]))
+@example(([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 1e-310, 0.5]))
+@example(([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.0]))
+@example(([0.0, 1.0, 2.0], [0.0, -0.0]))
+@example(([1.0], []))
+@example(([], []))
+@example(([0.0, POW_BREAK], [0.75]))
+@example(([0.0, math.nextafter(0.0, 1.0), 1.0], [sys.float_info.min, 1.0]))
+def test_construction_matches_reference(cells):
+    breaks, values = cells
+    new = _outcome(make_step_measure, breaks, values)
+    assert new == _outcome(make_step_measure_reference, breaks, values)
+    if not new.startswith("ValidationError"):
+        mu = make_step_measure(breaks, values)
+        assert repr(mu.mass) == repr(mass_reference(mu))
+        assert repr(mu.first_moment) == repr(first_moment_reference(mu))
+
+
+@pytest.mark.parametrize(
+    "breaks, values",
+    [
+        ([0.0, math.nan], [1.0]),
+        ([0.0, math.inf, 2.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0]),
+        ([0.0, 2.0, 1.0], [1.0, 1.0]),
+        ([-0.0, 0.0], [1.0]),
+        ([0.0, 1.0, 2.0], [1.0, math.nan]),
+        ([0.0, 1.0, 2.0], [-math.inf, 1.0]),
+        ([0.0, 1.0, 2.0], [0.5, -5e-324]),
+        ([0.0, 1.0], [1.0, 2.0]),
+        ([], [1.0]),
+    ],
+)
+def test_construction_errors_match_reference(breaks, values):
+    new = _outcome(make_step_measure, breaks, values)
+    assert new.startswith("ValidationError")
+    assert new == _outcome(make_step_measure_reference, breaks, values)
+
+
+def test_mass_and_first_moment_are_computed_once():
+    mu = make_step_measure([0.0, 1.0, 3.0], [0.5, 2.0])
+    assert mu.mass is mu.mass and mu.first_moment is mu.first_moment

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stefan1d import (
@@ -21,9 +21,15 @@ from stefan1d import (
     zero_measure,
 )
 from helpers import (
+    GRID,
+    POW_BREAK,
+    cell_measures,
     density_at,
+    dominates_reference,
     grid_breaks,
+    max_on_reference,
     midpoints_interior,
+    potential_reference,
     random_admissible_measure,
     random_open_set,
     random_unit_blocks,
@@ -251,3 +257,75 @@ def test_subtraction_on_ulp_adjacent_breaks():
     b = math.nextafter(a, 2.0)
     P = potential(make_step_measure([0.0, a, b, 2.0], [0.2, 0.9, 0.4]))
     assert (P - potential(zero_measure())).coeffs == P.coeffs
+
+
+# -- the one-pass potential and the certificate against their references --------
+
+_ZERO = zero_measure()
+_POW = make_step_measure([-1.0, 0.0, POW_BREAK], [0.75, 0.25])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_measures())
+@example(_POW)
+@example(make_step_measure([-1.0, -0.0, 1.0], [0.5, 1.0]))
+@example(make_step_measure([0.0, math.nextafter(1.0, 2.0), 2.0], [5e-324, 0.5]))
+def test_potential_matches_reference(mu):
+    assert repr(potential(mu)) == repr(potential_reference(mu))
+
+
+def test_potential_squares_breaks_with_pow():
+    # b ** 2 and b * b round apart at POW_BREAK, and the coefficients keep pow's
+    if POW_BREAK**2 == POW_BREAK * POW_BREAK:
+        pytest.skip("this libm rounds POW_BREAK ** 2 as the product")
+    assert potential(_POW) == potential_reference(_POW)
+
+
+@st.composite
+def windows(draw):
+    point = st.one_of(st.sampled_from(GRID), st.floats(-4.0, 4.0))
+    return tuple(sorted(draw(st.tuples(point, point))))
+
+
+# max_on's first-maximum rule and window clipping: signed zeros at a breakpoint
+# pick -0.0 or 0.0, and ties keep the first candidate
+_STEP_DOWN = PiecewiseQuadratic((0.0,), ((0.0, 0.0, 0.0), (0.0, -1.0, 1.0)))
+_STEP_UP = PiecewiseQuadratic((0.0,), ((0.0, 1.0, 1.0), (0.0, 0.0, 0.0)))
+_FLAT = potential(_ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        cell_measures().map(potential),
+        piecewise_pairs().map(lambda pair: pair[0]).filter(
+            lambda f: isinstance(f, PiecewiseQuadratic)
+        ),
+    ),
+    windows(),
+)
+@example(_STEP_DOWN, (-0.0, 1.0))
+@example(_STEP_UP, (-1.0, -0.0))
+@example(_FLAT, (-1.0, 1.0))
+@example(potential(indicator(-1.0, 1.0)), (-2.0, 2.0))
+def test_max_on_matches_reference(f, window):
+    assert repr(f.max_on(*window)) == repr(max_on_reference(f, *window))
+
+
+def test_max_on_keeps_signed_zero_and_first_tie():
+    assert repr(_STEP_DOWN.max_on(-0.0, 1.0)) == "(1.0, -0.0)"
+    assert repr(_STEP_UP.max_on(-1.0, -0.0)) == "(1.0, -0.0)"
+    assert _FLAT.max_on(-1.0, 1.0) == (0.0, -1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_measures(), cell_measures())
+@example(_ZERO, _ZERO)
+@example(_ZERO, indicator(-0.5, 0.5))
+@example(indicator(-0.5, 0.5), _ZERO)
+@example(indicator(-0.5, 0.5), indicator(-0.5, 0.5))
+@example(indicator(-1.0, -0.0), indicator(0.0, 1.0))
+@example(_POW, make_step_measure([-1.0, POW_BREAK], [0.5]))
+def test_dominates_matches_reference(mu, nu):
+    assert repr(dominates(mu, nu)) == repr(dominates_reference(mu, nu))
+    assert repr(dominates(nu, mu, 0.0)) == repr(dominates_reference(nu, mu, 0.0))

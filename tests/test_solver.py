@@ -331,6 +331,21 @@ def test_non_concave_cost_rejected():
         ConcaveGrid.from_function(lambda x: x * x, -1.0, 1.0, 101)
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ((-1.0, 0.0, 1.0), (0.0, math.nan, 0.0)),
+        ((-1.0, 0.0, 1.0), (0.0, math.inf, 0.0)),
+        ((-1.0, 0.0, 1.0), (-math.inf, 0.0, 0.0)),
+        ((-1.0, math.nan, 1.0), (0.0, 0.0, 0.0)),
+        ((-1.0, 0.0, math.inf), (0.0, 0.0, 0.0)),
+    ],
+)
+def test_non_finite_cost_samples_rejected(xs, ys):
+    with pytest.raises(ValidationError, match="finite"):
+        ConcaveGrid(xs, ys)
+
+
 def test_independence_check_argmin_is_target():
     rng = np.random.default_rng(28)
     mu = random_unit_blocks(rng, -1.0, 1.0, 3)
