@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+from itertools import chain
 
 from .errors import (
     AdmissibilityError,
@@ -100,9 +102,18 @@ def _reject_tol_key(obj: dict) -> None:
         raise CliInputError("input key 'tol' is not read; set the tolerance with --tol")
 
 
+def _numbers(key: str, *lists) -> None:
+    # float() would read JSON true as 1 and "0.5" as 0.5; one pass over the
+    # entries' types keeps the check out of the per-entry cost
+    if not {*map(type, chain(*lists))} <= {int, float}:
+        bad = next(x for x in chain(*lists) if type(x) not in (int, float))
+        raise CliInputError(f"field {key!r} must hold JSON numbers, got {json.dumps(bad)}")
+
+
 def _measure_from(obj: dict, key: str) -> StepMeasure:
     try:
         raw = obj[key]
+        _numbers(key, raw["breaks"], raw["values"])
         return StepMeasure.from_json(raw)
     except KeyError as exc:
         raise CliInputError(f"missing key {key!r} in input") from exc
@@ -112,6 +123,10 @@ def _measure_from(obj: dict, key: str) -> StepMeasure:
 
 def _open_set_from(obj: dict, key: str = "open_set") -> OpenSet1D:
     try:
+        components = obj[key]["components"]
+        if {*map(len, components)} - {2}:
+            raise CliInputError(f"field {key!r} has a component that is not a pair")
+        _numbers(key, *components)
         return OpenSet1D.from_json(obj[key])
     except KeyError as exc:
         raise CliInputError(f"missing key {key!r} in input") from exc
@@ -393,9 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main and kept: building it takes about a millisecond
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

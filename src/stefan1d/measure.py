@@ -316,6 +316,17 @@ def restrict(
     Costs O(cells + components · log cells): each component bisects its
     endpoints into mu's breaks and slices the cells between them.
     """
+    parts = _slices(mu, open_set)
+    leaked = mu.mass - sum(p.mass for p in parts)
+    if leaked > tol * max(1.0, mu.mass):
+        raise SupportError(
+            f"measure carries mass {leaked:.9g} outside the open set", leaked
+        )
+    return parts
+
+
+def _slices(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
+    """:func:`restrict`'s parts, without its check for mass outside the set."""
     b, v = mu.breaks, mu.values
     parts: list[StepMeasure] = []
     for c, d in open_set.components:
@@ -329,11 +340,10 @@ def restrict(
         if lo == hi:
             parts.append(zero_measure())
             continue
+        if hi - lo == len(v) and b[0] >= c and b[-1] <= d:
+            # all of mu, ends unclipped: mu itself, with its cached totals
+            parts.append(mu)
+            continue
         breaks = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d)))
         parts.append(StepMeasure(breaks, v[lo:hi]))
-    leaked = mu.mass - sum(p.mass for p in parts)
-    if leaked > tol * max(1.0, mu.mass):
-        raise SupportError(
-            f"measure carries mass {leaked:.9g} outside the open set", leaked
-        )
     return parts

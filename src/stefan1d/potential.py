@@ -3,19 +3,32 @@
 In one dimension the potential of a finite step measure,
 U(y) = -1/2 * integral |y - x| dmu(x), is piecewise quadratic: concave with
 curvature equal to minus the local density inside the break grid, and linear
-with slopes +mass/2 (left) and -mass/2 (right) outside. The subharmonic
-order check certifies U_nu <= U_mu by exact per-piece maximisation of the
-difference, never by sampling: on concave pieces the maximum sits at the
-interior vertex or an endpoint, everywhere else at endpoints.
+with slopes +mass/2 (left) and -mass/2 (right) outside; :func:`potential`
+builds it for the ``potential`` command and the stationary-point check.
+
+The order certificate does not build potentials. With sigma = nu - mu,
+F(y) = sigma(-inf, y], G = integral of F, M = sigma(R) and B the first
+moment of sigma about a centre,
+
+    U_nu(y) - U_mu(y) = -G(y) + ((y - centre) * M - B) / 2,
+
+the integrated-distribution form of the convex order (Chacon and Walsh,
+1976; Hobson's survey of the Skorokhod embedding problem, 2011). One walk
+over the merged cells accumulates F and G from cell widths and densities,
+so no absolute coordinate is squared, and maximises the difference exactly:
+at every break, and at the vertex of each cell where sigma > 0. The centre
+is the component's midpoint, or the joint hull's for a bare
+:func:`dominates`, which keeps the error independent of where the measures
+sit on the line.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -219,11 +232,16 @@ def potential_derivative(mu: StepMeasure) -> PiecewiseLinear:
 class OrderCertificate:
     """Outcome of a potential-order check.
 
-    ``worst_gap`` is the exact maximum of U_nu - U_mu over the joint support
-    hull (the difference is linear beyond it, with slope controlled by the
-    mass gap, and vanishes identically once mass and moment gaps are zero).
-    ``ordered`` requires the gap and both conservation gaps to clear the
-    tolerance, mass and moment gaps relative to max(1, mass).
+    ``worst_gap`` is the maximum of U_nu - U_mu over the joint support hull,
+    taken exactly per cell by the cumulative walk (the difference is linear
+    beyond the hull, with slope controlled by the mass gap, and vanishes
+    identically once mass and moment gaps are zero); ``worst_point`` is the
+    first place along the line where it is attained. ``mass_gap`` is
+    |mass(mu) - mass(nu)|; ``moment_gap`` is |B|, the first moment of
+    nu - mu taken about the walk's centre (the component's midpoint, or the
+    joint hull's for :func:`dominates`), not about 0. ``ordered`` requires
+    the gap and both conservation gaps to clear the tolerance, mass and
+    moment gaps relative to max(1, mass).
     """
 
     ordered: bool
@@ -252,29 +270,76 @@ class OrderCertificate:
         return out
 
 
-def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> OrderCertificate:
-    """Certificate for U_mu >= U_nu on all of R (mu precedes nu in the order)."""
-    # the worst gap of U_nu - U_mu over the hull of both grids, piece by piece
-    # along one merge walk; the walk, min and max each take a break both grids
-    # hold from nu, so its sign of zero is nu's wherever it bounds a window
-    u_nu, u_mu = potential(nu), potential(mu)
-    bn, bm = u_nu.breakpoints, u_mu.breakpoints
-    if bn or bm:
-        los, his, i, j = zip(*_merge_walk(bn, bm))
-        at_i, at_j = operator.itemgetter(*i), operator.itemgetter(*j)
-        diff = [
-            map(operator.sub, at_i(mine), at_j(theirs))
-            for mine, theirs in zip(zip(*u_nu.coeffs), zip(*u_mu.coeffs))
-        ]
-        hull = min(bn[:1] + bm[:1]), max(bn[-1:] + bm[-1:])
-        gap, point = _max_on_pieces(zip(los, his, *diff), *hull)
-    else:
-        gap, point = 0.0, 0.0
-    mass_gap = abs(mu.mass - nu.mass)
-    moment_gap = abs(mu.first_moment - nu.first_moment)
-    scale = max(1.0, mu.mass)
+def _merged(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
+    """Both grids' breaks in order, and the density of nu - mu on each cell between them.
+
+    The stable sort of the two sorted grids is a linear merge. A break both
+    grids hold comes twice, nu's copy first, so the walk reads nu's sign of
+    zero there; the cell between the copies has width zero and adds nothing.
+    """
+    nb, mb = nu.breaks, mu.breaks
+    xs = sorted((*nb, *mb))
+    # nu's break i sits at i plus the count of mu's breaks below it
+    from_nu = [0] * len(xs)
+    for at in map(operator.add, count(), map(bisect_left, repeat(mb), nb)):
+        from_nu[at] = 1
+    # a grid's breaks up to a point index its densities padded by both zero tails
+    nu_v = map((0.0, *nu.values, 0.0).__getitem__, accumulate(from_nu))
+    mu_v = map((0.0, *mu.values, 0.0).__getitem__, accumulate(map(operator.sub, repeat(1), from_nu)))
+    return xs, [*map(operator.sub, nu_v, mu_v)][:-1]
+
+
+def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[float, float, float]:
+    """First maximum of U_nu - U_mu on [xs[0], xs[-1]], where, and the moment B.
+
+    ``sigma[j]`` is the density of nu - mu on (xs[j], xs[j+1]); the module
+    docstring gives the difference in terms of F, G, M and B about
+    ``centre``. On a cell of density s > 0 it is concave with its vertex
+    where F crosses M/2; every other cell peaks at an end. Candidates are
+    compared in order along the line, a later one winning only when strictly
+    larger.
+    """
+    if not xs:
+        return 0.0, 0.0, 0.0
+    widths = [*map(operator.sub, xs[1:], xs)]
+    cum = [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
+    # twice G: each cell adds its width times the sum of F at its two ends
+    twice_g = [*accumulate(map(operator.mul, widths, map(operator.add, cum, cum[1:])), initial=0.0)]
+    mass = cum[-1]
+    moment = (xs[-1] - centre) * mass - 0.5 * twice_g[-1]
+    diff = [0.5 * ((x - centre) * mass - moment - g) for x, g in zip(xs, twice_g)]
+    best = max(diff)
+    at = diff.index(best)
+    point = xs[at]
+    half_m = 0.5 * mass
+    for j in [j for j, (lo, hi) in enumerate(zip(cum, cum[1:])) if lo < half_m < hi]:
+        rise = half_m - cum[j]
+        t = rise / sigma[j]
+        if 0.0 < t < widths[j]:
+            val = diff[j] + 0.5 * rise * t
+            if val > best or (val == best and j < at):
+                best, at, point = val, j + 1, xs[j] + t
+    return best + 0.0, point, moment  # + 0.0 reads a gap of -0.0 as 0.0
+
+
+def _certify(mu_mass: float, nu_mass: float, xs, sigma, centre: float, tol: float) -> OrderCertificate:
+    """Certificate from the walk over the grid of nu - mu, taken about ``centre``."""
+    gap, point, moment = _walk(xs, sigma, centre)
+    mass_gap = abs(mu_mass - nu_mass)
+    moment_gap = abs(moment)
+    scale = max(1.0, mu_mass)
     ordered = gap <= tol and mass_gap <= tol * scale and moment_gap <= tol * scale
     return OrderCertificate(ordered, mass_gap, moment_gap, point, gap)
+
+
+def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> OrderCertificate:
+    """Certificate for U_mu >= U_nu on all of R (mu precedes nu in the order).
+
+    The walk runs over the joint hull of both grids, about its midpoint.
+    """
+    xs, sigma = _merged(nu, mu)
+    centre = 0.5 * (xs[0] + xs[-1]) if xs else 0.0
+    return _certify(mu.mass, nu.mass, xs, sigma, centre, tol)
 
 
 def order_leq_sh_O(
@@ -287,12 +352,26 @@ def order_leq_sh_O(
 
     Boundary points of the set block mass transport, so the relation holds
     iff every component conserves mass and first moment and the potential
-    inequality holds for the restricted pair. Support outside the set (beyond
-    tol) raises SupportError.
+    inequality holds for the restricted pair. Each component is walked about
+    its midpoint. Support outside the set (beyond tol) raises SupportError.
     """
     mus = restrict(mu, open_set, tol)
-    nus = restrict(nu, open_set, tol)
-    return _componentwise([dominates(m_n, n_n, tol) for m_n, n_n in zip(mus, nus)])
+    return _certify_parts(mus, restrict(nu, open_set, tol), open_set, tol)
+
+
+def _certify_parts(
+    mus: Sequence[StepMeasure],
+    nus: Sequence[StepMeasure],
+    open_set: OpenSet1D,
+    tol: float,
+) -> OrderCertificate:
+    """:func:`order_leq_sh_O` on restrictions aligned with the set's components."""
+    return _componentwise(
+        [
+            _certify(m_n.mass, n_n.mass, *_merged(n_n, m_n), 0.5 * (c + d), tol)
+            for (c, d), m_n, n_n in zip(open_set.components, mus, nus)
+        ]
+    )
 
 
 def _componentwise(per: Sequence[OrderCertificate]) -> OrderCertificate:

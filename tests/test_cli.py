@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stefan1d import cli
 from stefan1d.cli import build_parser, main
 from schemas import (
     CERTIFICATE_SCHEMA,
@@ -345,3 +346,42 @@ def test_public_api_names_resolve():
     namespace = {}
     exec("from stefan1d import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+# JSON true and numeric strings are not numbers, wherever a measure or an
+# open set is read
+_TRUE_BREAK = {"breaks": [0, True], "values": [0.5]}
+_STRING_VALUE = {"breaks": [0, 1], "values": ["0.5"]}
+_STRING_END = {"components": [["-1", 2]]}
+_UNIT = {"breaks": [0, 1], "values": [0.5]}
+_DOMAIN = {"components": [[-1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("solve", {"measure": _TRUE_BREAK, "open_set": _DOMAIN}),
+        ("solve", {"measure": _STRING_VALUE, "open_set": _DOMAIN}),
+        ("solve", {"measure": _UNIT, "open_set": _STRING_END}),
+        ("solve", {"measure": _UNIT, "open_set": {"components": [[-1, 1, 2]]}}),
+        ("order", {"mu": _UNIT, "nu": _TRUE_BREAK}),
+        ("order", {"mu": _STRING_VALUE, "nu": _UNIT}),
+        ("order", {"mu": _UNIT, "nu": _UNIT, "open_set": _STRING_END}),
+        ("potential", {"measure": _TRUE_BREAK}),
+        ("potential", {"measure": _STRING_VALUE}),
+    ],
+)
+def test_measures_and_open_sets_must_hold_numbers(tmp_path, capsys, command, payload):
+    inp = write(tmp_path / "in.json", payload)
+    out = tmp_path / "out.json"
+    assert main([command, "--input", inp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_parser_is_built_once(tmp_path):
+    inp = write(tmp_path / "in.json", SOLVE_INPUT)
+    main(["solve", "--input", inp, "--out", str(tmp_path / "a.json")])
+    main(["solve", "--input", inp, "--out", str(tmp_path / "b.json")])
+    assert cli._parser.cache_info().misses == 1

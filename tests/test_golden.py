@@ -7,7 +7,10 @@ became linear-time (``simulate_empty_middle`` and the ``lipschitz`` and
 ``monotone`` stability cases before the report serialisers became ``asdict``
 and empty components went through the simulator; ``repro_json`` when the
 ``appendix_critical_point`` row began to compare the root finder's zero with
-the closed form, which moved its computed value from 0 to 2.2e-16). A change
+the closed form, which moved its computed value from 0 to 2.2e-16;
+``solve_readme`` and ``solve_three_components`` when the certificate became
+one cumulative walk about each component's midpoint, which moved their
+``worst_gap``, ``worst_point`` and ``moment_gap`` and nothing else). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -91,13 +94,13 @@ EXPECTED = {
     },
     "solve_readme": {
         "exit": 0,
-        "stdout": "73e8313019cd89fac7a001f67a6381ee1b40e1b819d8633c778c7d362df4885c",
+        "stdout": "f37794beafbd97b6f1557bb2c1b3fe498e6b851ddafad71a68f065202828105e",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "5eeaf09fee1641ae2260ac9b8201458e18e782bd774968bd9be835f9bc0f62db",
     },
     "solve_three_components": {
         "exit": 0,
-        "stdout": "94c2cc3d84b18cb83af8d4e54e63fafa5a33be7059b9438751af9656f3b48f4e",
+        "stdout": "48e741f77c3d98517e21b8a7e4cf3b8f38a56f3aacbc12cbbda964ab6d58538d",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "04865476db048418b0c9bbca6770645d6ebded5a52792d12c67f244c1ce3bc2f",
     },

@@ -122,6 +122,23 @@ def test_restrict_examples():
     assert err.value.leaked_mass == pytest.approx(1.0, rel=1e-12)
 
 
+def test_restrict_returns_mu_itself_when_one_component_holds_all_of_it():
+    mu = make_step_measure([-0.5, 0.0, 0.5], [0.5, 1.0])
+    mass = mu.mass
+    # inside, touching both ends, or one of several components: mu itself, so
+    # its cached totals are not summed again
+    for O in (
+        OpenSet1D.interval(-1.0, 1.0),
+        OpenSet1D.interval(-0.5, 0.5),
+        OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0)),
+    ):
+        part = restrict(mu, O)[-1]
+        assert part is mu and part.mass is mass
+    # a clipped end makes a new part
+    part = restrict(mu, OpenSet1D.interval(-0.25, 1.0), tol=1.0)[0]
+    assert part is not mu and part.breaks == (-0.25, 0.0, 0.5)
+
+
 def test_restrict_is_additive():
     rng = np.random.default_rng(7)
     from helpers import random_admissible_measure, random_open_set

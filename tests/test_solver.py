@@ -18,17 +18,29 @@ from stefan1d import (
     dominates,
     independence_check,
     indicator,
+    make_step_measure,
     measures_allclose,
     moment_window,
     order_leq_sh_O,
     potential,
     primal_objective,
+    restrict,
     solve,
     solve_by_sweep,
     solve_component,
     sweep_states,
 )
-from helpers import random_admissible_measure, random_open_set, random_unit_blocks
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    grid_breaks,
+    grid_open_sets,
+    random_admissible_measure,
+    random_open_set,
+    random_unit_blocks,
+    sum_measures,
+)
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
 
@@ -185,6 +197,51 @@ def test_certificate_matches_order_check_under_translation(s):
         cert = exc.certificate
     target = solve_component(s - 1.0, s + 1.0, mu.mass, mu.first_moment).measure()
     assert cert == order_leq_sh_O(mu, target, O)
+
+
+@st.composite
+def measures_inside(draw):
+    """An open set on grid points and a measure of density <= 1 inside it."""
+    O = draw(grid_open_sets())
+    breaks = draw(grid_breaks(min_size=2))
+    density = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    values = draw(st.lists(density, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return sum_measures(restrict(make_step_measure(breaks, values), O, tol=math.inf)), O
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures_inside())
+# touching components, one saturated, one empty; -0.0 meeting 0.0
+@example((indicator(-1.0, -0.5) + indicator(-0.5, 0.5, 0.5), OpenSet1D.of((-1.0, -0.5), (-0.5, 1.0))))
+@example((indicator(0.0, 1.0), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0), (1.0, 2.0))))
+@example((indicator(-1.0, -0.0, 0.5), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0))))
+def test_certificate_matches_order_check_of_the_target(case):
+    # solve certifies its parts against the slices of the target it returns:
+    # the certificate must be the order check's of that target, bit for bit
+    mu, O = case
+    try:
+        sol = solve(mu, O)
+        cert, target = sol.certificate, sol.measure
+    except VerificationError as exc:
+        cert = exc.certificate
+        target = solve(mu, O, tol=math.inf).measure
+    assert repr(cert) == repr(order_leq_sh_O(mu, target, O))
+
+
+def test_thousand_components_far_from_the_origin_certify():
+    # density 0.5 / 0.8 / 0.3 on (3i + 0.2, 3i + 1.4) inside (3i, 3i + 2): the
+    # walk about each component's midpoint keeps its digits up to 3,000, where
+    # the difference of potentials about 0 lost them near 2,489
+    breaks, values = [], []
+    for i in range(1000):
+        s = 3.0 * i
+        values += [0.0] if breaks else []
+        breaks += [s + 0.2, s + 0.6, s + 1.0, s + 1.4]
+        values += [0.5, 0.8, 0.3]
+    mu = make_step_measure(breaks, values)
+    O = OpenSet1D.of(*[(3.0 * i, 3.0 * i + 2.0) for i in range(1000)])
+    sol = solve(mu, O)
+    assert sol.certificate.ordered and len(sol.certificate.per_component) == 1000
 
 
 def test_solve_restricts_once(monkeypatch):
