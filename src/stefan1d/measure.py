@@ -71,12 +71,14 @@ class StepMeasure:
     @cached_property
     def mass(self) -> float:
         b = self.breaks
-        return sum([v * (hi - lo) for v, lo, hi in zip(self.values, b, b[1:])])
+        return sum([v * (hi - lo) for v, lo, hi in zip(self.values, b, b[1:])], 0.0)
 
     @cached_property
     def first_moment(self) -> float:
         b = self.breaks
-        return sum([v * (hi * hi - lo * lo) / 2.0 for v, lo, hi in zip(self.values, b, b[1:])])
+        return sum(
+            [v * (hi * hi - lo * lo) / 2.0 for v, lo, hi in zip(self.values, b, b[1:])], 0.0
+        )
 
     def support(self) -> tuple[float, float]:
         """Hull of the support; (0, 0) for the zero measure."""

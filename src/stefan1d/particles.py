@@ -14,13 +14,19 @@ keeps the weak error of the frozen split first order in dt. Walkers crossing
 a front are recorded at the front (slot midpoints of the swept region), not
 at their overshot position.
 
-The walk runs in blocks of _BLOCK fine steps. A walker farther than
-_Z * sqrt(_BLOCK * dt), plus a margin, from both fronts at the start of a
-block is coarse: one Gaussian increment for the whole block, no uniform. The
-fine scheme would freeze it within the block with probability below 2**-24,
-the granularity of the float32 uniform its crossing test draws. When a
-freeze moves a front into a coarse walker's band, the walker rejoins the
-fine walk from its Brownian bridge point, which is exact in law.
+The walk runs in nested blocks: a level-l block lasts _RADIX**l fine steps.
+At its start, a walker farther than _Z * sqrt(_RADIX**l * dt), plus a margin,
+from both fronts is coarse at that level: one Gaussian increment for the
+whole block, no uniform. The others walk the block's _RADIX sub-blocks of
+level l - 1, down to the single fine step at level 0. The fine scheme would
+freeze a coarse walker within its block with probability below 2**-24, the
+granularity of the float32 uniform its crossing test draws; like
+walk-on-spheres (Muller 1956), the rule sizes each step by the distance to
+the boundary, while the fine step keeps the bridge correction (Gobet 2000).
+When a freeze moves a front into the band of a coarse walker, at any level
+in force, the walker rejoins the walk from its Brownian bridge point, which
+is exact in law. The coarsest level is the last whose band is narrower than
+half the component, since no walker could be coarse at a coarser one.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .solver import MaximalSolution, _blocks_measure
 # A path reaches a level z below its start within time T with probability
 # erfc(z / sqrt(2 T)) (reflection principle), so a walker _Z * sqrt(T) from
 # both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
-_BLOCK = 8
 _Z = 5.55
+_RADIX = 4  # sub-blocks per block
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,164 @@ def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, rng) ->
     return x0 + a * (x1 - x0) + math.sqrt(a * (1.0 - a) * span) * z
 
 
+class _Coarse:
+    """The walkers that take one increment for the block of steps start + 1 to
+    end: x0 are their positions after step start, x1 after step end."""
+
+    __slots__ = ("x0", "x1", "start", "end", "span", "band", "lo", "hi")
+
+    def __init__(self, x0, x1, start: int, end: int, span: float, band: float):
+        self.start, self.end, self.span, self.band = start, end, span, band
+        self.keep(x0, x1)
+
+    def keep(self, x0: np.ndarray, x1: np.ndarray):
+        self.x0, self.x1 = x0, x1
+        # the front positions that enter the outermost walker's band
+        self.lo = float(x0.min(initial=np.inf)) - self.band
+        self.hi = float(x0.max(initial=-np.inf)) + self.band
+
+
+class _Walk:
+    """One component's fronts, freeze record and float32 step buffers.
+
+    Fine step s ends at time s * dt. The walk runs in float32: position
+    rounding (~1e-7) is far below the statistical resolution, and the
+    narrower arrays nearly halve the step cost. Front bookkeeping stays in
+    float64 scalars, so the mass and moment accounting is unaffected;
+    `fronts` holds both as a float32 column, the value a float32 operation
+    gives a float64 scalar, so that one subtraction serves both.
+    """
+
+    def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng):
+        self.c, self.d, self.m, self.dt, self.rng = c, d, m, dt, rng
+        self.n_steps = n_steps
+        self.left, self.right = c, d  # fronts; left <= right always
+        self.fronts = np.array([[c], [d]], dtype=np.float32)
+        self.frozen_left = self.frozen_right = self.n_frozen = 0
+        self.freeze_pos = np.empty(n)
+        self.freeze_t = np.empty(n)
+        self.slots = np.arange(n) + 0.5
+        self.slack = 1e-9 * max(1.0, abs(c), abs(d))
+        self.sqrt_dt = math.sqrt(dt)
+        self.inv_dt = -2.0 / dt
+        self.bufs = (np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32))  # used in turn
+        self.u = np.empty(n, dtype=np.float32)
+        self.p = np.empty((2, n), dtype=np.float32)
+        self.q = np.empty((2, n), dtype=np.float32)
+        self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
+
+    def freeze(self, nl: int, nr: int, when: float) -> int:
+        # fronts stay at exactly c + m*count and d - m*count
+        i = self.n_frozen
+        if nl:
+            out = self.freeze_pos[i : i + nl]
+            np.multiply(self.slots[:nl], self.m, out=out)
+            np.add(out, self.left, out=out)
+            self.frozen_left += nl
+            self.left = self.c + self.m * self.frozen_left
+            i += nl
+        if nr:
+            out = self.freeze_pos[i : i + nr]
+            np.multiply(self.slots[:nr], self.m, out=out)
+            np.subtract(self.right, out, out=out)
+            self.frozen_right += nr
+            self.right = self.d - self.m * self.frozen_right
+            i += nr
+        self.freeze_t[self.n_frozen : i] = when
+        self.n_frozen = i
+        self.fronts[:, 0] = (self.left, self.right)
+        return nl + nr
+
+    def settle(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Freeze the walkers the fronts have swept, repeating while they advance."""
+        when = step * self.dt
+        # discrete stopping never leaves the component: the loop ends with every
+        # walker strictly inside the fronts
+        while pos.size and not (pos.min() > self.left and pos.max() < self.right):
+            swept_l = pos <= self.left
+            swept = swept_l | (pos >= self.right)
+            nl = int(np.count_nonzero(swept_l))
+            if not self.freeze(nl, int(np.count_nonzero(swept)) - nl, when):
+                # neither inside nor swept: a NaN
+                raise VerificationError(
+                    f"live walker outside the fronts ({self.left!r}, {self.right!r})"
+                )
+            pos = pos[~swept]
+        if not self.left <= self.right + self.slack:
+            raise VerificationError(f"fronts crossed: left {self.left!r} > right {self.right!r}")
+        return pos
+
+    def refine(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Bring the coarse walkers whose band a front has entered to this step.
+
+        The bridge point is exact in law; from it the walker walks on at the
+        levels below.
+        """
+        while True:
+            group = next((g for g in self.coarse if self.left > g.lo or self.right < g.hi), None)
+            if group is None:
+                return pos
+            # float64, as for lo and hi, so the outermost walker is always among the refined
+            x0, x1, band = group.x0, group.x1, group.band
+            near = (np.subtract(x0, band, dtype=np.float64) < self.left) | (
+                np.add(x0, band, dtype=np.float64) > self.right
+            )
+            a = (step - group.start) / (group.end - group.start)
+            mid = _bridge_point(x0[near], x1[near], a, group.span, self.rng)
+            pos = self.settle(np.concatenate((pos, mid)), step)
+            group.keep(x0[~near], x1[~near])
+
+    def block(self, level: int, start: int, pos: np.ndarray) -> np.ndarray:
+        """Walk pos, the walkers after step start, through a level-`level` block."""
+        if not level:
+            return self.fine_step(pos, start + 1)
+        end = min(start + _RADIX**level, self.n_steps)  # the last block ends at n_steps
+        span = (end - start) * self.dt
+        band = _Z * math.sqrt(span)
+        split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
+        far = (pos - self.left > split) & (self.right - pos > split)
+        x0 = pos[far]
+        x1 = x0 + math.sqrt(span) * self.rng.standard_normal(x0.size, dtype=np.float32)
+        group = _Coarse(x0, x1, start, end, span, band)
+        self.coarse.append(group)
+        pos = pos[~far]
+        for sub in range(start, end, _RADIX ** (level - 1)):
+            if not pos.size:
+                break  # the fronts stand still until the coarse walkers land
+            pos = self.block(level - 1, sub, pos)
+        self.coarse.pop()
+        # a coarse endpoint beyond a front (probability < 2**-24) freezes here
+        return self.refine(self.settle(np.concatenate((pos, group.x1)), end), end)
+
+    def fine_step(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Move every walker of pos through fine step `step`."""
+        size = pos.size
+        new = self.bufs[step & 1][:size]  # pos is at most a view of the other buffer
+        self.rng.standard_normal(dtype=np.float32, out=new)
+        np.multiply(new, self.sqrt_dt, out=new)
+        np.add(new, pos, out=new)
+        u = self.u[:size]
+        self.rng.random(dtype=np.float32, out=u)
+        # Brownian bridge crossing probability exp(-2 (x - f)(y - f) / dt) of each
+        # front f, one row each, against the start-of-step fronts; a post-step
+        # crossing makes the argument nonnegative, so p >= 1 there and the
+        # comparison subsumes the hard-crossing test.
+        p, q = self.p[:, :size], self.q[:, :size]
+        np.subtract(pos, self.fronts, out=p)
+        np.subtract(new, self.fronts, out=q)
+        np.multiply(p, q, out=p)
+        np.multiply(p, self.inv_dt, out=p)
+        np.exp(p, out=p)
+        np.add(p[0], p[1], out=q[0])
+        cross = u < q[0]
+        n_cross = int(np.count_nonzero(cross))
+        if not n_cross:
+            return self.settle(new, step)
+        nl = int(np.count_nonzero(u < p[0]))  # u < p_l implies u < p_l + p_r
+        self.freeze(nl, n_cross - nl, step * self.dt)
+        return self.refine(self.settle(new[~cross], step), step)
+
+
 def _simulate_component(
     mu_n: StepMeasure,
     c: float,
@@ -146,152 +310,38 @@ def _simulate_component(
 ) -> ComponentRunReport:
     k = mu_n.mass
     m = k / n if n else 0.0
-    left, right = c, d  # fronts; left <= right always
-    frozen_left = frozen_right = 0
-    pos = _quantiles(mu_n, rng.random(n) * k)
-
-    freeze_pos = np.empty(n)
-    freeze_t = np.empty(n)
-    n_frozen = 0
-    sqrt_dt = math.sqrt(dt)
-    inv_dt = -2.0 / dt
-
-    def freeze(left_mask: np.ndarray, right_mask: np.ndarray, when: float):
-        # fronts stay at exactly c + m*count and d - m*count
-        nonlocal n_frozen, left, right, frozen_left, frozen_right
-        nl = int(np.count_nonzero(left_mask))
-        nr = int(np.count_nonzero(right_mask))
-        if nl:
-            slots = left + m * (np.arange(nl) + 0.5)
-            freeze_pos[n_frozen : n_frozen + nl] = slots
-            freeze_t[n_frozen : n_frozen + nl] = when
-            n_frozen += nl
-            frozen_left += nl
-            left = c + m * frozen_left
-        if nr:
-            slots = right - m * (np.arange(nr) + 0.5)
-            freeze_pos[n_frozen : n_frozen + nr] = slots
-            freeze_t[n_frozen : n_frozen + nr] = when
-            n_frozen += nr
-            frozen_right += nr
-            right = d - m * frozen_right
-        return nl + nr
-
-    def cascade(current: np.ndarray, when: float) -> np.ndarray:
-        # advancing fronts may sweep past survivors; repeat until stable
-        while current.size:
-            cl = current <= left
-            cr = (~cl) & (current >= right)
-            if not freeze(cl, cr, when):
-                break
-            current = current[~(cl | cr)]
-        return current
-
-    pos = cascade(pos, 0.0)  # mass starting on the boundary freezes at once
-
-    def check(current: np.ndarray):
-        # discrete stopping never leaves the component
-        if not left <= right + 1e-9 * max(1.0, abs(c), abs(d)):
-            raise VerificationError(f"fronts crossed: left {left!r} > right {right!r}")
-        if current.size and not (current.min() > left and current.max() < right):
-            raise VerificationError(
-                f"live walker outside the fronts ({left!r}, {right!r})"
-            )
-
-    # The walk runs in float32: position rounding (~1e-7) is far below the
-    # statistical resolution, and the narrower arrays nearly halve the step
-    # cost. Front bookkeeping stays in float64 scalars, so the mass and
-    # moment accounting is unaffected.
-    pos = pos.astype(np.float32)
-    step_buf = np.empty(n, dtype=np.float32)
-    u_buf = np.empty(n, dtype=np.float32)
-    tmp_a = np.empty(n, dtype=np.float32)
-    tmp_b = np.empty(n, dtype=np.float32)
     n_steps = math.ceil(t_max / dt - 0.5)  # the steps ending before t_max - dt/2
-    step = 0
-
+    walk = _Walk(c, d, n, m, dt, n_steps, rng)
+    # mass starting on the boundary freezes at once
+    pos = walk.settle(_quantiles(mu_n, rng.random(n) * k), 0).astype(np.float32)
+    # the coarsest level is the last whose band is narrower than half the
+    # component: a coarser one could hold no walker
+    top = 0
+    while _Z * math.sqrt(_RADIX ** (top + 1) * dt) < 0.5 * (d - c):
+        top += 1
     with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
-        while pos.size and step < n_steps:
-            block = min(_BLOCK, n_steps - step)  # the last block ends at n_steps
-            span = block * dt
-            band = _Z * math.sqrt(span)
-            split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
-            far = (pos - left > split) & (right - pos > split)
-            x0 = pos[far]
-            x1 = x0 + math.sqrt(span) * rng.standard_normal(x0.size, dtype=np.float32)
-            fine = pos[~far]
-            # the front positions that enter the outermost coarse walker's band
-            lo, hi = float(x0.min(initial=np.inf)) - band, float(x0.max(initial=-np.inf)) + band
-            for j in range(1, block + 1):
-                t = (step + j) * dt
-                if not fine.size:
-                    continue
-                size = fine.size
-                new = step_buf[:size]
-                rng.standard_normal(dtype=np.float32, out=new)
-                np.multiply(new, sqrt_dt, out=new)
-                np.add(new, fine, out=new)
-                u = u_buf[:size]
-                rng.random(dtype=np.float32, out=u)
-                # Brownian bridge crossing probability against the start-of-step
-                # fronts; a post-step crossing makes the argument nonnegative, so
-                # p >= 1 there and the comparison subsumes the hard-crossing test.
-                p_l = tmp_a[:size]
-                np.subtract(fine, left, out=p_l)
-                scratch = tmp_b[:size]
-                np.subtract(new, left, out=scratch)
-                np.multiply(p_l, scratch, out=p_l)
-                np.multiply(p_l, inv_dt, out=p_l)
-                np.exp(p_l, out=p_l)
-                cross_l = u < p_l
-                p_r = scratch
-                np.subtract(right, fine, out=p_r)
-                tail = fine  # start positions no longer needed this step
-                np.subtract(right, new, out=tail)
-                np.multiply(p_r, tail, out=p_r)
-                np.multiply(p_r, inv_dt, out=p_r)
-                np.exp(p_r, out=p_r)
-                np.add(p_l, p_r, out=p_l)
-                cross_any = u < p_l
-                cross_r = cross_any & ~cross_l
-                if cross_any.any():
-                    freeze(cross_l, cross_r, t)
-                    fine = cascade(new[~cross_any], t)  # mask indexing copies
-                    while left > lo or right < hi:
-                        # a front entered coarse bands; float64, as for lo and hi,
-                        # so the outermost walker is always among the refined
-                        near = (np.subtract(x0, band, dtype=np.float64) < left) | (
-                            np.add(x0, band, dtype=np.float64) > right
-                        )
-                        mid = _bridge_point(x0[near], x1[near], j / block, span, rng)
-                        fine = cascade(np.concatenate((fine, mid)), t)
-                        x0, x1 = x0[~near], x1[~near]
-                        lo, hi = float(x0.min(initial=np.inf)) - band, float(x0.max(initial=-np.inf)) + band
-                else:
-                    fine = new.copy()  # new is a view of step_buf
-                check(fine)
-            # a coarse endpoint beyond a front (probability < 2**-24) freezes here
-            pos = cascade(np.concatenate((fine, x1)), t)
-            check(pos)
-            step += block
+        for start in range(0, n_steps, _RADIX**top):
+            if not pos.size:
+                break
+            pos = walk.block(top, start, pos)
 
-    frozen = freeze_pos[:n_frozen]
-    times = freeze_t[:n_frozen]
+    frozen = walk.freeze_pos[: walk.n_frozen]
+    times = walk.freeze_t[: walk.n_frozen]
     counts, edges = np.histogram(frozen, bins=hist_bins, range=(c, d))
     return ComponentRunReport(
         interval=(c, d),
         n=n,
         unit_mass=m,
-        frozen_left=frozen_left,
-        frozen_right=frozen_right,
+        frozen_left=walk.frozen_left,
+        frozen_right=walk.frozen_right,
         unfrozen=int(pos.size),
-        p_hat=m * frozen_left,
-        q_hat=m * frozen_right,
-        left_front=left,
-        right_front=right,
-        mean_freeze_time=float(times.mean()) if n_frozen else math.nan,
-        freeze_position_mean=float(frozen.mean()) if n_frozen else math.nan,
-        freeze_position_std=float(frozen.std()) if n_frozen else math.nan,
+        p_hat=m * walk.frozen_left,
+        q_hat=m * walk.frozen_right,
+        left_front=walk.left,
+        right_front=walk.right,
+        mean_freeze_time=float(times.mean()) if walk.n_frozen else math.nan,
+        freeze_position_mean=float(frozen.mean()) if walk.n_frozen else math.nan,
+        freeze_position_std=float(frozen.std()) if walk.n_frozen else math.nan,
         hist_edges=tuple(edges.tolist()),
         hist_counts=tuple(int(x) for x in counts),
     )

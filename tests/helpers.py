@@ -209,11 +209,11 @@ def make_step_measure_reference(breaks, values) -> StepMeasure:
 
 
 def mass_reference(mu: StepMeasure) -> float:
-    return sum(v * (hi - lo) for lo, hi, v in mu.cells())
+    return sum((v * (hi - lo) for lo, hi, v in mu.cells()), 0.0)
 
 
 def first_moment_reference(mu: StepMeasure) -> float:
-    return sum(v * (hi * hi - lo * lo) / 2.0 for lo, hi, v in mu.cells())
+    return sum((v * (hi * hi - lo * lo) / 2.0 for lo, hi, v in mu.cells()), 0.0)
 
 
 def potential_reference(mu: StepMeasure) -> PiecewiseQuadratic:

@@ -10,7 +10,10 @@ and empty components went through the simulator; ``repro_json`` when the
 the closed form, which moved its computed value from 0 to 2.2e-16;
 ``solve_readme`` and ``solve_three_components`` when the certificate became
 one cumulative walk about each component's midpoint, which moved their
-``worst_gap``, ``worst_point`` and ``moment_gap`` and nothing else). A change
+``worst_gap``, ``worst_point`` and ``moment_gap`` and nothing else;
+``simulate_empty_middle`` and ``repro_json`` again when the particle walk
+moved to nested radix-4 levels, which changed its random stream, so the
+frozen splits and the particle rows of ``repro`` moved within their noise). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -83,14 +86,14 @@ EXPECTED = {
     },
     "repro_json": {
         "exit": 0,
-        "stdout": "8687f73b7df7ef671958f8e2356bebac93ff3180b9927619dc4cae229e028b7b",
+        "stdout": "61787b7e876e072a3daf289af71e3abccf3604843f75c422def004294e685207",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "simulate_empty_middle": {
         "exit": 0,
-        "stdout": "0e7ba5d9f747090345289de40df5725afc4420b0e8f6d27b50f0e4d1d87f37a0",
+        "stdout": "0efd8d5d766bbb49e390abc2e2be2bf0bb832e7be59b222abfbeb776d106b880",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "csv": "55a8400603bff80fe0d19303a7bd9c7ad9ae84506965859f9a3b3c7b9c59b5b7",
+        "csv": "f8c905a88c4fad3112156524cfe07a713d852d6b750a983c25b40d861a5ff4a4",
     },
     "solve_readme": {
         "exit": 0,
