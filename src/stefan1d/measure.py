@@ -89,17 +89,6 @@ class StepMeasure:
     def max_density(self) -> float:
         return max(self.values, default=0.0)
 
-    # -- integral transforms ----------------------------------------------
-
-    def cdf(self, y: float) -> float:
-        """Mass of (-inf, y]; piecewise linear and nondecreasing in y."""
-        acc = 0.0
-        for lo, hi, v in self.cells():
-            if y <= lo:
-                break
-            acc += v * (min(y, hi) - lo)
-        return acc
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "StepMeasure") -> "StepMeasure":

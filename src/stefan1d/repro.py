@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .measure import OpenSet1D, StepMeasure, indicator, l1_distance, pointwise_leq
 from .particles import SimConfig, compare_to_formula, run
 from .solver import critical_point, solve
@@ -216,6 +214,8 @@ def _scenario_lipschitz_family() -> Scenario:
 
 
 def _scenario_appendix_critical_point() -> Scenario:
+    import numpy as np  # here, so that `import stefan1d` does not load numpy
+
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(100):

@@ -15,6 +15,7 @@ blocks provides an independent oracle for the closed form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -354,8 +355,6 @@ class ConcaveGrid:
         return cls(tuple(xs), tuple(fn(x) for x in xs))
 
     def __call__(self, x: float) -> float:
-        from bisect import bisect_right
-
         if x < self.xs[0] - 1e-12 or x > self.xs[-1] + 1e-12:
             raise ValidationError(f"point {x!r} outside the cost grid")
         i = min(max(bisect_right(self.xs, x) - 1, 0), len(self.xs) - 2)
@@ -374,8 +373,6 @@ def primal_objective(nu: StepMeasure, cost: ConcaveGrid) -> float:
     lo_s, hi_s = nu.support()
     if lo_s < cost.xs[0] - 1e-12 or hi_s > cost.xs[-1] + 1e-12:
         raise ValidationError("measure support leaves the cost grid")
-    from bisect import bisect_left, bisect_right
-
     total = 0.0
     for lo, hi, v in nu.cells():
         if v == 0.0:

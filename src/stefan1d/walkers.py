@@ -1,0 +1,278 @@
+"""Front-freezing Brownian particle walk: the numpy engine of `particles.run`.
+
+Walkers start from the initial density and move by Gaussian increments
+inside their component. Two saturation fronts advance inward from the
+component endpoints; a walker meeting a front freezes there and the front
+advances by one particle mass, so the frozen region has density exactly one
+by accounting and the discrete stopping time never exceeds the exit time of
+the component. The final front positions estimate the block widths of the
+maximal target; mass and first-moment conservation force the agreement.
+
+Crossing detection combines the post-step position test with the within-step
+Brownian bridge crossing probability against the start-of-step fronts, which
+keeps the weak error of the frozen split first order in dt. Walkers crossing
+a front are recorded at the front (slot midpoints of the swept region), not
+at their overshot position.
+
+The walk runs in nested blocks: a level-l block lasts _RADIX**l fine steps.
+At its start, a walker farther than _Z * sqrt(_RADIX**l * dt), plus a margin,
+from both fronts is coarse at that level: one Gaussian increment for the
+whole block, no uniform. The others walk the block's _RADIX sub-blocks of
+level l - 1, down to the single fine step at level 0. The fine scheme would
+freeze a coarse walker within its block with probability below 2**-24, the
+granularity of the float32 uniform its crossing test draws; like
+walk-on-spheres (Muller 1956), the rule sizes each step by the distance to
+the boundary, while the fine step keeps the bridge correction (Gobet 2000).
+When a freeze moves a front into the band of a coarse walker, at any level
+in force, the walker rejoins the walk from its Brownian bridge point, which
+is exact in law. The coarsest level is the last whose band is narrower than
+half the component, since no walker could be coarse at a coarser one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import VerificationError
+from .measure import StepMeasure
+from .particles import ComponentRunReport
+
+# A path reaches a level z below its start within time T with probability
+# erfc(z / sqrt(2 T)) (reflection principle), so a walker _Z * sqrt(T) from
+# both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
+_Z = 5.55
+_RADIX = 4  # sub-blocks per block
+
+def _positive_cell_arrays(mu: StepMeasure):
+    lb, dens, cum = [], [], [0.0]
+    for lo, hi, v in mu.cells():
+        if v <= 0.0:
+            continue
+        lb.append(lo)
+        dens.append(v)
+        cum.append(cum[-1] + v * (hi - lo))
+    return np.asarray(lb), np.asarray(dens), np.asarray(cum)
+
+
+def _quantiles(mu: StepMeasure, u: np.ndarray) -> np.ndarray:
+    lb, dens, cum = _positive_cell_arrays(mu)
+    idx = np.searchsorted(cum[1:], u, side="left")
+    idx = np.clip(idx, 0, len(lb) - 1)
+    return lb[idx] + (u - cum[idx]) / dens[idx]
+
+
+def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, rng) -> np.ndarray:
+    """Levy's bridge: the path at fraction a of span, N(x0 + a (x1 - x0), a (1 - a) span)."""
+    z = rng.standard_normal(x0.size, dtype=np.float32)
+    return x0 + a * (x1 - x0) + math.sqrt(a * (1.0 - a) * span) * z
+
+
+class _Coarse:
+    """The walkers that take one increment for the block of steps start + 1 to
+    end: x0 are their positions after step start, x1 after step end."""
+
+    __slots__ = ("x0", "x1", "start", "end", "span", "band", "lo", "hi")
+
+    def __init__(self, x0, x1, start: int, end: int, span: float, band: float):
+        self.start, self.end, self.span, self.band = start, end, span, band
+        self.keep(x0, x1)
+
+    def keep(self, x0: np.ndarray, x1: np.ndarray):
+        self.x0, self.x1 = x0, x1
+        # the front positions that enter the outermost walker's band
+        self.lo = float(x0.min(initial=np.inf)) - self.band
+        self.hi = float(x0.max(initial=-np.inf)) + self.band
+
+
+class _Walk:
+    """One component's fronts, freeze record and float32 step buffers.
+
+    Fine step s ends at time s * dt. The walk runs in float32: position
+    rounding (~1e-7) is far below the statistical resolution, and the
+    narrower arrays nearly halve the step cost. Front bookkeeping stays in
+    float64 scalars, so the mass and moment accounting is unaffected;
+    `fronts` holds both as a float32 column, the value a float32 operation
+    gives a float64 scalar, so that one subtraction serves both.
+    """
+
+    def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng):
+        self.c, self.d, self.m, self.dt, self.rng = c, d, m, dt, rng
+        self.n_steps = n_steps
+        self.left, self.right = c, d  # fronts; left <= right always
+        self.fronts = np.array([[c], [d]], dtype=np.float32)
+        self.frozen_left = self.frozen_right = self.n_frozen = 0
+        self.freeze_pos = np.empty(n)
+        self.freeze_t = np.empty(n)
+        self.slots = np.arange(n) + 0.5
+        self.slack = 1e-9 * max(1.0, abs(c), abs(d))
+        self.sqrt_dt = math.sqrt(dt)
+        self.inv_dt = -2.0 / dt
+        self.bufs = (np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32))  # used in turn
+        self.u = np.empty(n, dtype=np.float32)
+        self.p = np.empty((2, n), dtype=np.float32)
+        self.q = np.empty((2, n), dtype=np.float32)
+        self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
+
+    def freeze(self, nl: int, nr: int, when: float) -> int:
+        # fronts stay at exactly c + m*count and d - m*count
+        i = self.n_frozen
+        if nl:
+            out = self.freeze_pos[i : i + nl]
+            np.multiply(self.slots[:nl], self.m, out=out)
+            np.add(out, self.left, out=out)
+            self.frozen_left += nl
+            self.left = self.c + self.m * self.frozen_left
+            i += nl
+        if nr:
+            out = self.freeze_pos[i : i + nr]
+            np.multiply(self.slots[:nr], self.m, out=out)
+            np.subtract(self.right, out, out=out)
+            self.frozen_right += nr
+            self.right = self.d - self.m * self.frozen_right
+            i += nr
+        self.freeze_t[self.n_frozen : i] = when
+        self.n_frozen = i
+        self.fronts[:, 0] = (self.left, self.right)
+        return nl + nr
+
+    def settle(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Freeze the walkers the fronts have swept, repeating while they advance."""
+        when = step * self.dt
+        # discrete stopping never leaves the component: the loop ends with every
+        # walker strictly inside the fronts
+        while pos.size and not (pos.min() > self.left and pos.max() < self.right):
+            swept_l = pos <= self.left
+            swept = swept_l | (pos >= self.right)
+            nl = int(np.count_nonzero(swept_l))
+            if not self.freeze(nl, int(np.count_nonzero(swept)) - nl, when):
+                # neither inside nor swept: a NaN
+                raise VerificationError(
+                    f"live walker outside the fronts ({self.left!r}, {self.right!r})"
+                )
+            pos = pos[~swept]
+        if not self.left <= self.right + self.slack:
+            raise VerificationError(f"fronts crossed: left {self.left!r} > right {self.right!r}")
+        return pos
+
+    def refine(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Bring the coarse walkers whose band a front has entered to this step.
+
+        The bridge point is exact in law; from it the walker walks on at the
+        levels below.
+        """
+        while True:
+            group = next((g for g in self.coarse if self.left > g.lo or self.right < g.hi), None)
+            if group is None:
+                return pos
+            # float64, as for lo and hi, so the outermost walker is always among the refined
+            x0, x1, band = group.x0, group.x1, group.band
+            near = (np.subtract(x0, band, dtype=np.float64) < self.left) | (
+                np.add(x0, band, dtype=np.float64) > self.right
+            )
+            a = (step - group.start) / (group.end - group.start)
+            mid = _bridge_point(x0[near], x1[near], a, group.span, self.rng)
+            pos = self.settle(np.concatenate((pos, mid)), step)
+            group.keep(x0[~near], x1[~near])
+
+    def block(self, level: int, start: int, pos: np.ndarray) -> np.ndarray:
+        """Walk pos, the walkers after step start, through a level-`level` block."""
+        if not level:
+            return self.fine_step(pos, start + 1)
+        end = min(start + _RADIX**level, self.n_steps)  # the last block ends at n_steps
+        span = (end - start) * self.dt
+        band = _Z * math.sqrt(span)
+        split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
+        far = (pos - self.left > split) & (self.right - pos > split)
+        x0 = pos[far]
+        x1 = x0 + math.sqrt(span) * self.rng.standard_normal(x0.size, dtype=np.float32)
+        group = _Coarse(x0, x1, start, end, span, band)
+        self.coarse.append(group)
+        pos = pos[~far]
+        for sub in range(start, end, _RADIX ** (level - 1)):
+            if not pos.size:
+                break  # the fronts stand still until the coarse walkers land
+            pos = self.block(level - 1, sub, pos)
+        self.coarse.pop()
+        # a coarse endpoint beyond a front (probability < 2**-24) freezes here
+        return self.refine(self.settle(np.concatenate((pos, group.x1)), end), end)
+
+    def fine_step(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Move every walker of pos through fine step `step`."""
+        size = pos.size
+        new = self.bufs[step & 1][:size]  # pos is at most a view of the other buffer
+        self.rng.standard_normal(dtype=np.float32, out=new)
+        np.multiply(new, self.sqrt_dt, out=new)
+        np.add(new, pos, out=new)
+        u = self.u[:size]
+        self.rng.random(dtype=np.float32, out=u)
+        # Brownian bridge crossing probability exp(-2 (x - f)(y - f) / dt) of each
+        # front f, one row each, against the start-of-step fronts; a post-step
+        # crossing makes the argument nonnegative, so p >= 1 there and the
+        # comparison subsumes the hard-crossing test.
+        p, q = self.p[:, :size], self.q[:, :size]
+        np.subtract(pos, self.fronts, out=p)
+        np.subtract(new, self.fronts, out=q)
+        np.multiply(p, q, out=p)
+        np.multiply(p, self.inv_dt, out=p)
+        np.exp(p, out=p)
+        np.add(p[0], p[1], out=q[0])
+        cross = u < q[0]
+        n_cross = int(np.count_nonzero(cross))
+        if not n_cross:
+            return self.settle(new, step)
+        nl = int(np.count_nonzero(u < p[0]))  # u < p_l implies u < p_l + p_r
+        self.freeze(nl, n_cross - nl, step * self.dt)
+        return self.refine(self.settle(new[~cross], step), step)
+
+
+def simulate_component(
+    mu_n: StepMeasure,
+    c: float,
+    d: float,
+    n: int,
+    dt: float,
+    t_max: float,
+    seed: list[int],
+    hist_bins: int,
+) -> ComponentRunReport:
+    """Walk n walkers from mu_n on (c, d) with a generator seeded by seed."""
+    rng = np.random.default_rng(seed)
+    k = mu_n.mass
+    m = k / n if n else 0.0
+    n_steps = math.ceil(t_max / dt - 0.5)  # the steps ending before t_max - dt/2
+    walk = _Walk(c, d, n, m, dt, n_steps, rng)
+    # mass starting on the boundary freezes at once
+    pos = walk.settle(_quantiles(mu_n, rng.random(n) * k), 0).astype(np.float32)
+    # the coarsest level is the last whose band is narrower than half the
+    # component: a coarser one could hold no walker
+    top = 0
+    while _Z * math.sqrt(_RADIX ** (top + 1) * dt) < 0.5 * (d - c):
+        top += 1
+    with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
+        for start in range(0, n_steps, _RADIX**top):
+            if not pos.size:
+                break
+            pos = walk.block(top, start, pos)
+
+    frozen = walk.freeze_pos[: walk.n_frozen]
+    times = walk.freeze_t[: walk.n_frozen]
+    counts, edges = np.histogram(frozen, bins=hist_bins, range=(c, d))
+    return ComponentRunReport(
+        interval=(c, d),
+        n=n,
+        unit_mass=m,
+        frozen_left=walk.frozen_left,
+        frozen_right=walk.frozen_right,
+        unfrozen=int(pos.size),
+        p_hat=m * walk.frozen_left,
+        q_hat=m * walk.frozen_right,
+        left_front=walk.left,
+        right_front=walk.right,
+        mean_freeze_time=float(times.mean()) if walk.n_frozen else math.nan,
+        freeze_position_mean=float(frozen.mean()) if walk.n_frozen else math.nan,
+        freeze_position_std=float(frozen.std()) if walk.n_frozen else math.nan,
+        hist_edges=tuple(edges.tolist()),
+        hist_counts=tuple(int(x) for x in counts),
+    )

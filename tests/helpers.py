@@ -24,8 +24,9 @@ from stefan1d import (
     zero_measure,
 )
 from stefan1d.measure import _from_cells
-from stefan1d.particles import ComponentRunReport, _quantiles
+from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
+from stefan1d.walkers import _quantiles
 
 
 def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
@@ -33,6 +34,16 @@ def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
     for mu in measures:
         out = out + mu
     return out
+
+
+def cdf(mu: StepMeasure, y: float) -> float:
+    """Mass of (-inf, y]; piecewise linear and nondecreasing in y."""
+    acc = 0.0
+    for lo, hi, v in mu.cells():
+        if y <= lo:
+            break
+        acc += v * (min(y, hi) - lo)
+    return acc
 
 
 def canonicalize(mu: StepMeasure) -> StepMeasure:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,63 @@ def test_public_api_names_resolve():
     namespace = {}
     exec("from stefan1d import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+_COLD_START = """
+import json, os, sys
+
+import stefan1d
+import stefan1d.cli
+from stefan1d.cli import main
+
+tmp = sys.argv[1]
+
+def write(name, obj):
+    path = os.path.join(tmp, name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+def out(name):
+    return ["--out", os.path.join(tmp, name)]
+
+unit = {"breaks": [0.0, 0.5], "values": [1.0]}
+domain = {"components": [[-1.0, 1.0]]}
+solve_in = write("solve.json", {"measure": unit, "open_set": domain})
+assert main(["solve", "--input", solve_in, *out("s.json")]) == 0
+order_in = write("order.json", {"mu": unit, "nu": unit, "open_set": domain})
+assert main(["order", "--input", order_in, *out("o.json")]) == 0
+pot_in = write("pot.json", {"measure": unit})
+assert main(["potential", "--input", pot_in, *out("p.json"), "--csv", os.path.join(tmp, "p.csv")]) == 0
+assert main(["stability", "--family", "weak", *out("w.json")]) == 0
+assert "numpy" not in sys.modules, "a numpy-free command loaded numpy"
+
+missing = [name for name in stefan1d.__all__ if not hasattr(stefan1d, name)]
+assert not missing, missing
+# the names the traced benchmark run rebinds or reads on the particles module
+for name in ("SimConfig", "run", "compare_to_formula", "ComponentRunReport", "RunReport",
+             "restrict", "l1_distance"):
+    assert hasattr(stefan1d.particles, name), name
+
+sim_in = write("sim.json", {"measure": unit, "open_set": domain,
+                            "config": {"n_particles": 200, "dt": 1e-3}})
+assert main(["simulate", "--input", sim_in, *out("r.json")]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_particle_walk_loads_numpy(tmp_path):
+    # a fresh interpreter: the test session itself has numpy loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # JSON true and numeric strings are not numbers, wherever a measure or an

@@ -21,9 +21,9 @@ from stefan1d import (
     solve,
     zero_measure,
 )
-from stefan1d import particles
+from stefan1d import walkers
 
-from helpers import sample_initial, simulate_component_reference
+from helpers import cdf, sample_initial, simulate_component_reference
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
 
@@ -42,7 +42,7 @@ def test_sample_matches_exact_cdf():
     n = 5000
     xs = sample_initial(mu, n, seed=2)
     total = mu.mass
-    stat = stats.kstest(xs, lambda y: np.array([mu.cdf(t) for t in y]) / total).statistic
+    stat = stats.kstest(xs, lambda y: np.array([cdf(mu, t) for t in y]) / total).statistic
     assert stat < 1.63 / math.sqrt(n)  # 1% level
 
 
@@ -155,14 +155,14 @@ def _law_gaps(monkeypatch, mu, n, dt, t_max, seeds=24):
     mean_freeze_time) over seeds from the single-rate reference's, in units
     of its standard error."""
     refined = Counter()
-    bridge_point = particles._bridge_point
+    bridge_point = walkers._bridge_point
 
     def counting_bridge(x0, x1, a, span, rng):
         # a level-l block spans at most _RADIX**l steps, and the last one may be cut short
-        refined[math.ceil(math.log(span / dt, particles._RADIX) - 1e-9)] += 1
+        refined[math.ceil(math.log(span / dt, walkers._RADIX) - 1e-9)] += 1
         return bridge_point(x0, x1, a, span, rng)
 
-    monkeypatch.setattr(particles, "_bridge_point", counting_bridge)
+    monkeypatch.setattr(walkers, "_bridge_point", counting_bridge)
     mu_n = restrict(mu, DOMAIN)[0]
     multi, single = [], []
     for s in range(seeds):
@@ -205,16 +205,16 @@ def test_nan_walker_fails_the_invariant_check_under_optimize():
     # neither inside the fronts nor swept by one, and must not loop or freeze
     script = """
 import numpy as np
-from stefan1d import OpenSet1D, SimConfig, VerificationError, indicator, particles, run
+from stefan1d import OpenSet1D, SimConfig, VerificationError, indicator, run, walkers
 
-bridge_point = particles._bridge_point
+bridge_point = walkers._bridge_point
 
 def nan_bridge(*args):
     mid = bridge_point(*args)
     mid[0] = np.nan
     return mid
 
-particles._bridge_point = nan_bridge
+walkers._bridge_point = nan_bridge
 mu = indicator(-1.0, -0.6) + indicator(0.2, 0.9, 0.9)
 cfg = SimConfig(n_particles=2000, seed=0, dt=1e-4, t_max=0.05)
 try:
@@ -222,7 +222,7 @@ try:
 except VerificationError as exc:
     print(exc)
 """
-    src = str(Path(particles.__file__).resolve().parents[1])
+    src = str(Path(walkers.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
@@ -248,7 +248,7 @@ def test_coarse_band_meets_the_float32_budget():
     # a walker Z block deviations from both fronts meets one within its block
     # with probability at most 2 erfc(Z / sqrt(2)); the law test above cannot
     # resolve a budget this small, so it is checked here
-    assert 2.0 * math.erfc(particles._Z / math.sqrt(2.0)) <= 2.0**-24
+    assert 2.0 * math.erfc(walkers._Z / math.sqrt(2.0)) <= 2.0**-24
 
 
 def test_bridge_point_follows_the_levy_construction():
@@ -256,7 +256,7 @@ def test_bridge_point_follows_the_levy_construction():
     size, span, a = 20000, 8e-4, 0.375
     x0 = rng.uniform(-0.5, 0.5, size).astype(np.float32)
     x1 = (x0 + math.sqrt(span) * rng.standard_normal(size)).astype(np.float32)
-    mid = particles._bridge_point(x0, x1, a, span, rng)
+    mid = walkers._bridge_point(x0, x1, a, span, rng)
     assert mid.dtype == np.float32
     # conditionally on both ends, and marginally given the start alone
     z_bridge = (mid - (x0 + a * (x1 - x0))) / math.sqrt(a * (1.0 - a) * span)
