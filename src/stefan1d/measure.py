@@ -224,8 +224,10 @@ def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
     """density * chi_(a, b)."""
     if not b > a:
         raise ValidationError(f"indicator needs a < b, got ({a!r}, {b!r})")
-    if density < 0.0:
-        raise ValidationError("density must be nonnegative")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"indicator endpoints must be finite, got ({a!r}, {b!r})")
+    if not 0.0 <= density < math.inf:
+        raise ValidationError(f"density must be finite and nonnegative, got {density!r}")
     return _from_cells([(a, b, density)])
 
 

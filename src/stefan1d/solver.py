@@ -111,6 +111,11 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
     an edge gives the one-block answer exactly, and inside the window the
     block widths are clamped into [0, k].
     """
+    if not c - c == d - d == k - k == beta - beta == 0.0:
+        # only a finite x has x - x == 0; name the first that is not
+        for name, x in (("c", c), ("d", d), ("k", k), ("beta", beta)):
+            if not math.isfinite(x):
+                raise ValidationError(f"{name} must be finite, got {x!r}")
     if not c < d:
         raise ValidationError(f"interval is empty or reversed: ({c!r}, {d!r})")
     width = d - c
@@ -201,16 +206,21 @@ def _unit_blocks(mu: StepMeasure) -> list[tuple[float, float]]:
 
 
 def _sweep(mu: StepMeasure, open_set: OpenSet1D):
+    """Final block pair, unit blocks and one (sat_end, carry, i) per merge.
+
+    Linear in the blocks: after merge i, (c, sat_end) is saturated and carry
+    is the produced right block; only :func:`sweep_states` builds the states.
+    """
     if len(open_set.components) != 1:
         raise ValidationError("sweep operates on a single-interval domain")
     (c, d) = open_set.components[0]
     blocks = _unit_blocks(mu)
     if not blocks:
-        return BlockPair(c, c, d, d), []
+        return BlockPair(c, c, d, d), blocks, []
     if blocks[0][0] <= c or blocks[-1][1] >= d:
         raise ValidationError("sweep blocks must lie strictly inside the domain")
 
-    states: list[StepMeasure] = []
+    merges = []
     sat_end = c  # (c, sat_end) is saturated so far
     carry = blocks[0]
     for i, nxt in enumerate(blocks[1:], start=1):
@@ -218,15 +228,10 @@ def _sweep(mu: StepMeasure, open_set: OpenSet1D):
         sub = solve_component(sat_end, nxt[0], b - a, (b * b - a * a) / 2.0)
         sat_end = sub.e
         carry = (sub.f, nxt[1])  # produced right block touches the next one
-        states.append(
-            _from_cells(
-                [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
-                + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
-            )
-        )
+        merges.append((sat_end, carry, i))
     a, b = carry
     final = solve_component(sat_end, d, b - a, (b * b - a * a) / 2.0)
-    return BlockPair(c, final.e, final.f, d), states
+    return BlockPair(c, final.e, final.f, d), blocks, merges
 
 
 def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
@@ -235,10 +240,11 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     Solves the leftmost block in the sub-domain ending at the next block's
     left edge, merges the produced right block with that one, and repeats;
     mass and first moment are conserved at every step, so the final two-block
-    state must match :func:`solve`. No certification is run here, keeping the
-    route independent.
+    state must match :func:`solve`. Linear in the number of blocks, since
+    only :func:`sweep_states` builds the intermediate states. No
+    certification is run here, keeping the route independent.
     """
-    block, _ = _sweep(mu, open_set)
+    block, _, _ = _sweep(mu, open_set)
     target = block.measure()
     return MaximalSolution(
         (block,), target, ((mu.mass, mu.first_moment),), certificate=None
@@ -246,9 +252,19 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
 
 
 def sweep_states(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
-    """Intermediate measures produced by the sweep, excluding mu and the target."""
-    _, states = _sweep(mu, open_set)
-    return states
+    """Intermediate measures produced by the sweep, excluding mu and the target.
+
+    The only builder of these states, quadratic in the number of blocks.
+    """
+    _, blocks, merges = _sweep(mu, open_set)
+    c = open_set.components[0][0]
+    return [
+        _from_cells(
+            [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
+            + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
+        )
+        for sat_end, carry, i in merges
+    ]
 
 
 # -- stationary point of the potential difference ---------------------------------
@@ -351,7 +367,8 @@ class ConcaveGrid:
     def from_function(
         cls, fn: Callable[[float], float], lo: float, hi: float, n: int = 1001
     ) -> "ConcaveGrid":
-        xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        # n < 2 leaves fewer than two samples, which the constructor rejects
+        xs = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
         return cls(tuple(xs), tuple(fn(x) for x in xs))
 
     def __call__(self, x: float) -> float:

@@ -26,6 +26,7 @@ from stefan1d import (
 from stefan1d.measure import _from_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
+from stefan1d.solver import BlockPair, _unit_blocks, solve_component
 from stefan1d.walkers import _quantiles
 
 
@@ -87,6 +88,15 @@ def random_admissible_measure(
     return sum_measures(parts)
 
 
+@st.composite
+def unit_block_measures(draw, max_blocks: int = 12):
+    """1 to max_blocks disjoint unit blocks at random places in (-1, 1)."""
+    inner = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    nb = draw(st.integers(1, max_blocks))
+    edges = sorted(draw(st.lists(inner, min_size=2 * nb, max_size=2 * nb, unique=True)))
+    return make_step_measure(edges, [1.0, 0.0] * (nb - 1) + [1.0])
+
+
 def random_unit_blocks(
     rng: np.random.Generator,
     c: float,
@@ -109,6 +119,36 @@ def random_unit_blocks(
 
 
 # -- references: the direct algorithms that the fast paths must reproduce ------
+
+
+def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
+    """The sweep that builds every intermediate state as it merges."""
+    if len(open_set.components) != 1:
+        raise ValidationError("sweep operates on a single-interval domain")
+    (c, d) = open_set.components[0]
+    blocks = _unit_blocks(mu)
+    if not blocks:
+        return BlockPair(c, c, d, d), []
+    if blocks[0][0] <= c or blocks[-1][1] >= d:
+        raise ValidationError("sweep blocks must lie strictly inside the domain")
+
+    states: list[StepMeasure] = []
+    sat_end = c  # (c, sat_end) is saturated so far
+    carry = blocks[0]
+    for i, nxt in enumerate(blocks[1:], start=1):
+        a, b = carry
+        sub = solve_component(sat_end, nxt[0], b - a, (b * b - a * a) / 2.0)
+        sat_end = sub.e
+        carry = (sub.f, nxt[1])  # produced right block touches the next one
+        states.append(
+            _from_cells(
+                [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
+                + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
+            )
+        )
+    a, b = carry
+    final = solve_component(sat_end, d, b - a, (b * b - a * a) / 2.0)
+    return BlockPair(c, final.e, final.f, d), states
 
 
 def density_at(mu: StepMeasure, y: float) -> float:

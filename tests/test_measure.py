@@ -43,6 +43,27 @@ def test_indicator_constructor():
     assert mu.mass == 2.0
 
 
+@pytest.mark.parametrize(
+    "a, b, density, match",
+    [
+        (0.0, 1.0, math.nan, "density"),
+        (0.0, 1.0, math.inf, "density"),
+        (0.0, math.inf, 1.0, "endpoints"),
+        (-math.inf, 0.0, 1.0, "endpoints"),
+        (math.nan, 1.0, 1.0, "a < b"),
+        (0.0, 1.0, -0.5, "nonnegative"),
+    ],
+)
+def test_indicator_rejects_non_finite_input(a, b, density, match):
+    with pytest.raises(ValidationError, match=match):
+        indicator(a, b, density)
+
+
+def test_indicator_flushes_subnormal_density():
+    assert indicator(0.0, 1.0, 5e-324) == zero_measure()
+    assert indicator(0.0, 1.0, sys.float_info.min).values == (sys.float_info.min,)
+
+
 def test_constructor_matches_block_density():
     mu = make_step_measure([0.0, math.sqrt(0.75)], [0.99])
     assert mu.mass == pytest.approx(0.99 * math.sqrt(0.75), rel=1e-15)

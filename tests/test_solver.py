@@ -8,8 +8,10 @@ from stefan1d import (
     AdmissibilityError,
     ConcaveGrid,
     InfeasibilityError,
+    MaximalSolution,
     OpenSet1D,
     OrderCertificate,
+    StepMeasure,
     SupportError,
     ValidationError,
     VerificationError,
@@ -40,6 +42,8 @@ from helpers import (
     random_open_set,
     random_unit_blocks,
     sum_measures,
+    sweep_reference,
+    unit_block_measures,
 )
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
@@ -84,6 +88,18 @@ def test_solve_component_infeasible_inputs():
         solve_component(-1.0, 1.0, 0.5, 0.6)
     with pytest.raises(InfeasibilityError, match="lower"):
         solve_component(-1.0, 1.0, 0.5, -0.6)
+    inf, nan = math.inf, math.nan
+    for args, name in [
+        ((-1.0, inf, 0.5, 0.0), "d"),
+        ((-inf, 1.0, 0.5, 0.0), "c"),
+        ((nan, 1.0, 0.5, 0.0), "c"),
+        ((-1.0, 1.0, nan, 0.0), "k"),
+        ((-1.0, 1.0, inf, 0.0), "k"),
+        ((-1.0, 1.0, 0.5, nan), "beta"),
+        ((-1.0, 1.0, 0.5, -inf), "beta"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            solve_component(*args)
 
 
 def test_solve_component_saturated():
@@ -308,14 +324,49 @@ def test_sweep_rejects_overlapping_blocks():
 
 def test_sweep_oracle_equivalence_random():
     rng = np.random.default_rng(25)
-    for _ in range(60):
-        nb = int(rng.integers(1, 6))
+    for trial in range(61):
+        nb = int(rng.integers(1, 6)) if trial < 60 else 300
         mu = random_unit_blocks(rng, -1.0, 1.0, nb)
         sw = solve_by_sweep(mu, DOMAIN)
         direct = solve(mu, DOMAIN)
         assert sw.blocks[0].as_tuple() == pytest.approx(
             direct.blocks[0].as_tuple(), abs=1e-8
         )
+
+
+def _outcome(run) -> str:
+    try:
+        return repr(run())
+    except (ValidationError, InfeasibilityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_solution_reference(mu: StepMeasure) -> MaximalSolution:
+    block, _ = sweep_reference(mu, DOMAIN)
+    return MaximalSolution(
+        (block,), block.measure(), ((mu.mass, mu.first_moment),), certificate=None
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_block_measures())
+def test_sweep_matches_reference(mu):
+    assert _outcome(lambda: solve_by_sweep(mu, DOMAIN)) == _outcome(
+        lambda: _sweep_solution_reference(mu)
+    )
+    assert _outcome(lambda: sweep_states(mu, DOMAIN)) == _outcome(
+        lambda: sweep_reference(mu, DOMAIN)[1]
+    )
+
+
+def test_sweep_builds_only_the_target(monkeypatch):
+    solver = importlib.import_module("stefan1d.solver")
+    mu = random_unit_blocks(np.random.default_rng(27), -1.0, 1.0, 6)
+    calls = []
+    real = solver._from_cells
+    monkeypatch.setattr(solver, "_from_cells", lambda cells: calls.append(1) or real(cells))
+    solve_by_sweep(mu, DOMAIN)
+    assert len(calls) == 1
 
 
 def test_sweep_states_are_admissible_waypoints():
@@ -381,6 +432,12 @@ def test_concave_cost_prefers_target():
     sol = solve(mu, DOMAIN)
     grid = ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, 2001)
     assert primal_objective(sol.measure, grid) < primal_objective(mu, grid)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_cost_grid_needs_two_samples(n):
+    with pytest.raises(ValidationError, match="at least two samples"):
+        ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, n)
 
 
 def test_non_concave_cost_rejected():
