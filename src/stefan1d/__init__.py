@@ -38,12 +38,10 @@ from .particles import (
 )
 from .potential import (
     OrderCertificate,
-    PiecewiseLinear,
     PiecewiseQuadratic,
     dominates,
     order_leq_sh_O,
     potential,
-    potential_derivative,
 )
 from .repro import ReproManifest, run_manifest
 from .solver import (
@@ -89,7 +87,6 @@ __all__ = [
     "OpenSet1D",
     "OrderCertificate",
     "ParameterError",
-    "PiecewiseLinear",
     "PiecewiseQuadratic",
     "ReproManifest",
     "RunReport",
@@ -119,7 +116,6 @@ __all__ = [
     "pointwise_leq",
     "positive_part_l1",
     "potential",
-    "potential_derivative",
     "primal_objective",
     "restrict",
     "run",

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure
 from .particles import SimConfig, run
-from .potential import dominates, order_leq_sh_O, potential, potential_derivative
+from .potential import dominates, order_leq_sh_O, potential
 from .repro import (
     DOMAIN,
     EXAMPLE_5_1,
@@ -201,16 +201,13 @@ def cmd_potential(args) -> int:
     pq = potential(mu)
     _emit(pq.to_json(), args.out)
     if args.csv:
-        deriv = potential_derivative(mu)
+        deriv = pq.derivative()
         lo, hi = mu.support()
         span = max(hi - lo, 1.0)
         lo -= 0.5 * span
         hi += 0.5 * span
-        n = 512
-        rows = []
-        for i in range(n + 1):
-            y = lo + (hi - lo) * i / n
-            rows.append([y, pq(y), deriv(y)])
+        ys = [lo + (hi - lo) * i / 512 for i in range(513)]
+        rows = [[y, pq(y), deriv(y)] for y in ys]
         _write_csv(args.csv, ["y", "potential", "derivative"], rows)
     return 0
 

@@ -119,11 +119,9 @@ class OpenSet1D:
     def __post_init__(self):
         prev_end = -math.inf
         for i, (c, d) in enumerate(self.components):
-            if not (math.isfinite(c) and math.isfinite(d)):
-                raise ValidationError(f"component {i} has non-finite endpoint")
-            if not c < d:
+            if not 0.0 < d - c < math.inf:  # only finite c < d give a finite positive width
                 raise ValidationError(
-                    f"component {i} is empty or reversed: ({c!r}, {d!r})"
+                    f"component {i} needs finite c < d, not too wide: ({c!r}, {d!r})"
                 )
             if c < prev_end:
                 raise ValidationError(
@@ -206,6 +204,8 @@ def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepM
             f"breaks must be strictly increasing: breaks[{i}]={b[i]!r} "
             f">= breaks[{i + 1}]={b[i + 1]!r}"
         )
+    if b and b[-1] - b[0] == math.inf:
+        raise ValidationError(f"breaks span too wide: ({b[0]!r}, {b[-1]!r})")
     if not (all(map(math.isfinite, v)) and min(v, default=0.0) >= 0.0):
         i, x = next((i, x) for i, x in enumerate(v) if not 0.0 <= x < math.inf)
         problem = "negative" if math.isfinite(x) else "not finite"
@@ -222,10 +222,10 @@ def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepM
 
 def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
     """density * chi_(a, b)."""
-    if not b > a:
-        raise ValidationError(f"indicator needs a < b, got ({a!r}, {b!r})")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError(f"indicator endpoints must be finite, got ({a!r}, {b!r})")
+    if not 0.0 < b - a < math.inf:  # only finite a < b give a finite positive width
+        raise ValidationError(
+            f"indicator endpoints must be finite with a < b, not too wide: ({a!r}, {b!r})"
+        )
     if not 0.0 <= density < math.inf:
         raise ValidationError(f"density must be finite and nonnegative, got {density!r}")
     return _from_cells([(a, b, density)])

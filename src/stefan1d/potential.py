@@ -4,7 +4,8 @@ In one dimension the potential of a finite step measure,
 U(y) = -1/2 * integral |y - x| dmu(x), is piecewise quadratic: concave with
 curvature equal to minus the local density inside the break grid, and linear
 with slopes +mass/2 (left) and -mass/2 (right) outside; :func:`potential`
-builds it for the ``potential`` command and the stationary-point check.
+builds it for the ``potential`` command and as the second route of the
+stationary-point check.
 
 The order certificate does not build potentials. With sigma = nu - mu,
 F(y) = sigma(-inf, y], G = integral of F, M = sigma(R) and B the first
@@ -19,7 +20,8 @@ so no absolute coordinate is squared, and maximises the difference exactly:
 at every break, and at the vertex of each cell where sigma > 0. The centre
 is the component's midpoint, or the joint hull's for a bare
 :func:`dominates`, which keeps the error independent of where the measures
-sit on the line.
+sit on the line. For equal masses the derivative of the difference is -F,
+so the same cumulative sum locates its stationary points as the zeros of F.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _merge_walk, restrict
@@ -43,28 +45,25 @@ EXIT_TIME_ASSUMPTION = (
 
 
 @dataclass(frozen=True)
-class _Piecewise:
-    """Polynomial per piece; piece i covers [breakpoints[i-1], breakpoints[i]].
+class PiecewiseQuadratic:
+    """a*y^2 + b*y + c per piece; piece i covers [breakpoints[i-1], breakpoints[i]].
 
-    ``coeffs[i]`` lists piece i's coefficients from the highest power down.
-    Piece 0 and the last piece are the unbounded tails.
+    Piece 0 and the last piece are the unbounded tails. For potentials of
+    finite measures the tails are linear (a = 0) with slopes +-mass/2.
     """
 
     breakpoints: tuple[float, ...]
-    coeffs: tuple[tuple[float, ...], ...]
+    coeffs: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.breakpoints) + 1:
             raise ValidationError("need len(coeffs) == len(breakpoints) + 1")
 
     def __call__(self, y: float) -> float:
-        coeffs = self.coeffs[bisect_right(self.breakpoints, y)]
-        val = coeffs[0]
-        for coef in coeffs[1:]:
-            val = val * y + coef
-        return val
+        a, b, c = self.coeffs[bisect_right(self.breakpoints, y)]
+        return (a * y + b) * y + c
 
-    def __sub__(self, other: "_Piecewise") -> "_Piecewise":
+    def __sub__(self, other: "PiecewiseQuadratic") -> "PiecewiseQuadratic":
         mine, theirs = self.coeffs, other.coeffs
         bp: list[float] = []
         coeffs = []
@@ -72,99 +71,42 @@ class _Piecewise:
             bp.append(hi)
             coeffs.append(tuple(map(operator.sub, mine[i], theirs[j])))
         bp.pop()  # the right tail's infinite end
-        return type(self)(tuple(bp), tuple(coeffs))
+        return PiecewiseQuadratic(tuple(bp), tuple(coeffs))
 
-
-class PiecewiseQuadratic(_Piecewise):
-    """a*y^2 + b*y + c per piece.
-
-    For potentials of finite measures the tails are linear (a = 0) with
-    slopes +-mass/2.
-    """
-
-    def derivative(self) -> "PiecewiseLinear":
-        return PiecewiseLinear(
-            self.breakpoints, tuple((2.0 * a, b) for a, b, _ in self.coeffs)
+    def derivative(self) -> "PiecewiseQuadratic":
+        """The derivative, 2a*y + b per piece, as pieces (0, 2a, b)."""
+        return PiecewiseQuadratic(
+            self.breakpoints, tuple((0.0, 2.0 * a, b) for a, b, _ in self.coeffs)
         )
 
     def max_on(self, lo: float, hi: float) -> tuple[float, float]:
-        """Exact maximum of the function over [lo, hi] and its location."""
+        """Exact first maximum of the function over [lo, hi], and where it sits.
+
+        A concave piece peaks at its interior vertex or an end, any other
+        piece at an end; a later candidate wins only when strictly larger.
+        """
         if hi < lo:
             raise ValidationError("empty window")
         bp = self.breakpoints
-        return _max_on_pieces(zip((-math.inf, *bp), (*bp, math.inf), *zip(*self.coeffs)), lo, hi)
+        best, arg = -math.inf, lo
+        for p_lo, p_hi, (a, b, c) in zip((-math.inf, *bp), (*bp, math.inf), self.coeffs):
+            seg_lo, seg_hi = max(lo, p_lo), min(hi, p_hi)
+            if seg_hi < seg_lo:
+                continue
+            ys = [seg_lo, seg_hi]
+            if a < 0.0 and seg_lo < -b / (2.0 * a) < seg_hi:
+                ys.append(-b / (2.0 * a))
+            for y in ys:
+                val = (a * y + b) * y + c
+                if val > best:
+                    best, arg = val, y
+        return best, arg
 
     def to_json(self) -> dict:
         return {
             "breakpoints": list(self.breakpoints),
             "pieces": [list(p) for p in self.coeffs],
         }
-
-
-def _max_on_pieces(
-    pieces: Iterable[tuple[float, ...]], lo: float, hi: float
-) -> tuple[float, float]:
-    """First maximum of (a*y + b)*y + c over [lo, hi], and where it sits.
-
-    Each piece is (start, end, a, b, c), in order. A concave piece peaks at
-    its interior vertex or an endpoint, any other piece at an endpoint; a
-    later candidate wins only with a strictly larger value.
-    """
-    best, arg = -math.inf, lo
-    for p_lo, p_hi, a, b, c in pieces:
-        seg_lo = max(lo, p_lo)
-        seg_hi = min(hi, p_hi)
-        if seg_hi < seg_lo:
-            continue
-        val = (a * seg_lo + b) * seg_lo + c
-        if val > best:
-            best, arg = val, seg_lo
-        val = (a * seg_hi + b) * seg_hi + c
-        if val > best:
-            best, arg = val, seg_hi
-        if a < 0.0:
-            vertex = -b / (2.0 * a)
-            if seg_lo < vertex < seg_hi:
-                val = (a * vertex + b) * vertex + c
-                if val > best:
-                    best, arg = val, vertex
-    return best, arg
-
-
-class PiecewiseLinear(_Piecewise):
-    """m*y + b per piece."""
-
-    def roots(self, lo: float, hi: float) -> tuple[list[float], list[tuple[float, float]]]:
-        """All zeros on [lo, hi]: isolated roots plus flat zero segments.
-
-        Exact per-piece enumeration; isolated roots closer than 1e-12 are
-        merged. A flat segment means the function vanishes identically there.
-        """
-        bp = self.breakpoints
-        points: list[float] = []
-        flats: list[tuple[float, float]] = []
-        for i, (m, b) in enumerate(self.coeffs):
-            seg_lo = lo if i == 0 else max(lo, bp[i - 1])
-            seg_hi = hi if i == len(bp) else min(hi, bp[i])
-            if seg_hi < seg_lo:
-                continue
-            if m == 0.0:
-                if b == 0.0 and seg_hi > seg_lo:
-                    flats.append((seg_lo, seg_hi))
-                elif b == 0.0:
-                    points.append(seg_lo)
-                continue
-            y0 = -b / m
-            eps = 1e-12 * max(1.0, abs(seg_lo), abs(seg_hi))
-            if seg_lo - eps <= y0 <= seg_hi + eps:
-                points.append(min(max(y0, seg_lo), seg_hi))
-        points.sort()
-        merged: list[float] = []
-        for p in points:
-            if merged and abs(p - merged[-1]) <= 1e-12 * max(1.0, abs(p)):
-                continue
-            merged.append(p)
-        return merged, flats
 
 
 # -- potentials ----------------------------------------------------------------
@@ -199,30 +141,6 @@ def potential(mu: StepMeasure) -> PiecewiseQuadratic:
         )
     ]
     return PiecewiseQuadratic(b, ((0.0, k / 2.0, -beta / 2.0), *inner, (0.0, -k / 2.0, beta / 2.0)))
-
-
-def potential_derivative(mu: StepMeasure) -> PiecewiseLinear:
-    """U'(y) = (mass on (y, inf) - mass on (-inf, y)) / 2, piecewise linear.
-
-    Built directly from mass prefix sums rather than by differentiating
-    :func:`potential`; the two routes are compared in tests.
-    """
-    n = mu.ncells
-    if n == 0:
-        return PiecewiseLinear((), ((0.0, 0.0),))
-    b = mu.breaks
-    v = mu.values
-    cell_mass = [v[i] * (b[i + 1] - b[i]) for i in range(n)]
-    k = sum(cell_mass)
-    coeffs: list[tuple[float, float]] = [(0.0, k / 2.0)]
-    pre = 0.0
-    for i in range(n):
-        suf = k - pre - cell_mass[i]
-        # inside cell i: ((suf + v*(b[i+1]-y)) - (pre + v*(y-b[i]))) / 2
-        coeffs.append((-v[i], (suf - pre) / 2.0 + v[i] * (b[i] + b[i + 1]) / 2.0))
-        pre += cell_mass[i]
-    coeffs.append((0.0, -k / 2.0))
-    return PiecewiseLinear(b, tuple(coeffs))
 
 
 # -- order certificates ---------------------------------------------------------
@@ -289,6 +207,12 @@ def _merged(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]
     return xs, [*map(operator.sub, nu_v, mu_v)][:-1]
 
 
+def _cumulative(xs: Sequence[float], sigma: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Cell widths, and F = sigma(-inf, xs[i]] at every break from a zero start."""
+    widths = [*map(operator.sub, xs[1:], xs)]
+    return widths, [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
+
+
 def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[float, float, float]:
     """First maximum of U_nu - U_mu on [xs[0], xs[-1]], where, and the moment B.
 
@@ -301,9 +225,7 @@ def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[f
     """
     if not xs:
         return 0.0, 0.0, 0.0
-    widths = [*map(operator.sub, xs[1:], xs)]
-    cum = [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
-    # twice G: each cell adds its width times the sum of F at its two ends
+    widths, cum = _cumulative(xs, sigma)
     twice_g = [*accumulate(map(operator.mul, widths, map(operator.add, cum, cum[1:])), initial=0.0)]
     mass = cum[-1]
     moment = (xs[-1] - centre) * mass - 0.5 * twice_g[-1]
@@ -320,6 +242,28 @@ def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[f
             if val > best or (val == best and j < at):
                 best, at, point = val, j + 1, xs[j] + t
     return best + 0.0, point, moment  # + 0.0 reads a gap of -0.0 as 0.0
+
+
+def _zeros_of_f(
+    xs: Sequence[float], sigma: Sequence[float]
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """Zeros of F on [xs[0], xs[-1]]: isolated points, and cells where F vanishes.
+
+    F is linear on each cell of the walk's grid, so it vanishes at a break
+    where the cumulative sum is zero, or at one point inside a cell where it
+    changes sign. When nu and mu have equal mass, U_nu' - U_mu' = -F, so these
+    are the stationary points of the potential difference.
+    """
+    widths, cum = _cumulative(xs, sigma)
+    points = [x for x, f in zip(xs, cum) if f == 0.0]
+    flats = []
+    for j, (lo, hi) in enumerate(zip(cum, cum[1:])):
+        if lo == hi == 0.0 and widths[j] > 0.0:
+            flats.append((xs[j], xs[j + 1]))
+        elif lo < 0.0 < hi or hi < 0.0 < lo:
+            points.append(min(xs[j] - lo / sigma[j], xs[j + 1]))
+    # a break both grids hold comes twice
+    return sorted(set(points)), flats
 
 
 def _certify(mu_mass: float, nu_mass: float, xs, sigma, centre: float, tol: float) -> OrderCertificate:

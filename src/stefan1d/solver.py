@@ -38,9 +38,10 @@ from .measure import (
 from .potential import (
     OrderCertificate,
     _certify_parts,
+    _merged,
+    _zeros_of_f,
     order_leq_sh_O,
     potential,
-    potential_derivative,
 )
 
 
@@ -116,9 +117,9 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
         for name, x in (("c", c), ("d", d), ("k", k), ("beta", beta)):
             if not math.isfinite(x):
                 raise ValidationError(f"{name} must be finite, got {x!r}")
-    if not c < d:
-        raise ValidationError(f"interval is empty or reversed: ({c!r}, {d!r})")
     width = d - c
+    if not 0.0 < width < math.inf:
+        raise ValidationError(f"interval is empty, reversed or too wide: ({c!r}, {d!r})")
     slack = 1e-12 * max(1.0, width, abs(c), abs(d), abs(k), abs(beta))
     if k < -slack:
         raise InfeasibilityError(f"mass k={k!r} is negative")
@@ -271,15 +272,17 @@ def sweep_states(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
 
 
 def critical_point(k: float, beta: float) -> float:
-    """Unique stationary point of U_target' - U_source' on (-1, 1).
+    """Unique stationary point of U_target - U_source on (-1, 1).
 
     The source is the single unit block with the given mass and first moment,
-    the target its two-block solution on (-1, 1). Returns the zero that the
-    exact piecewise linear root finder locates, after certifying that it is
-    the only interior zero of the derivative difference, that the potential
-    difference attains its minimum there, and that it vanishes at the
-    endpoints. The appendix's closed form 2*beta*(1-k)/(k*(2-k)) is compared
-    with it by the repro manifest, not here.
+    the target its two-block solution on (-1, 1). Both have mass k, so the
+    derivative of the difference is -F, F the cumulative distribution of
+    target - source; the point is the zero of F that one pass over their
+    merged grid locates, after checking that F has no other zero inside and
+    vanishes on no interval there. The potential difference is then built as
+    an independent check: it must vanish at the endpoints, stay nonpositive
+    inside and attain its minimum at the point. The appendix's closed form
+    2*beta*(1-k)/(k*(2-k)) is compared with it by the repro manifest, not here.
     """
     if not 0.0 < k < 2.0:
         raise InfeasibilityError(f"mass must satisfy 0 < k < 2, got {k!r}")
@@ -293,10 +296,9 @@ def critical_point(k: float, beta: float) -> float:
     source = indicator(a, b)
     target = solve_component(-1.0, 1.0, k, beta).measure()
 
-    dprime = potential_derivative(target) - potential_derivative(source)
-    roots, flats = dprime.roots(-1.0, 1.0)
+    zeros, flats = _zeros_of_f(*_merged(target, source))
     margin = 1e-7
-    interior = [r for r in roots if -1.0 + margin < r < 1.0 - margin]
+    interior = [r for r in zeros if -1.0 + margin < r < 1.0 - margin]
     interior_flats = [
         seg for seg in flats if seg[1] > -1.0 + margin and seg[0] < 1.0 - margin
     ]

@@ -92,6 +92,19 @@ def test_solve_exit_codes(tmp_path):
     assert main(["solve", "--input", leak]) == 2
 
 
+def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
+    # finite breaks 2e308 apart: their width, and the mass over it, would be inf
+    inp = write(
+        tmp_path / "wide.json",
+        {
+            "measure": {"breaks": [-1e308, 1e308], "values": [1e-300]},
+            "open_set": {"components": [[-1e308, 1e308]]},
+        },
+    )
+    assert main(["solve", "--input", inp]) == 2
+    assert capsys.readouterr().err == "error: breaks span too wide: (-1e+308, 1e+308)\n"
+
+
 def test_order_counterexample_componentwise_vs_global(tmp_path):
     base = {
         "mu": {"breaks": [-0.5, 0.5], "values": [1.0]},
@@ -320,17 +333,17 @@ def test_repro_manifest(tmp_path):
 
 
 def test_critical_point_row_fails_on_a_shifted_root(monkeypatch):
-    from stefan1d import PiecewiseLinear, repro
+    from stefan1d import repro, solver
 
     (row,) = repro._scenario_appendix_critical_point().rows
     assert 0.0 < row.computed <= 1e-12 and row.passed
-    roots = PiecewiseLinear.roots
+    zeros_of_f = solver._zeros_of_f
 
-    def shifted(self, lo, hi):
-        points, flats = roots(self, lo, hi)
+    def shifted(xs, sigma):
+        points, flats = zeros_of_f(xs, sigma)
         return [p + 1e-9 for p in points], flats
 
-    monkeypatch.setattr(PiecewiseLinear, "roots", shifted)
+    monkeypatch.setattr(solver, "_zeros_of_f", shifted)
     (row,) = repro._scenario_appendix_critical_point().rows
     assert row.computed == pytest.approx(1e-9, rel=1e-3) and not row.passed
 

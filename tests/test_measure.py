@@ -59,6 +59,21 @@ def test_indicator_rejects_non_finite_input(a, b, density, match):
         indicator(a, b, density)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OpenSet1D.interval(-1e308, 1e308),
+        lambda: make_step_measure([-1e308, 1e308], [1e-300]),
+        lambda: indicator(-1e308, 1e308),
+    ],
+    ids=["open_set", "make_step_measure", "indicator"],
+)
+def test_spans_whose_width_overflows_are_rejected(build):
+    # finite endpoints 2e308 apart: their width, and a mass over it, would be inf
+    with pytest.raises(ValidationError, match=r"too wide.*\(-1e\+308, 1e\+308\)"):
+        build()
+
+
 def test_indicator_flushes_subnormal_density():
     assert indicator(0.0, 1.0, 5e-324) == zero_measure()
     assert indicator(0.0, 1.0, sys.float_info.min).values == (sys.float_info.min,)

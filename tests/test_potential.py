@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stefan1d import (
     DEFAULT_TOL,
     OpenSet1D,
-    PiecewiseLinear,
     PiecewiseQuadratic,
     dominates,
     indicator,
@@ -18,7 +17,6 @@ from stefan1d import (
     measures_allclose,
     order_leq_sh_O,
     potential,
-    potential_derivative,
     solve,
     solve_component,
     sweep_states,
@@ -29,6 +27,7 @@ import referee
 from helpers import (
     GRID,
     POW_BREAK,
+    cdf,
     cell_measures,
     density_at,
     dominates_reference,
@@ -85,29 +84,29 @@ def test_potential_c1_at_breakpoints():
             left_val = (a0 * y + b0) * y + c0
             right_val = (a1 * y + b1) * y + c1
             assert abs(left_val - right_val) <= 1e-9
-            m0, d0 = D.coeffs[i]
-            m1, d1 = D.coeffs[i + 1]
+            _, m0, d0 = D.coeffs[i]
+            _, m1, d1 = D.coeffs[i + 1]
             assert abs((m0 * y + d0) - (m1 * y + d1)) <= 1e-9
 
 
 def test_derivative_routes_agree():
+    # U'(y) = (mass right of y - mass left of y) / 2, from the cumulative mass
     rng = np.random.default_rng(13)
     for _ in range(50):
         O = random_open_set(rng)
         mu = random_admissible_measure(rng, O)
-        via_diff = potential(mu).derivative()
-        direct = potential_derivative(mu)
-        assert via_diff.breakpoints == direct.breakpoints
-        for (m1, b1), (m2, b2) in zip(via_diff.coeffs, direct.coeffs):
-            assert m1 == pytest.approx(m2, abs=1e-12)
-            assert b1 == pytest.approx(b2, abs=1e-12)
+        D = potential(mu).derivative()
+        lo, hi = mu.support()
+        for y in (lo - 1.0, *mu.breaks, *rng.uniform(lo, hi, 8), hi + 1.0):
+            left = cdf(mu, y)
+            assert D(y) == pytest.approx(((mu.mass - left) - left) / 2.0, abs=1e-12)
 
 
 def test_derivative_inside_single_block():
     mu = indicator(0.2, 0.8)
     k = mu.mass
     beta = mu.first_moment
-    D = potential_derivative(mu)
+    D = potential(mu).derivative()
     for y in (0.3, 0.5, 0.7):
         assert D(y) == pytest.approx(-y + beta / k, abs=1e-12)
     assert D(5.0) == pytest.approx(-k / 2.0, abs=1e-15)
@@ -119,13 +118,13 @@ def test_two_block_target_plateau_slope():
 
     k, beta = 0.7, 0.1
     target = solve_component(-1.0, 1.0, k, beta).measure()
-    D = potential_derivative(target)
+    D = potential(target).derivative()
     mid = 0.5 * (-1 + k / 2 - beta / (2 - k) + 1 - k / 2 - beta / (2 - k))
     assert D(mid) == pytest.approx(beta / (2.0 - k), abs=1e-12)
 
 
 def test_potential_derivative_of_zero():
-    D = potential_derivative(zero_measure())
+    D = potential(zero_measure()).derivative()
     assert D(1.0) == 0.0
 
 
@@ -234,15 +233,14 @@ def test_slope_limits_at_infinity():
 
 @st.composite
 def piecewise_pairs(draw):
-    """Two piecewise polynomials of one class on breakpoints from a shared grid."""
-    cls, width = draw(st.sampled_from([(PiecewiseQuadratic, 3), (PiecewiseLinear, 2)]))
+    """Two piecewise quadratics on breakpoints from a shared grid."""
     coef = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
 
     def one():
         bp = draw(grid_breaks(max_size=6))
-        pieces = st.tuples(*[coef] * width)
+        pieces = st.tuples(coef, coef, coef)
         coeffs = draw(st.lists(pieces, min_size=len(bp) + 1, max_size=len(bp) + 1))
-        return cls(bp, tuple(coeffs))
+        return PiecewiseQuadratic(bp, tuple(coeffs))
 
     return one(), one()
 
@@ -306,9 +304,7 @@ _FLAT = potential(_ZERO)
 @given(
     st.one_of(
         cell_measures().map(potential),
-        piecewise_pairs().map(lambda pair: pair[0]).filter(
-            lambda f: isinstance(f, PiecewiseQuadratic)
-        ),
+        piecewise_pairs().map(lambda pair: pair[0]),
     ),
     windows(),
 )

@@ -102,6 +102,12 @@ def test_solve_component_infeasible_inputs():
             solve_component(*args)
 
 
+def test_solve_component_rejects_a_width_that_overflows():
+    # d - c would be inf, which passes the saturation test width - k <= slack
+    with pytest.raises(ValidationError, match="too wide"):
+        solve_component(-1e308, 1e308, 1.0, 0.0)
+
+
 def test_solve_component_saturated():
     bp = solve_component(0.0, 1.0, 1.0, 0.5)
     assert measures_allclose(bp.measure(), indicator(0.0, 1.0), 0.0)
@@ -389,6 +395,18 @@ def test_critical_point_symmetric():
 
 def test_critical_point_formula_value():
     assert critical_point(0.8, 0.2) == pytest.approx(1.0 / 12.0, abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 2.0 - 1e-3), st.floats(-(1.0 - 1e-6), 1.0 - 1e-6))
+@example(1.0, 0.0)
+@example(0.5, 0.75)
+def test_critical_point_matches_the_closed_form(k, t):
+    # beta at the fraction t of the half window. Nearer its edges, or k nearer
+    # 0 or 2, the zero of F can rest on rounding dust, and critical_point
+    # raises VerificationError there instead
+    beta = t * (k - 0.5 * k * k)
+    assert abs(critical_point(k, beta) - 2.0 * beta * (1.0 - k) / (k * (2.0 - k))) <= 1e-10
 
 
 def test_critical_point_rejects_outside_window():
