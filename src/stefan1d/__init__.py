@@ -52,7 +52,6 @@ from .solver import (
     check_admissible,
     critical_point,
     independence_check,
-    moment_window,
     primal_objective,
     solve,
     solve_by_sweep,
@@ -110,7 +109,6 @@ __all__ = [
     "lipschitz_ratio",
     "make_step_measure",
     "measures_allclose",
-    "moment_window",
     "monotonicity_report",
     "order_leq_sh_O",
     "pointwise_leq",

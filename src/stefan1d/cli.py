@@ -399,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol",
             type=_tolerance,
             default=DEFAULT_TOL,
-            help=f"comparison tolerance, finite and >= 0 (default {DEFAULT_TOL:g})",
+            help="relative tolerance, finite and >= 0: gaps within tol*k (mass) or tol*k*W "
+            f"(potential, moment) for mass k on length W (default {DEFAULT_TOL:g})",
         )
 
     return parser

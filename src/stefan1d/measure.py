@@ -20,13 +20,24 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SupportError, ValidationError
 
-#: Default absolute comparison tolerance used across the package.
+#: Default comparison tolerance, relative to each gap's dimension (:func:`_bounds`).
 DEFAULT_TOL = 1e-9
 
 #: Densities below the smallest normal float are flushed to zero at
 #: construction: a subnormal density makes cell masses underflow, so cdf and
 #: the particle sampler's inverse cdf could no longer invert each other.
 _MIN_DENSITY = sys.float_info.min
+
+
+def _bounds(tol: float, k: float, lo: float, hi: float) -> tuple[float, float]:
+    """The tolerance policy: bounds on a mass gap, and on a potential or centred moment gap.
+
+    For mass k on (lo, hi) they are tol * k and tol * k * (hi - lo), each plus a
+    floor of 4 ulps of max(|lo|, |hi|), times hi - lo for the second: rounding
+    a block endpoint to a float alone moves a mass by an ulp.
+    """
+    mass = tol * k + 4 * math.ulp(max(abs(lo), abs(hi)))
+    return mass, mass * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,27 @@ class OpenSet1D:
 # -- constructors ------------------------------------------------------------
 
 
+def _checked(breaks: tuple[float, ...], values: tuple[float, ...]) -> StepMeasure:
+    """The door every constructor ends at: the measure, if its span and totals are finite.
+
+    A finite mass bounds every cell mass, mass times span every potential and
+    centred moment, and mass times the largest |coordinate| the first moment
+    about 0. The mass is summed only when its bound, the top density times
+    the span (doubled for the rounding of the sum), does not settle it.
+    """
+    mu = StepMeasure(breaks, values)
+    if not breaks:
+        return mu
+    # breaks are sorted, so max(-breaks[0], breaks[-1]) is the largest |coordinate|
+    span, scale = breaks[-1] - breaks[0], max(breaks[-1] - breaks[0], -breaks[0], breaks[-1])
+    if span == math.inf:
+        raise ValidationError(f"breaks span too wide: ({breaks[0]!r}, {breaks[-1]!r})")
+    if not 2.0 * max(values) * span * scale < math.inf and not mu.mass * scale < math.inf:
+        what = "total mass" if mu.mass == math.inf else "mass times coordinates (the moments' scale)"
+        raise ValidationError(f"{what} overflows on ({breaks[0]!r}, {breaks[-1]!r})")
+    return mu
+
+
 def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
     """Canonical StepMeasure from (lo, hi, density) cells.
 
@@ -162,8 +194,8 @@ def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
     values: list[float] = []
     for lo, hi, v in pos:
         if breaks:
-            # tolerate clipping dust, reject genuine overlap
-            if lo < breaks[-1] - 1e-12 * max(1.0, abs(breaks[-1])):
+            # tolerate rounding dust, reject genuine overlap
+            if lo < breaks[-1] and breaks[-1] - lo > _bounds(0.0, 0.0, pos[0][0], pos[-1][1])[0]:
                 raise ValidationError("internal: overlapping cells")
             lo = max(lo, breaks[-1])
             if hi <= lo:
@@ -180,7 +212,7 @@ def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
         else:
             values.append(v)
             breaks.append(hi)
-    return StepMeasure(tuple(breaks), tuple(values))
+    return _checked(tuple(breaks), tuple(values))
 
 
 def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepMeasure:
@@ -204,8 +236,6 @@ def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepM
             f"breaks must be strictly increasing: breaks[{i}]={b[i]!r} "
             f">= breaks[{i + 1}]={b[i + 1]!r}"
         )
-    if b and b[-1] - b[0] == math.inf:
-        raise ValidationError(f"breaks span too wide: ({b[0]!r}, {b[-1]!r})")
     if not (all(map(math.isfinite, v)) and min(v, default=0.0) >= 0.0):
         i, x = next((i, x) for i, x in enumerate(v) if not 0.0 <= x < math.inf)
         problem = "negative" if math.isfinite(x) else "not finite"
@@ -217,15 +247,13 @@ def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepM
         del values[-1], cuts[-1]
     if values and not values[0]:
         del values[0], cuts[0]
-    return StepMeasure(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
+    return _checked(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
 
 
 def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
     """density * chi_(a, b)."""
-    if not 0.0 < b - a < math.inf:  # only finite a < b give a finite positive width
-        raise ValidationError(
-            f"indicator endpoints must be finite with a < b, not too wide: ({a!r}, {b!r})"
-        )
+    if not -math.inf < a < b < math.inf:
+        raise ValidationError(f"indicator endpoints must be finite with a < b: ({a!r}, {b!r})")
     if not 0.0 <= density < math.inf:
         raise ValidationError(f"density must be finite and nonnegative, got {density!r}")
     return _from_cells([(a, b, density)])
@@ -303,15 +331,15 @@ def restrict(
 
     The returned list is aligned with ``open_set.components`` and the sum of
     the parts equals mu restricted to the set. Mass outside the set beyond
-    tol (relative to max(1, total mass)) raises SupportError carrying the
-    leaked amount.
+    the policy's mass bound (:func:`_bounds`, relative to the total mass)
+    raises SupportError carrying the leaked amount.
 
     Costs O(cells + components · log cells): each component bisects its
     endpoints into mu's breaks and slices the cells between them.
     """
     parts = _slices(mu, open_set)
     leaked = mu.mass - sum(p.mass for p in parts)
-    if leaked > tol * max(1.0, mu.mass):
+    if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
         raise SupportError(
             f"measure carries mass {leaked:.9g} outside the open set", leaked
         )
@@ -338,5 +366,5 @@ def _slices(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
             parts.append(mu)
             continue
         breaks = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d)))
-        parts.append(StepMeasure(breaks, v[lo:hi]))
+        parts.append(_checked(breaks, v[lo:hi]))
     return parts

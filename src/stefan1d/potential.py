@@ -34,10 +34,10 @@ from itertools import accumulate, count, repeat
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _merge_walk, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merge_walk, restrict
 
 #: Hypothesis of the order relation that cannot be checked from step data;
-#: recorded on every certificate built by :func:`_componentwise`.
+#: recorded on every certificate built by :func:`_certify_parts`.
 EXIT_TIME_ASSUMPTION = (
     "exit times of the open set and of its closure are assumed to agree "
     "almost surely for the started distribution (not verifiable from step data)",
@@ -158,8 +158,9 @@ class OrderCertificate:
     |mass(mu) - mass(nu)|; ``moment_gap`` is |B|, the first moment of
     nu - mu taken about the walk's centre (the component's midpoint, or the
     joint hull's for :func:`dominates`), not about 0. ``ordered`` requires
-    the gap and both conservation gaps to clear the tolerance, mass and
-    moment gaps relative to max(1, mass).
+    each gap to clear the tolerance policy (:func:`stefan1d.measure._bounds`):
+    tol * k for the mass gap and tol * k * W for the others, with k mu's mass
+    and W the interval's length, each plus a few ulps' rounding floor.
     """
 
     ordered: bool
@@ -266,13 +267,15 @@ def _zeros_of_f(
     return sorted(set(points)), flats
 
 
-def _certify(mu_mass: float, nu_mass: float, xs, sigma, centre: float, tol: float) -> OrderCertificate:
-    """Certificate from the walk over the grid of nu - mu, taken about ``centre``."""
-    gap, point, moment = _walk(xs, sigma, centre)
+def _certify(
+    mu_mass: float, nu_mass: float, xs, sigma, lo: float, hi: float, tol: float
+) -> OrderCertificate:
+    """The walk's certificate for nu - mu on (lo, hi), about its midpoint, under the policy."""
+    gap, point, moment = _walk(xs, sigma, 0.5 * (lo + hi))
     mass_gap = abs(mu_mass - nu_mass)
     moment_gap = abs(moment)
-    scale = max(1.0, mu_mass)
-    ordered = gap <= tol and mass_gap <= tol * scale and moment_gap <= tol * scale
+    mass_bound, bound = _bounds(tol, mu_mass, lo, hi)
+    ordered = gap <= bound and mass_gap <= mass_bound and moment_gap <= bound
     return OrderCertificate(ordered, mass_gap, moment_gap, point, gap)
 
 
@@ -282,8 +285,8 @@ def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> Ord
     The walk runs over the joint hull of both grids, about its midpoint.
     """
     xs, sigma = _merged(nu, mu)
-    centre = 0.5 * (xs[0] + xs[-1]) if xs else 0.0
-    return _certify(mu.mass, nu.mass, xs, sigma, centre, tol)
+    lo, hi = (xs[0], xs[-1]) if xs else (0.0, 0.0)
+    return _certify(mu.mass, nu.mass, xs, sigma, lo, hi, tol)
 
 
 def order_leq_sh_O(
@@ -309,17 +312,14 @@ def _certify_parts(
     open_set: OpenSet1D,
     tol: float,
 ) -> OrderCertificate:
-    """:func:`order_leq_sh_O` on restrictions aligned with the set's components."""
-    return _componentwise(
-        [
-            _certify(m_n.mass, n_n.mass, *_merged(n_n, m_n), 0.5 * (c + d), tol)
-            for (c, d), m_n, n_n in zip(open_set.components, mus, nus)
-        ]
-    )
+    """:func:`order_leq_sh_O` on restrictions aligned with the set's components.
 
-
-def _componentwise(per: Sequence[OrderCertificate]) -> OrderCertificate:
-    """Order on an open set: holds iff on every component; worst gaps win."""
+    The order holds iff it holds on every component; the worst gaps win.
+    """
+    per = [
+        _certify(m_n.mass, n_n.mass, *_merged(n_n, m_n), c, d, tol)
+        for (c, d), m_n, n_n in zip(open_set.components, mus, nus)
+    ]
     worst_gap, worst_point = 0.0, 0.0
     mass_gap = moment_gap = 0.0
     for c in per:

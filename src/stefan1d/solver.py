@@ -1,15 +1,13 @@
-"""Maximal two-block targets from mass and first-moment conservation.
+"""Maximal two-block targets: each component minus one gap interval.
 
-Per component (c, d) of the domain, the saturated target is the indicator
-of (c, e) union (f, d) whose block widths p = e - c and q = d - f satisfy
-p + q = k and the first-moment match; eliminating q gives the closed form
-
-    p = (k * (d - k/2) - beta) / ((d - c) - k)        (k < d - c)
-
-with the whole component covered when k equals its length. Every solve is
+On a component (c, d), the input's holes eta = (1 - mu) * 1_(c, d) have mass
+h = d - c - k and barycentre g, and the saturated target is the indicator
+of (c, e) union (f, d) with gap (e, f) = (g - h/2, g + h/2): the paper's
+p = (k * (d - k/2) - beta) / ((d - c) - k) in terms of the holes. The
+component is saturated exactly when h = 0. Every solve is
 construct-then-verify: the result must pass the component-wise potential
 order check or the operation fails loudly. A left-to-right sweep over unit
-blocks provides an independent oracle for the closed form.
+blocks provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .measure import (
     DEFAULT_TOL,
     OpenSet1D,
     StepMeasure,
+    _bounds,
     _from_cells,
     _slices,
     indicator,
@@ -55,8 +54,7 @@ class BlockPair:
     d: float
 
     def __post_init__(self):
-        slack = 1e-9 * max(1.0, abs(self.c), abs(self.d))
-        if not (self.c - slack <= self.e <= self.f + slack and self.f <= self.d + slack):
+        if not self.c <= self.e <= self.f <= self.d:
             raise ValidationError(
                 f"block endpoints out of order: ({self.c}, {self.e}, {self.f}, {self.d})"
             )
@@ -99,18 +97,11 @@ class MaximalSolution:
         return out
 
 
-def moment_window(c: float, d: float, k: float) -> tuple[float, float]:
-    """First moments attainable by densities <= 1 with mass k on (c, d)."""
-    return k * c + 0.5 * k * k, k * d - 0.5 * k * k
-
-
 def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
-    """Closed-form two-block target on a single interval.
+    """Two-block target on one interval from its mass and first moment about 0.
 
-    Infeasible (k, beta) raises InfeasibilityError naming the violated bound;
-    floating dust at the window edges is absorbed: a first moment on or past
-    an edge gives the one-block answer exactly, and inside the window the
-    block widths are clamped into [0, k].
+    With hole mass h = (d - c) - k, a beta outside k * mid -+ k * h / 2 by more
+    than the policy's slack (default tolerance) raises InfeasibilityError.
     """
     if not c - c == d - d == k - k == beta - beta == 0.0:
         # only a finite x has x - x == 0; name the first that is not
@@ -120,32 +111,49 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
     width = d - c
     if not 0.0 < width < math.inf:
         raise ValidationError(f"interval is empty, reversed or too wide: ({c!r}, {d!r})")
-    slack = 1e-12 * max(1.0, width, abs(c), abs(d), abs(k), abs(beta))
-    if k < -slack:
+    mass_slack, moment_slack = _bounds(DEFAULT_TOL, abs(k), c, d)
+    if k < -mass_slack:
         raise InfeasibilityError(f"mass k={k!r} is negative")
-    if k > width + slack:
-        raise InfeasibilityError(
-            f"mass k={k!r} exceeds the interval length {width!r}"
-        )
-    k = min(max(k, 0.0), width)
-    lo, hi = moment_window(c, d, k)
-    if beta < lo - slack:
-        raise InfeasibilityError(
-            f"first moment {beta!r} below the lower bound k*c + k^2/2 = {lo!r}"
-        )
-    if beta > hi + slack:
-        raise InfeasibilityError(
-            f"first moment {beta!r} above the upper bound k*d - k^2/2 = {hi!r}"
-        )
-    if width - k <= slack:
-        # saturated component: blocks cover (c, d)
-        mid = 0.5 * (c + d)
-        return BlockPair(c, mid, mid, d)
-    if beta <= lo or beta >= hi:  # a window edge: one block exactly, no rounding dust
-        p = k if beta <= lo else 0.0
-    else:
-        p = min(max((k * (d - 0.5 * k) - beta) / (width - k), 0.0), k)
-    return BlockPair(c, c + p, d - (k - p), d)
+    if k > width + mass_slack:
+        raise InfeasibilityError(f"mass k={k!r} exceeds the interval length {width!r}")
+    h, mid = min(max(width - k, 0.0), width), 0.5 * (c + d)
+    half = 0.5 * (width - h)  # the gap's centre lies within k/2 of the midpoint
+    lean = k * mid - beta  # h times that offset
+    if abs(lean) > half * h + moment_slack:
+        side = "below the lower" if lean > 0.0 else "above the upper"
+        bound = k * mid - math.copysign(half * h, lean)
+        raise InfeasibilityError(f"first moment {beta!r} {side} bound {bound!r}")
+    return _gap(c, d, h, min(max(lean / h, -half), half) if h else 0.0)
+
+
+def _holes(mu: StepMeasure, c: float, d: float) -> tuple[float, float]:
+    """Mass h of mu's holes (1 - mu)^+ on (c, d), and their barycentre's offset from the midpoint.
+
+    Nonnegative weights and positions from the midpoint: nothing cancels near
+    saturation or far from 0. Weights are in units of a power of two near
+    d - c (exact), so no product under- or overflows at any scale.
+    """
+    mid, unit = 0.5 * (c + d), math.ldexp(1.0, min(-math.frexp(d - c)[1], 1023))
+    b, v = (c, *mu.breaks, d), (0.0, *mu.values, 0.0)
+    w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
+    h = sum(w, 0.0)
+    off = sum([x * ((lo - mid) + (hi - mid)) for x, lo, hi in zip(w, b, b[1:])], 0.0)
+    return h / unit, (0.5 * off / h if h else 0.0)
+
+
+def _gap(c: float, d: float, h: float, off: float) -> BlockPair:
+    """Blocks of (c, d) around the gap (g - h/2, g + h/2), g = midpoint + off.
+
+    The gap's ends are clamped into (c, d), where rounding may put them, and
+    the narrower block is dropped below the policy's floor: a rounding sliver.
+    """
+    mid = 0.5 * (c + d)
+    e, f = mid + (off - 0.5 * h), mid + (off + 0.5 * h)
+    if not c <= e <= f <= d:
+        e, f = min(max(e, c), d), min(max(f, c), d)
+    if min(e - c, d - f) <= _bounds(0.0, 0.0, c, d)[0]:
+        e, f = (c, f) if e - c <= d - f else (e, d)
+    return BlockPair(c, e, f, d)
 
 
 def solve(
@@ -153,10 +161,9 @@ def solve(
 ) -> MaximalSolution:
     """Maximal target for mu on the open set, certified before returning.
 
-    Each component is solved independently from its restricted mass and
-    first moment, and certified against that restricted input with the
-    potential order verifier; a failed check raises VerificationError
-    carrying the certificate.
+    Each component is solved from the holes of its restricted input, which
+    always fit: a density in [0, 1] with hole mass h has its hole barycentre
+    in [c + h/2, d - h/2]. A failed certificate raises VerificationError.
     """
     top = mu.max_density()
     if top > 1.0 + tol:
@@ -164,11 +171,12 @@ def solve(
             f"density {top:.9g} exceeds the admissible bound 1"
         )
     parts = restrict(mu, open_set, tol)
-    stats = tuple((mu_n.mass, mu_n.first_moment) for mu_n in parts)
-    blocks = tuple(
-        solve_component(c, d, k, beta)
-        for (c, d), (k, beta) in zip(open_set.components, stats)
-    )
+    blocks, stats = [], []
+    for (c, d), mu_n in zip(open_set.components, parts):
+        h, off = _holes(mu_n, c, d)
+        blocks.append(_gap(c, d, h, off))
+        # beta = W * mid - h * g, with restrict's mass for W - h
+        stats.append((mu_n.mass, mu_n.mass * 0.5 * (c + d) - h * off))
     target = _blocks_measure(b.as_tuple() for b in blocks)
     # the target lies in the set by construction: restrict's leak check is moot
     certificate = _certify_parts(parts, _slices(target, open_set), open_set, tol)
@@ -178,7 +186,7 @@ def solve(
             f"(worst gap {certificate.worst_gap:.3e} at {certificate.worst_point:.9g})",
             certificate,
         )
-    return MaximalSolution(blocks, target, stats, certificate)
+    return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
 
 
 def _blocks_measure(blocks: Iterable[tuple[float, ...]]) -> StepMeasure:
@@ -277,24 +285,20 @@ def critical_point(k: float, beta: float) -> float:
     The source is the single unit block with the given mass and first moment,
     the target its two-block solution on (-1, 1). Both have mass k, so the
     derivative of the difference is -F, F the cumulative distribution of
-    target - source; the point is the zero of F that one pass over their
-    merged grid locates, after checking that F has no other zero inside and
-    vanishes on no interval there. The potential difference is then built as
-    an independent check: it must vanish at the endpoints, stay nonpositive
-    inside and attain its minimum at the point. The appendix's closed form
-    2*beta*(1-k)/(k*(2-k)) is compared with it by the repro manifest, not here.
+    target - source; the point is the single interior zero of F. The built
+    potential difference checks it: it must vanish at the endpoints, stay
+    nonpositive inside and attain its minimum there, to the policy's bound.
+    The repro manifest compares it with the appendix's closed form.
     """
     if not 0.0 < k < 2.0:
         raise InfeasibilityError(f"mass must satisfy 0 < k < 2, got {k!r}")
-    lo, hi = moment_window(-1.0, 1.0, k)
-    if not lo < beta < hi:
-        raise InfeasibilityError(
-            f"first moment {beta!r} outside the open window ({lo!r}, {hi!r})"
-        )
+    if not abs(beta) < k - 0.5 * k * k:
+        raise InfeasibilityError(f"first moment {beta!r} outside the window -+{k - 0.5 * k * k!r}")
     a = beta / k - 0.5 * k
     b = beta / k + 0.5 * k
     source = indicator(a, b)
-    target = solve_component(-1.0, 1.0, k, beta).measure()
+    # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
+    target = _gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)).measure()
 
     zeros, flats = _zeros_of_f(*_merged(target, source))
     margin = 1e-7
@@ -314,17 +318,17 @@ def critical_point(k: float, beta: float) -> float:
 
     u_target, u_source = potential(target), potential(source)
     diff = u_target - u_source
-    scale = max(1.0, k)
-    if abs(diff(-1.0)) > 1e-10 * scale or abs(diff(1.0)) > 1e-10 * scale:
+    bound = _bounds(DEFAULT_TOL, k, -1.0, 1.0)[1]
+    if abs(diff(-1.0)) > bound or abs(diff(1.0)) > bound:
         raise VerificationError("potential difference does not vanish at the endpoints")
     top, _ = diff.max_on(-1.0, 1.0)
-    if top > 1e-10 * scale:
+    if top > bound:
         raise VerificationError(f"potential difference positive inside: {top!r}")
     # the minimum of diff is minus the maximum of its negation, which IEEE
     # subtraction gives exactly as u_source - u_target
     neg_bottom, arg = (u_source - u_target).max_on(-1.0, 1.0)
     bottom = -neg_bottom
-    if abs(diff(s0) - bottom) > 1e-10 * scale:
+    if abs(diff(s0) - bottom) > bound:
         raise VerificationError(
             f"minimum at {arg!r} with value {bottom!r} is not attained at s0={s0!r}"
         )

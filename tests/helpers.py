@@ -23,7 +23,7 @@ from stefan1d import (
     make_step_measure,
     zero_measure,
 )
-from stefan1d.measure import _from_cells
+from stefan1d.measure import _bounds, _from_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
 from stefan1d.solver import BlockPair, _unit_blocks, solve_component
@@ -171,7 +171,7 @@ def restrict_reference(
         ]
         parts.append(_from_cells(sub))
     leaked = mu.mass - sum(p.mass for p in parts)
-    if leaked > tol * max(1.0, mu.mass):
+    if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
         raise SupportError(
             f"measure carries mass {leaked:.9g} outside the open set", leaked
         )
@@ -327,9 +327,15 @@ def dominates_reference(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_T
         gap, point = diff.coeffs[0][2], 0.0
     mass_gap = abs(mass_reference(mu) - mass_reference(nu))
     moment_gap = abs(first_moment_reference(mu) - first_moment_reference(nu))
-    scale = max(1.0, mass_reference(mu))
-    ordered = gap <= tol and mass_gap <= tol * scale and moment_gap <= tol * scale
+    mass_bound, bound = _bounds(tol, mass_reference(mu), *hull(mu, nu))
+    ordered = gap <= bound and mass_gap <= mass_bound and moment_gap <= bound
     return OrderCertificate(ordered, mass_gap, moment_gap, point, gap)
+
+
+def hull(mu: StepMeasure, nu: StepMeasure) -> tuple[float, float]:
+    """Joint hull of both grids; (0, 0) when both measures are zero."""
+    breaks = (*mu.breaks, *nu.breaks)
+    return (min(breaks), max(breaks)) if breaks else (0.0, 0.0)
 
 
 # -- particle system: exact initial sampling and the single-rate loop -----------

@@ -8,8 +8,10 @@ sigma(-inf, y], G = integral of F, M = sigma(R) and B = integral x dsigma,
     U_nu(y) - U_mu(y) = -G(y) + (y * M - B) / 2,
 
 maximised over the joint hull of both grids at every break and at the vertex
-of every cell where sigma > 0. It is slow (hundreds of milliseconds at a few
-thousand cells) and lives in the tests only.
+of every cell where sigma > 0. It also gives the exact hole mass and
+barycentre of an input, and so the exact gap of its two-block target. It is
+slow (hundreds of milliseconds at a few thousand cells) and lives in the
+tests only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from stefan1d import StepMeasure
+from stefan1d.measure import _bounds
 
 
 def _density(mu: StepMeasure, breaks: list[Fraction], y: Fraction) -> Fraction:
@@ -80,3 +83,43 @@ def worst_gap(mu: StepMeasure, nu: StepMeasure) -> Fraction:
         f += s * w
         best = max(best, -g + (hi * mass - moment) / 2)
     return best
+
+
+def holes(mu: StepMeasure, c: float, d: float) -> tuple[Fraction, Fraction]:
+    """Exact mass h and barycentre g of mu's holes (1 - mu)^+ on (c, d).
+
+    mu must lie inside (c, d); g is the midpoint when there are no holes.
+    """
+    b = [Fraction(x) for x in (c, *mu.breaks, d)]
+    v = [Fraction(0), *map(Fraction, mu.values), Fraction(0)]
+    h = moment = Fraction(0)
+    for x, lo, hi in zip(v, b, b[1:]):
+        w = max(1 - x, Fraction(0)) * (hi - lo)
+        h += w
+        moment += w * (lo + hi) / 2
+    return h, (moment / h if h else (b[0] + b[-1]) / 2)
+
+
+def gap(mu: StepMeasure, c: float, d: float) -> tuple[Fraction, Fraction]:
+    """Exact ends (g - h/2, g + h/2) of the target's gap on (c, d)."""
+    h, g = holes(mu, c, d)
+    return g - h / 2, g + h / 2
+
+
+def ordered(mu: StepMeasure, nu: StepMeasure, c: float, d: float, tol: float) -> bool:
+    """The order verdict on (c, d) from exact gaps, held to the tolerance policy.
+
+    The policy's bounds, tol * k + floor for the mass gap and that times
+    d - c for the potential and the moment about the midpoint, are taken
+    exactly too, so that they do not underflow at tiny scales.
+    """
+    mass, moment = totals(mu, nu)
+    mid = (Fraction(c) + Fraction(d)) / 2
+    # the floor, a few ulps, is a float exactly
+    mass_bound = Fraction(tol) * Fraction(mu.mass) + Fraction(_bounds(0.0, 0.0, c, d)[0])
+    bound = mass_bound * (Fraction(d) - Fraction(c))
+    return (
+        abs(mass) <= mass_bound
+        and abs(moment - mid * mass) <= bound
+        and worst_gap(mu, nu) <= bound
+    )

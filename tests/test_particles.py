@@ -16,6 +16,7 @@ from stefan1d import (
     ValidationError,
     compare_to_formula,
     indicator,
+    make_step_measure,
     restrict,
     run,
     solve,
@@ -341,6 +342,17 @@ def test_boundary_saturated_input_mostly_freezes_left():
     assert comp.unfrozen == 0
     assert comp.q_hat <= 0.02
     assert comp.p_hat + comp.q_hat == pytest.approx(1.0, abs=1e-12)
+
+
+def test_saturated_component_with_density_just_above_one_freezes_whole():
+    # an admissible density 1 + 1e-13 carries more than the component's length,
+    # so the frozen fronts cross by ~2e-13; the frozen measure is the component
+    mu = make_step_measure([-1.0, 1.0], [1.0 + 1e-13])
+    rep = run(mu, DOMAIN, SimConfig(n_particles=50, seed=1))
+    assert rep.all_frozen
+    comp = rep.components[0]
+    assert comp.left_front > comp.right_front  # the crossing this guards
+    assert rep.measure == indicator(-1.0, 1.0)
 
 
 def test_component_allocation_and_seed_rule():

@@ -22,6 +22,7 @@ from stefan1d import (
     sweep_states,
     zero_measure,
 )
+from stefan1d.measure import _bounds
 
 import referee
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     density_at,
     dominates_reference,
     grid_breaks,
+    hull,
     max_on_reference,
     midpoints_interior,
     potential_reference,
@@ -372,11 +374,11 @@ def test_dominates_matches_referee(mu, nu):
         # near the origin its worst gap is off by rounding only: a slip in
         # the formula both the walk and the referee use shows here
         assert abs(cert.worst_gap - ref.worst_gap) <= 1e-12 * _scale(mu, nu)
-        scale = max(1.0, mu.mass)
+        bound = _bounds(tol, mu.mass, *hull(mu, nu))[1]
         if (
-            _clear(ref.worst_gap, tol)
-            and _clear(ref.moment_gap, tol * scale)
-            and _clear(cert.moment_gap, tol * scale)
+            _clear(ref.worst_gap, bound)
+            and _clear(ref.moment_gap, bound)
+            and _clear(cert.moment_gap, bound)
         ):
             assert cert.ordered == ref.ordered
         mu, nu = nu, mu

@@ -22,7 +22,6 @@ from stefan1d import (
     indicator,
     make_step_measure,
     measures_allclose,
-    moment_window,
     order_leq_sh_O,
     potential,
     primal_objective,
@@ -35,6 +34,7 @@ from stefan1d import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import referee
 from helpers import (
     grid_breaks,
     grid_open_sets,
@@ -125,7 +125,8 @@ def test_window_edges_give_one_block_exactly():
     right = solve(mu, unit)
     assert right.blocks[0].as_tuple() == (0.0, 0.0, 1.0 - mu.mass, 1.0)
     assert right.measure.breaks == (1.0 - mu.mass, 1.0)
-    lo, hi = moment_window(-1.0, 2.0, 0.75)
+    # the first moment window of mass 0.75 on (-1, 2): k*c + k^2/2 and k*d - k^2/2
+    lo, hi = -0.46875, 1.21875
     assert solve_component(-1.0, 2.0, 0.75, lo).as_tuple() == (-1.0, -0.25, 2.0, 2.0)
     assert solve_component(-1.0, 2.0, 0.75, hi).as_tuple() == (-1.0, -1.0, 1.25, 2.0)
 
@@ -136,8 +137,12 @@ def test_feasibility_window_always_passes_for_admissible_densities():
         O = random_open_set(rng, max_components=1)
         mu = random_admissible_measure(rng, O)
         (c, d) = O.components[0]
-        lo, hi = moment_window(c, d, mu.mass)
-        assert lo - 1e-12 <= mu.first_moment <= hi + 1e-12
+        # the first moment window of mass k on (c, d): k*c + k^2/2 and k*d - k^2/2
+        k = mu.mass
+        assert k * c + k * k / 2 - 1e-12 <= mu.first_moment <= k * d - k * k / 2 + 1e-12
+        # in hole terms: the barycentre leaves room for the holes' mass on both sides
+        h, g = referee.holes(mu, c, d)
+        assert c + h / 2 <= g <= d - h / 2
         solve_component(c, d, mu.mass, mu.first_moment)
 
 
@@ -208,17 +213,14 @@ def test_certificate_matches_order_check_on_touching_components():
     assert sol.blocks[3].measure() == indicator(2.0, 3.0)
 
 
-@pytest.mark.parametrize("s", [0.0, 1e4, 1e5])
+@pytest.mark.parametrize("s", [0.0, 1e4, 1e5, 1e8])
 def test_certificate_matches_order_check_under_translation(s):
     top = math.sqrt(0.75)
     mu = indicator(s, s + top, 0.99)
     O = OpenSet1D.interval(s - 1.0, s + 1.0)
-    try:
-        cert = solve(mu, O).certificate
-    except VerificationError as exc:
-        cert = exc.certificate
-    target = solve_component(s - 1.0, s + 1.0, mu.mass, mu.first_moment).measure()
-    assert cert == order_leq_sh_O(mu, target, O)
+    sol = solve(mu, O)
+    assert sol.certificate.ordered
+    assert sol.certificate == order_leq_sh_O(mu, sol.measure, O)
 
 
 @st.composite
@@ -588,13 +590,12 @@ def test_maximality_among_admissible_candidates():
             )
 
 
-# -- known faults: answers that depend on coordinates -----------------------------
-# Both assert the correct behaviour and fail today; they pass once solving and
-# certifying are done in coordinates local to each component, with tolerances
-# scaled to the dimension of each quantity.
+# -- answers that do not depend on coordinates -------------------------------------
+# Both failed while the first moment was taken about 0 and the tolerance was
+# absolute; they pass with the hole form, taken about each component's midpoint,
+# and gaps held to bounds scaled to the dimension of each quantity.
 
 
-@pytest.mark.xfail(strict=True, reason="moments about 0 lose digits far from the origin")
 @pytest.mark.parametrize("s", [1e5, 1e8])
 def test_solve_is_translation_equivariant(s):
     top = math.sqrt(0.75)
@@ -605,7 +606,6 @@ def test_solve_is_translation_equivariant(s):
         assert got == pytest.approx(want + s, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="an absolute tolerance hides gaps of order L^2")
 def test_check_admissible_rejects_unreachable_target_at_small_scale():
     L = 1e-4
     # the same pair at L = 1 is rejected with worst gap 0.031
