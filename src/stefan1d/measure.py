@@ -40,6 +40,11 @@ def _bounds(tol: float, k: float, lo: float, hi: float) -> tuple[float, float]:
     return mass, mass * (hi - lo)
 
 
+def _unit(lo: float, hi: float) -> float:
+    """The power of two scaling hi - lo into [0.5, 1): exact, and safe from under- and overflow."""
+    return math.ldexp(1.0, min(-math.frexp(hi - lo)[1], 1023))
+
+
 @dataclass(frozen=True)
 class StepMeasure:
     """Nonnegative piecewise-constant density with bounded support.

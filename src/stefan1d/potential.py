@@ -17,11 +17,12 @@ the integrated-distribution form of the convex order (Chacon and Walsh,
 1976; Hobson's survey of the Skorokhod embedding problem, 2011). One walk
 over the merged cells accumulates F and G from cell widths and densities,
 so no absolute coordinate is squared, and maximises the difference exactly:
-at every break, and at the vertex of each cell where sigma > 0. The centre
-is the component's midpoint, or the joint hull's for a bare
-:func:`dominates`, which keeps the error independent of where the measures
-sit on the line. For equal masses the derivative of the difference is -F,
-so the same cumulative sum locates its stationary points as the zeros of F.
+at every break, and at the vertex of each cell where sigma > 0, about the
+component's midpoint (the joint hull's for a bare :func:`dominates`) in a
+power of two near its width as the length unit: the verdict depends neither
+on position nor on scale, though reported gaps still underflow below ~1e-154.
+For equal masses the derivative of the difference is -F, so the same
+cumulative sum locates its stationary points as the zeros of F.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import accumulate, count, repeat
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merge_walk, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merge_walk, _unit, restrict
 
 #: Hypothesis of the order relation that cannot be checked from step data;
 #: recorded on every certificate built by :func:`_certify_parts`.
@@ -208,29 +209,29 @@ def _merged(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]
     return xs, [*map(operator.sub, nu_v, mu_v)][:-1]
 
 
-def _cumulative(xs: Sequence[float], sigma: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Cell widths, and F = sigma(-inf, xs[i]] at every break from a zero start."""
-    widths = [*map(operator.sub, xs[1:], xs)]
+def _cumulative(xs, sigma, unit: float) -> tuple[list[float], list[float]]:
+    """Cell widths times unit, and F = sigma(-inf, xs[i]] so scaled, from a zero start."""
+    widths = [*map(unit.__mul__, map(operator.sub, xs[1:], xs))]
     return widths, [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
 
 
-def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[float, float, float]:
+def _walk(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
     """First maximum of U_nu - U_mu on [xs[0], xs[-1]], where, and the moment B.
 
     ``sigma[j]`` is the density of nu - mu on (xs[j], xs[j+1]); the module
     docstring gives the difference in terms of F, G, M and B about
-    ``centre``. On a cell of density s > 0 it is concave with its vertex
-    where F crosses M/2; every other cell peaks at an end. Candidates are
-    compared in order along the line, a later one winning only when strictly
-    larger.
+    ``centre``, every length but the returned point's taken times ``unit``.
+    On a cell of density s > 0 it is concave with its vertex where F crosses
+    M/2; every other cell peaks at an end. Candidates are compared in order
+    along the line, a later one winning only when strictly larger.
     """
     if not xs:
         return 0.0, 0.0, 0.0
-    widths, cum = _cumulative(xs, sigma)
+    widths, cum = _cumulative(xs, sigma, unit)
     twice_g = [*accumulate(map(operator.mul, widths, map(operator.add, cum, cum[1:])), initial=0.0)]
     mass = cum[-1]
-    moment = (xs[-1] - centre) * mass - 0.5 * twice_g[-1]
-    diff = [0.5 * ((x - centre) * mass - moment - g) for x, g in zip(xs, twice_g)]
+    moment = (xs[-1] - centre) * unit * mass - 0.5 * twice_g[-1]
+    diff = [0.5 * ((x - centre) * unit * mass - moment - g) for x, g in zip(xs, twice_g)]
     best = max(diff)
     at = diff.index(best)
     point = xs[at]
@@ -241,7 +242,7 @@ def _walk(xs: Sequence[float], sigma: Sequence[float], centre: float) -> tuple[f
         if 0.0 < t < widths[j]:
             val = diff[j] + 0.5 * rise * t
             if val > best or (val == best and j < at):
-                best, at, point = val, j + 1, xs[j] + t
+                best, at, point = val, j + 1, xs[j] + t / unit
     return best + 0.0, point, moment  # + 0.0 reads a gap of -0.0 as 0.0
 
 
@@ -255,7 +256,7 @@ def _zeros_of_f(
     changes sign. When nu and mu have equal mass, U_nu' - U_mu' = -F, so these
     are the stationary points of the potential difference.
     """
-    widths, cum = _cumulative(xs, sigma)
+    widths, cum = _cumulative(xs, sigma, 1.0)
     points = [x for x, f in zip(xs, cum) if f == 0.0]
     flats = []
     for j, (lo, hi) in enumerate(zip(cum, cum[1:])):
@@ -270,13 +271,13 @@ def _zeros_of_f(
 def _certify(
     mu_mass: float, nu_mass: float, xs, sigma, lo: float, hi: float, tol: float
 ) -> OrderCertificate:
-    """The walk's certificate for nu - mu on (lo, hi), about its midpoint, under the policy."""
-    gap, point, moment = _walk(xs, sigma, 0.5 * (lo + hi))
+    """The policy's verdict on nu - mu over (lo, hi): the walk about its midpoint, in its unit."""
+    unit = _unit(lo, hi)
+    gap, point, moment = _walk(xs, sigma, 0.5 * (lo + hi), unit)
     mass_gap = abs(mu_mass - nu_mass)
-    moment_gap = abs(moment)
-    mass_bound, bound = _bounds(tol, mu_mass, lo, hi)
-    ordered = gap <= bound and mass_gap <= mass_bound and moment_gap <= bound
-    return OrderCertificate(ordered, mass_gap, moment_gap, point, gap)
+    mass_bound, bound = _bounds(tol, mu_mass * unit, lo * unit, hi * unit)
+    ordered = gap <= bound and mass_gap * unit <= mass_bound and abs(moment) <= bound
+    return OrderCertificate(ordered, mass_gap, abs(moment) / unit / unit, point, gap / unit / unit)
 
 
 def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> OrderCertificate:

@@ -7,7 +7,7 @@ p = (k * (d - k/2) - beta) / ((d - c) - k) in terms of the holes. The
 component is saturated exactly when h = 0. Every solve is
 construct-then-verify: the result must pass the component-wise potential
 order check or the operation fails loudly. A left-to-right sweep over unit
-blocks provides an independent oracle.
+blocks, merging through the same hole pass, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .measure import (
     _bounds,
     _from_cells,
     _slices,
+    _unit,
     indicator,
     measures_allclose,
     restrict,
@@ -98,16 +99,14 @@ class MaximalSolution:
 
 
 def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
-    """Two-block target on one interval from its mass and first moment about 0.
+    """Public (k, beta) form of the two-block target: mass and first moment about 0.
 
     With hole mass h = (d - c) - k, a beta outside k * mid -+ k * h / 2 by more
     than the policy's slack (default tolerance) raises InfeasibilityError.
     """
-    if not c - c == d - d == k - k == beta - beta == 0.0:
-        # only a finite x has x - x == 0; name the first that is not
-        for name, x in (("c", c), ("d", d), ("k", k), ("beta", beta)):
-            if not math.isfinite(x):
-                raise ValidationError(f"{name} must be finite, got {x!r}")
+    for name, x in (("c", c), ("d", d), ("k", k), ("beta", beta)):
+        if not math.isfinite(x):
+            raise ValidationError(f"{name} must be finite, got {x!r}")
     width = d - c
     if not 0.0 < width < math.inf:
         raise ValidationError(f"interval is empty, reversed or too wide: ({c!r}, {d!r})")
@@ -130,10 +129,10 @@ def _holes(mu: StepMeasure, c: float, d: float) -> tuple[float, float]:
     """Mass h of mu's holes (1 - mu)^+ on (c, d), and their barycentre's offset from the midpoint.
 
     Nonnegative weights and positions from the midpoint: nothing cancels near
-    saturation or far from 0. Weights are in units of a power of two near
-    d - c (exact), so no product under- or overflows at any scale.
+    saturation or far from 0. Weights are in the length unit of (c, d)
+    (:func:`stefan1d.measure._unit`), so no product under- or overflows.
     """
-    mid, unit = 0.5 * (c + d), math.ldexp(1.0, min(-math.frexp(d - c)[1], 1023))
+    mid, unit = 0.5 * (c + d), _unit(c, d)
     b, v = (c, *mu.breaks, d), (0.0, *mu.values, 0.0)
     w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
     h = sum(w, 0.0)
@@ -233,13 +232,11 @@ def _sweep(mu: StepMeasure, open_set: OpenSet1D):
     sat_end = c  # (c, sat_end) is saturated so far
     carry = blocks[0]
     for i, nxt in enumerate(blocks[1:], start=1):
-        a, b = carry
-        sub = solve_component(sat_end, nxt[0], b - a, (b * b - a * a) / 2.0)
+        sub = _gap(sat_end, nxt[0], *_holes(StepMeasure(carry, (1.0,)), sat_end, nxt[0]))
         sat_end = sub.e
         carry = (sub.f, nxt[1])  # produced right block touches the next one
         merges.append((sat_end, carry, i))
-    a, b = carry
-    final = solve_component(sat_end, d, b - a, (b * b - a * a) / 2.0)
+    final = _gap(sat_end, d, *_holes(StepMeasure(carry, (1.0,)), sat_end, d))
     return BlockPair(c, final.e, final.f, d), blocks, merges
 
 

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import VerificationError
-from .measure import StepMeasure
+from .measure import DEFAULT_TOL, StepMeasure, _bounds
 from .particles import ComponentRunReport
 
 # A path reaches a level z below its start within time T with probability
@@ -106,7 +106,7 @@ class _Walk:
         self.freeze_pos = np.empty(n)
         self.freeze_t = np.empty(n)
         self.slots = np.arange(n) + 0.5
-        self.slack = 1e-9 * max(1.0, abs(c), abs(d))
+        self.slack = _bounds(DEFAULT_TOL, n * m, c, d)[0]  # admissible excess mass, as in solve
         self.sqrt_dt = math.sqrt(dt)
         self.inv_dt = -2.0 / dt
         self.bufs = (np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32))  # used in turn

@@ -26,7 +26,7 @@ from stefan1d import (
 from stefan1d.measure import _bounds, _from_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
-from stefan1d.solver import BlockPair, _unit_blocks, solve_component
+from stefan1d.solver import BlockPair, _gap, _holes, _unit_blocks
 from stefan1d.walkers import _quantiles
 
 
@@ -136,8 +136,8 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
     sat_end = c  # (c, sat_end) is saturated so far
     carry = blocks[0]
     for i, nxt in enumerate(blocks[1:], start=1):
-        a, b = carry
-        sub = solve_component(sat_end, nxt[0], b - a, (b * b - a * a) / 2.0)
+        # the carried block's gap in the sub-domain, from its holes as in solve
+        sub = _gap(sat_end, nxt[0], *_holes(StepMeasure(carry, (1.0,)), sat_end, nxt[0]))
         sat_end = sub.e
         carry = (sub.f, nxt[1])  # produced right block touches the next one
         states.append(
@@ -146,8 +146,7 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
                 + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
             )
         )
-    a, b = carry
-    final = solve_component(sat_end, d, b - a, (b * b - a * a) / 2.0)
+    final = _gap(sat_end, d, *_holes(StepMeasure(carry, (1.0,)), sat_end, d))
     return BlockPair(c, final.e, final.f, d), states
 
 

@@ -11,6 +11,7 @@ must be the referee's under the tolerance policy.
 import json
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +26,9 @@ from stefan1d import (
     dominates,
     indicator,
     make_step_measure,
+    order_leq_sh_O,
     solve,
+    solve_by_sweep,
 )
 from stefan1d.cli import main
 from stefan1d.solver import _gap, _holes
@@ -46,19 +49,23 @@ def _check_solve(mu: StepMeasure, c: float, d: float) -> None:
     assert sol.certificate.ordered == referee.ordered(mu, sol.measure, c, d, DEFAULT_TOL)
 
 
-@st.composite
-def components(draw):
-    """An input on (s, s + W) whose hole mass is about ratio * W.
-
-    s in [-1e8, 1e8], W in [1e-6, 1e6] and ratio in [1e-12, 1], log-uniform
-    where it matters; the ends may be left uncovered.
-    """
+def _component(draw) -> tuple[float, float]:
+    """(s, s + W), s in [-1e8, 1e8] and W in [1e-6, 1e6], log-uniform."""
     s = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 8.0))
-    width = 10.0 ** draw(st.floats(-6.0, 6.0))
-    ratio = 10.0 ** draw(st.floats(-12.0, 0.0))
-    c, d = s, s + width
+    c, d = s, s + 10.0 ** draw(st.floats(-6.0, 6.0))
     # breaks must be distinct floats: keep a thousand ulps per component
     assume(d - c > 1e3 * math.ulp(max(abs(c), abs(d))))
+    return c, d
+
+
+@st.composite
+def components(draw):
+    """An input on (s, s + W) as in _component, whose hole mass is about ratio * W.
+
+    ratio in [1e-12, 1], log-uniform; the ends may be left uncovered.
+    """
+    c, d = _component(draw)
+    ratio = 10.0 ** draw(st.floats(-12.0, 0.0))
     lo = c + 0.01 * (d - c) if draw(st.booleans()) else c  # an uncovered left end
     hi = d - 0.01 * (d - c) if draw(st.booleans()) else d  # and right end
     inner = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
@@ -73,6 +80,37 @@ def components(draw):
 @example((make_step_measure([-0.5, 0.5], [1.0 - 1e-12]), -1.0, 1.0))
 def test_blocks_match_the_exact_gap(case):
     _check_solve(*case)
+
+
+@st.composite
+def unit_blocks(draw):
+    """1 to 6 unit blocks strictly inside (s, s + W) as in _component.
+
+    Holes and blocks alternate, their lengths within a factor 100 of each
+    other. Every merge rounds the carried block's ends to floats, so the
+    sweep's error grows as the holes shrink against W; near saturation only
+    :func:`solve` is held to the exact gap.
+    """
+    c, d = _component(draw)
+    n = draw(st.integers(1, 6))
+    parts = draw(st.lists(st.floats(0.01, 1.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    edges = [c + (d - c) * (x / sum(parts)) for x in accumulate(parts[:-1])]
+    assume(c < edges[0] and all(map(float.__lt__, edges, edges[1:])) and edges[-1] < d)
+    return make_step_measure(edges, [1.0 - i % 2 for i in range(2 * n - 1)]), c, d
+
+
+#: Four unit blocks 1e8 from the origin: merged through first moments about 0,
+#: they raised InfeasibilityError.
+_FAR_BLOCKS = [1e8 + t for t in (0.2, 0.5, 0.7, 0.9, 1.3, 1.6, 2.0, 2.4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_blocks())
+@example((make_step_measure(_FAR_BLOCKS, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), 1e8, 1e8 + 3.0))
+def test_sweep_matches_the_exact_gap(case):
+    mu, c, d = case
+    sweep = solve_by_sweep(mu, OpenSet1D.interval(c, d))
+    assert max(_endpoint_errors(sweep.blocks[0], mu, c, d)) <= ULPS
 
 
 def _scaled(s: float, unit: float):
@@ -172,3 +210,29 @@ def test_measure_whose_first_moment_overflows_is_refused(tmp_path, capsys):
     path.write_text(json.dumps({"measure": hot, "open_set": {"components": [[s, s + 2e150]]}}))
     assert main(["solve", "--input", str(path)]) == 2
     assert "mass times coordinates (the moments' scale) overflows" in capsys.readouterr().err
+
+
+def _wrong_target(scale: float):
+    """_scaled's input at 0, the wrong target chi_(0, 0.1u) + chi_(1.46u, 2u), and the set."""
+    mu, c, d = _scaled(0.0, scale)
+    wrong = indicator(0.0, 0.1 * scale) + indicator(1.46 * scale, 2.0 * scale)
+    return mu, wrong, OpenSet1D.interval(c, d)
+
+
+@pytest.mark.parametrize(
+    "scale", [1.0, 2.0**-500, 1e-300, 2.0**500], ids=["1", "2^-500", "1e-300", "2^500"]
+)
+def test_certificate_verdict_does_not_depend_on_scale(scale):
+    # potentials have the dimension mass times length and underflowed below a
+    # scale of ~1e-154, so at 1e-300 every gap read 0 and this wrong target
+    # passed; the walk now runs in a power of two near the width as its unit
+    mu, wrong, domain = _wrong_target(scale)
+    ((c, d),) = domain.components
+    assert not referee.ordered(mu, wrong, c, d, DEFAULT_TOL)
+    cert = order_leq_sh_O(mu, wrong, domain)
+    assert not cert.ordered and not dominates(mu, wrong).ordered
+    if math.log2(scale).is_integer():
+        # rescaling by a power of two is exact: the same bits, rescaled
+        at_one = order_leq_sh_O(*_wrong_target(1.0))
+        assert cert.worst_gap / scale**2 == at_one.worst_gap
+        assert cert.worst_point / scale == at_one.worst_point
