@@ -29,15 +29,17 @@ DEFAULT_TOL = 1e-9
 _MIN_DENSITY = sys.float_info.min
 
 
-def _bounds(tol: float, k: float, lo: float, hi: float) -> tuple[float, float]:
+def _bounds(tol: float, k: float, lo: float, hi: float, unit: float = 1.0) -> tuple[float, float]:
     """The tolerance policy: bounds on a mass gap, and on a potential or centred moment gap.
 
     For mass k on (lo, hi) they are tol * k and tol * k * (hi - lo), each plus a
     floor of 4 ulps of max(|lo|, |hi|), times hi - lo for the second: rounding
-    a block endpoint to a float alone moves a mass by an ulp.
+    a block endpoint to a float alone moves a mass by an ulp. Lengths are given
+    in ``unit`` (:func:`_unit`); the ulps are the unscaled ends', then scaled,
+    since a subnormal end's ulp does not scale with it.
     """
-    mass = tol * k + 4 * math.ulp(max(abs(lo), abs(hi)))
-    return mass, mass * (hi - lo)
+    mass = tol * (k * unit) + 4 * math.ulp(max(abs(lo), abs(hi))) * unit
+    return mass, mass * ((hi - lo) * unit)
 
 
 def _unit(lo: float, hi: float) -> float:
@@ -87,7 +89,7 @@ class StepMeasure:
     @cached_property
     def mass(self) -> float:
         b = self.breaks
-        return sum([v * (hi - lo) for v, lo, hi in zip(self.values, b, b[1:])], 0.0)
+        return sum(map(operator.mul, self.values, map(operator.sub, b[1:], b)), 0.0)
 
     @cached_property
     def first_moment(self) -> float:

@@ -14,9 +14,11 @@ moment of sigma about a centre,
     U_nu(y) - U_mu(y) = -G(y) + ((y - centre) * M - B) / 2,
 
 the integrated-distribution form of the convex order (Chacon and Walsh,
-1976; Hobson's survey of the Skorokhod embedding problem, 2011). One walk
-over the merged cells accumulates F and G from cell widths and densities,
-so no absolute coordinate is squared, and maximises the difference exactly:
+1976; Hobson's survey of the Skorokhod embedding problem, 2011). The two
+grids merge in O(m log n + n) for m breaks of nu and n of mu, nu's bisected
+into mu's (:func:`_merged`). One walk over the merged cells accumulates F
+and G from cell widths and densities, so no absolute coordinate is squared,
+and maximises the difference exactly:
 at every break, and at the vertex of each cell where sigma > 0, about the
 component's midpoint (the joint hull's for a bare :func:`dominates`) in a
 power of two near its width as the length unit: the verdict depends neither
@@ -31,7 +33,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from typing import Sequence
 
 from .errors import ValidationError
@@ -193,25 +195,34 @@ class OrderCertificate:
 def _merged(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
     """Both grids' breaks in order, and the density of nu - mu on each cell between them.
 
-    The stable sort of the two sorted grids is a linear merge. A break both
-    grids hold comes twice, nu's copy first, so the walk reads nu's sign of
-    zero there; the cell between the copies has width zero and adds nothing.
+    A break both grids hold comes twice, nu's copy first, so the walk reads
+    nu's sign of zero there; the cell between the copies has width zero and
+    adds nothing. Each of nu's m breaks is bisected into mu's n, whose run of
+    breaks below it is copied as one slice: O(m log n + n), so a solve's
+    few-break target, its nu, costs list copies of the input.
     """
     nb, mb = nu.breaks, mu.breaks
-    xs = sorted((*nb, *mb))
-    # nu's break i sits at i plus the count of mu's breaks below it
-    from_nu = [0] * len(xs)
-    for at in map(operator.add, count(), map(bisect_left, repeat(mb), nb)):
-        from_nu[at] = 1
-    # a grid's breaks up to a point index its densities padded by both zero tails
-    nu_v = map((0.0, *nu.values, 0.0).__getitem__, accumulate(from_nu))
-    mu_v = map((0.0, *mu.values, 0.0).__getitem__, accumulate(map(operator.sub, repeat(1), from_nu)))
-    return xs, [*map(operator.sub, nu_v, mu_v)][:-1]
+    # a count of a grid's breaks so far indexes its densities padded by its zero
+    # tails, of which an empty grid has one
+    nv, mv = (0.0, *nu.values, 0.0), (0.0, *mu.values, 0.0)[: len(mb) + 1]
+    xs, sigma, q = [], [], 0
+    for i, x in enumerate(nb):  # mu's breaks below x come before it
+        p = bisect_left(mb, x, q)
+        if p > q:
+            a = nv[i]
+            xs += mb[q:p]
+            sigma += [a - m for m in mv[q + 1 : p + 1]]
+        xs.append(x)
+        sigma.append(nv[i + 1] - mv[p])
+        q = p
+    xs += mb[q:]
+    sigma += [0.0 - m for m in mv[q + 1 :]]
+    return xs, sigma[:-1]  # no cell beyond the last break
 
 
 def _cumulative(xs, sigma, unit: float) -> tuple[list[float], list[float]]:
     """Cell widths times unit, and F = sigma(-inf, xs[i]] so scaled, from a zero start."""
-    widths = [*map(unit.__mul__, map(operator.sub, xs[1:], xs))]
+    widths = [unit * (hi - lo) for lo, hi in zip(xs, xs[1:])]
     return widths, [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
 
 
@@ -236,7 +247,7 @@ def _walk(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
     at = diff.index(best)
     point = xs[at]
     half_m = 0.5 * mass
-    for j in [j for j, (lo, hi) in enumerate(zip(cum, cum[1:])) if lo < half_m < hi]:
+    for j in [j for j, lo, hi in zip(count(), cum, cum[1:]) if lo < half_m < hi]:
         rise = half_m - cum[j]
         t = rise / sigma[j]
         if 0.0 < t < widths[j]:
@@ -275,7 +286,7 @@ def _certify(
     unit = _unit(lo, hi)
     gap, point, moment = _walk(xs, sigma, 0.5 * (lo + hi), unit)
     mass_gap = abs(mu_mass - nu_mass)
-    mass_bound, bound = _bounds(tol, mu_mass * unit, lo * unit, hi * unit)
+    mass_bound, bound = _bounds(tol, mu_mass, lo, hi, unit)
     ordered = gap <= bound and mass_gap * unit <= mass_bound and abs(moment) <= bound
     return OrderCertificate(ordered, mass_gap, abs(moment) / unit / unit, point, gap / unit / unit)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -346,6 +346,8 @@ class ConcaveGrid:
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
+    #: The grid widened by the tolerance policy's rounding floor: where points may sit.
+    _domain: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
@@ -365,6 +367,8 @@ class ConcaveGrid:
                 raise ValidationError(
                     f"cost samples are not concave at index {i + 1}"
                 )
+        slack = _bounds(0.0, 0.0, self.xs[0], self.xs[-1])[0]
+        object.__setattr__(self, "_domain", (self.xs[0] - slack, self.xs[-1] + slack))
 
     @classmethod
     def from_function(
@@ -375,7 +379,8 @@ class ConcaveGrid:
         return cls(tuple(xs), tuple(fn(x) for x in xs))
 
     def __call__(self, x: float) -> float:
-        if x < self.xs[0] - 1e-12 or x > self.xs[-1] + 1e-12:
+        lo, hi = self._domain
+        if x < lo or x > hi:
             raise ValidationError(f"point {x!r} outside the cost grid")
         i = min(max(bisect_right(self.xs, x) - 1, 0), len(self.xs) - 2)
         t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
@@ -390,8 +395,8 @@ def primal_objective(nu: StepMeasure, cost: ConcaveGrid) -> float:
     """
     if nu.ncells == 0:
         return 0.0
-    lo_s, hi_s = nu.support()
-    if lo_s < cost.xs[0] - 1e-12 or hi_s > cost.xs[-1] + 1e-12:
+    (lo_s, hi_s), (lo_g, hi_g) = nu.support(), cost._domain
+    if lo_s < lo_g or hi_s > hi_g:
         raise ValidationError("measure support leaves the cost grid")
     total = 0.0
     for lo, hi, v in nu.cells():

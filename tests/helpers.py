@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, count, repeat
 from typing import Iterable
 
 import numpy as np
@@ -335,6 +336,46 @@ def hull(mu: StepMeasure, nu: StepMeasure) -> tuple[float, float]:
     """Joint hull of both grids; (0, 0) when both measures are zero."""
     breaks = (*mu.breaks, *nu.breaks)
     return (min(breaks), max(breaks)) if breaks else (0.0, 0.0)
+
+
+# -- the certificate's merge and walk before the merge went by runs -------------
+
+
+def merged_reference(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
+    """The stable sort of both grids, then one density lookup per merged break."""
+    nb, mb = nu.breaks, mu.breaks
+    xs = sorted((*nb, *mb))
+    # nu's break i sits at i plus the count of mu's breaks below it
+    from_nu = [0] * len(xs)
+    for at in map(operator.add, count(), map(bisect_left, repeat(mb), nb)):
+        from_nu[at] = 1
+    nu_v = map((0.0, *nu.values, 0.0).__getitem__, accumulate(from_nu))
+    mu_v = map((0.0, *mu.values, 0.0).__getitem__, accumulate(map(operator.sub, repeat(1), from_nu)))
+    return xs, [*map(operator.sub, nu_v, mu_v)][:-1]
+
+
+def walk_reference(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
+    """The certificate walk with its widths mapped through ``unit.__mul__``."""
+    if not xs:
+        return 0.0, 0.0, 0.0
+    widths = [*map(unit.__mul__, map(operator.sub, xs[1:], xs))]
+    cum = [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
+    twice_g = [*accumulate(map(operator.mul, widths, map(operator.add, cum, cum[1:])), initial=0.0)]
+    mass = cum[-1]
+    moment = (xs[-1] - centre) * unit * mass - 0.5 * twice_g[-1]
+    diff = [0.5 * ((x - centre) * unit * mass - moment - g) for x, g in zip(xs, twice_g)]
+    best = max(diff)
+    at = diff.index(best)
+    point = xs[at]
+    half_m = 0.5 * mass
+    for j in [j for j, (lo, hi) in enumerate(zip(cum, cum[1:])) if lo < half_m < hi]:
+        rise = half_m - cum[j]
+        t = rise / sigma[j]
+        if 0.0 < t < widths[j]:
+            val = diff[j] + 0.5 * rise * t
+            if val > best or (val == best and j < at):
+                best, at, point = val, j + 1, xs[j] + t / unit
+    return best + 0.0, point, moment
 
 
 # -- particle system: exact initial sampling and the single-rate loop -----------

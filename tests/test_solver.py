@@ -30,6 +30,7 @@ from stefan1d import (
     solve_by_sweep,
     solve_component,
     sweep_states,
+    zero_measure,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,10 @@ def measures_inside(draw):
 @example((indicator(-1.0, -0.5) + indicator(-0.5, 0.5, 0.5), OpenSet1D.of((-1.0, -0.5), (-0.5, 1.0))))
 @example((indicator(0.0, 1.0), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0), (1.0, 2.0))))
 @example((indicator(-1.0, -0.0, 0.5), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0))))
+# components one subnormal ulp wide, where the midpoint, h/2 and the half-ulp
+# mass round: the policy's 4-ulp floor must hold in the length unit
+@example((zero_measure(), OpenSet1D.of((-3.0, 0.0), (0.0, 5e-324))))
+@example((indicator(-3.0, 0.0, 0.5), OpenSet1D.of((-3.0, -2.75), (-2.75, -5e-324), (-5e-324, 0.0))))
 def test_certificate_matches_order_check_of_the_target(case):
     # solve certifies its parts against the slices of the target it returns:
     # the certificate must be the order check's of that target, bit for bit
@@ -478,6 +483,21 @@ def test_non_concave_cost_rejected():
 def test_non_finite_cost_samples_rejected(xs, ys):
     with pytest.raises(ValidationError, match="finite"):
         ConcaveGrid(xs, ys)
+
+
+def test_cost_grid_admits_only_the_policys_rounding_floor_beyond_its_ends():
+    # 1e-12 of absolute slack once let a grid 1e-13 wide extrapolate to 5e-13
+    # and integrate over 9 times its width
+    grid = ConcaveGrid.from_function(lambda x: -x * x, 0.0, 1e-13, 11)
+    with pytest.raises(ValidationError, match="outside the cost grid"):
+        grid(5e-13)
+    with pytest.raises(ValidationError, match="leaves the cost grid"):
+        primal_objective(indicator(0.0, 9e-13), grid)
+    assert grid(1e-13) == grid.ys[-1]
+    # an end rounded by an ulp still sits on the grid
+    wide = ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, 11)
+    assert wide(math.nextafter(1.0, 2.0)) == pytest.approx(-1.0)
+    assert primal_objective(indicator(-1.0, math.nextafter(1.0, 2.0)), wide) < 0.0
 
 
 def test_independence_check_argmin_is_target():
