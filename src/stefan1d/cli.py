@@ -32,6 +32,7 @@ from .repro import (
     LIPSCHITZ_CORNER,
     MU1,
     MU2,
+    WEAK_LS,
     lipschitz_ladder,
     run_manifest,
     weak_family,
@@ -301,10 +302,7 @@ def _stability_monotone() -> tuple[dict, list[list]]:
 def _stability_weak() -> tuple[dict, list[list]]:
     seq, mu = weak_family()
     table = weak_convergence_experiment(seq, mu, DOMAIN)
-    rows = [
-        [row.index + 2, row.mass_gap, row.moment_gap, row.l1_gap]
-        for row in table.rows
-    ]
+    rows = [[l, row.mass_gap, row.moment_gap, row.l1_gap] for l, row in zip(WEAK_LS, table.rows)]
     return {"family": "weak", "table": table.to_json()}, rows
 
 

@@ -34,11 +34,11 @@ def _bounds(tol: float, k: float, lo: float, hi: float, unit: float = 1.0) -> tu
 
     For mass k on (lo, hi) they are tol * k and tol * k * (hi - lo), each plus a
     floor of 4 ulps of max(|lo|, |hi|), times hi - lo for the second: rounding
-    a block endpoint to a float alone moves a mass by an ulp. Lengths are given
-    in ``unit`` (:func:`_unit`); the ulps are the unscaled ends', then scaled,
-    since a subnormal end's ulp does not scale with it.
+    a block endpoint to a float alone moves a mass by an ulp; a zero mass has no
+    relative term, even at tol = inf. Lengths are in ``unit`` (:func:`_unit`);
+    the ulps are the unscaled ends', then scaled: a subnormal's does not scale.
     """
-    mass = tol * (k * unit) + 4 * math.ulp(max(abs(lo), abs(hi))) * unit
+    mass = (tol * (k * unit) if k else 0.0) + 4 * math.ulp(max(abs(lo), abs(hi))) * unit
     return mass, mass * ((hi - lo) * unit)
 
 

@@ -2,8 +2,9 @@
 
 Three experiments: monotonicity of the input-to-target map fails, any
 uniform L1 Lipschitz bound fails along an explicit one-parameter family of
-block rearrangements, and targets are stable under convergence of mass and
-first moment (weak convergence of the inputs).
+block rearrangements, and targets are stable under convergence of each
+component's hole mass and centred hole moment (weak convergence of the
+inputs).
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from .errors import ParameterError, VerificationError
 from .measure import (
     OpenSet1D,
     StepMeasure,
+    _bounds,
     indicator,
     l1_distance,
     pointwise_leq,
     positive_part_l1,
 )
-from .solver import solve
+from .solver import MaximalSolution, solve
 
 
 @dataclass(frozen=True)
@@ -181,23 +183,9 @@ class WeakConvergenceTable:
         return asdict(self)
 
 
-def _endpoint_sensitivity(c: float, d: float, k: float, beta: float) -> float:
-    """Local Lipschitz bound of the block endpoints in (k, beta).
-
-    p = (k (d - k/2) - beta) / (W - k) gives
-    dp/dk = (d - k)/(W - k) + p/(W - k), dp/dbeta = -1/(W - k), and the
-    right width q = k - p mirrors them. Unbounded as k approaches W.
-    """
-    width = d - c
-    gap = width - k
-    if gap <= 0.0:
-        return math.inf
-    p = (k * (d - 0.5 * k) - beta) / gap
-    dp_dk = (d - k) / gap + p / gap
-    dq_dk = abs(1.0 - dp_dk)
-    coef_k = abs(dp_dk) + dq_dk
-    coef_b = 2.0 / gap
-    return max(coef_k, coef_b)
+def _gaps(sol: MaximalSolution) -> list[tuple[float, float]]:
+    """Each component's gap (e, f) as hole mass h = f - e and offset o from the midpoint."""
+    return [(b.f - b.e, 0.5 * (b.e + b.f) - 0.5 * (b.c + b.d)) for b in sol.blocks]
 
 
 def weak_convergence_experiment(
@@ -207,28 +195,37 @@ def weak_convergence_experiment(
 ) -> WeakConvergenceTable:
     """Target L1 gaps along a sequence of inputs converging to mu.
 
-    Targets depend on the inputs only through per-component mass and first
-    moment, so the gap of each member is bounded by the endpoint maps'
-    Lipschitz constant times its (|mass gap| + |moment gap|). The constant is
-    the largest local sensitivity over the family and the limit, valid while
-    component masses stay away from the component lengths.
+    Each component's target is the component minus a gap of hole mass h and
+    offset o from the midpoint (:func:`_gaps`), so a row's L1 gap is the measure
+    of the gaps' symmetric difference, sum_n min(h + h', max(2 |do|, |dh|)); a
+    measured gap off it by more than the policy's floor raises VerificationError.
+    ``mass_gap`` is sum_n |dh| and ``moment_gap`` sum_n |dB|, with B = h * o the
+    holes' centred moment. With H the larger hole mass of a pair and o' the
+    other side's offset, H * do = dB - o' * dh: ``bounded`` checks this modulus,
+    and ``constant``, the largest max(1, 2 max(1, |o'|) / H), bounds every row's
+    l1_gap by constant * (mass_gap + moment_gap), finitely at saturation.
     """
     limit = solve(mu, open_set)
-    k0, b0 = mu.mass, mu.first_moment
-    members = [solve(m, open_set) for m in sequence]
-
-    constant = 0.0
-    for sol in members + [limit]:
-        for (c, d), (k_n, beta_n) in zip(open_set.components, sol.provenance):
-            constant = max(constant, _endpoint_sensitivity(c, d, k_n, beta_n))
-
-    rows = []
-    bounded = True
-    for i, (m, sol) in enumerate(zip(sequence, members)):
-        dk = abs(m.mass - k0)
-        db = abs(m.first_moment - b0)
+    gaps0 = _gaps(limit)
+    floors = [_bounds(0.0, 0.0, c, d)[0] for c, d in open_set.components]
+    slack = sum(floors)
+    rows, constant, bounded = [], 1.0, True
+    for i, m in enumerate(sequence):
+        sol = solve(m, open_set)
+        mass_gap = moment_gap = identity = 0.0
+        for (h, o), (h0, o0), floor in zip(_gaps(sol), gaps0, floors):
+            dh, do, db = abs(h - h0), abs(o - o0), abs(h * o - h0 * o0)
+            mass_gap += dh
+            moment_gap += db
+            identity += min(h + h0, max(2.0 * do, dh))
+            if h or h0:  # both saturated: the same target, nothing to bound
+                big, other = (h, abs(o0)) if h >= h0 else (h0, abs(o))
+                constant = max(constant, 2.0 * max(1.0, other) / big)
+                bounded = bounded and do <= (other * dh + db) / big + floor
         gap = l1_distance(sol.measure, limit.measure)
-        rows.append(WeakConvergenceRow(i, dk, db, gap))
-        if gap > constant * (dk + db) * (1.0 + 1e-6) + 1e-12:
-            bounded = False
+        if not abs(gap - identity) <= slack:
+            raise VerificationError(
+                f"member {i}: target L1 gap {gap!r} does not match the gap identity {identity!r}"
+            )
+        rows.append(WeakConvergenceRow(i, mass_gap, moment_gap, gap))
     return WeakConvergenceTable(tuple(rows), constant, bounded)

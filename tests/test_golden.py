@@ -18,7 +18,11 @@ frozen splits and the particle rows of ``repro`` moved within their noise;
 component came to be solved from its holes, which moved the readme
 certificate's rounding-level gaps, the stationary-point defect from 2.2e-16
 to 1.2e-16 and the r = 0.95 Lipschitz ratio from 9.8667948718 to the closed
-form's 9.86679487179). A change
+form's 9.86679487179; ``stability_weak`` when the weak table came to be
+read from each component's holes, which moved its ``constant`` from the
+endpoint sensitivity's 2.0 to 2 / h = 1.96923076923, where h = 65/64 is
+the l = 64 member's hole mass, the larger of its pair; nothing else moved).
+A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -126,7 +130,7 @@ EXPECTED = {
     },
     "stability_weak": {
         "exit": 0,
-        "stdout": "68b764329aea167b080d084845de28f6ad8b97f89f6b30c24fd03e2cceff08d9",
+        "stdout": "47c9301cfb1c1bfeb73c2f81532a212356a36503237721099e8934754837f359",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }

@@ -501,3 +501,14 @@ def test_tiny_masses_with_distinct_barycentres_are_not_ordered():
         mu, nu = indicator(0.0, 1.0, 1e-20 * scale), indicator(0.9, 1.0, 1e-19 * scale)
         assert not dominates(mu, nu).ordered
         assert not order_leq_sh_O(mu, nu, OpenSet1D.interval(-1.0, 2.0)).ordered
+
+
+def test_infinite_tolerance_certifies_empty_components():
+    # an empty component's mass bound is tol * 0: zero, not inf * 0 = nan,
+    # which every comparison fails
+    unit = OpenSet1D.interval(0.0, 1.0)
+    assert solve(zero_measure(), unit, tol=math.inf).blocks[0].as_tuple() == (0.0, 0.0, 1.0, 1.0)
+    assert order_leq_sh_O(zero_measure(), zero_measure(), unit, tol=math.inf).ordered
+    assert dominates(zero_measure(), zero_measure(), tol=math.inf).ordered
+    mu = indicator(0.25, 0.5, 0.5)
+    assert solve(mu, OpenSet1D.of((0.0, 1.0), (2.0, 3.0)), tol=math.inf).certificate.ordered

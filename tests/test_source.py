@@ -1,0 +1,18 @@
+"""Rules on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stefan1d"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts: every invariant must be checked by code that
+    # still runs, and raise one of the package's errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/stefan1d: {found}"

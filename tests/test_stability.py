@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stefan1d import (
     LipschitzFamilyParams,
@@ -12,11 +14,13 @@ from stefan1d import (
     lipschitz_closed_form_gap,
     lipschitz_closed_form_ratio,
     lipschitz_ratio,
+    make_step_measure,
     monotonicity_report,
+    solve,
     weak_convergence_experiment,
 )
 
-from helpers import cdf
+from helpers import cdf, sum_measures
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
 
@@ -163,3 +167,102 @@ def test_weak_convergence_growing_support_family():
     gaps = [row.l1_gap for row in table.rows]
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 0.25
+
+
+def _within_modulus(table) -> bool:
+    # the slack is rounding: a few ulps of the rows' size
+    return all(
+        row.l1_gap <= table.constant * (row.mass_gap + row.moment_gap) * (1.0 + 1e-12) + 1e-15
+        for row in table.rows
+    )
+
+
+def test_weak_convergence_reads_each_component():
+    # the member moves mass 0.05 from the right component to the left one and
+    # keeps the first moment about 0: totals over the whole measure see no
+    # change, the holes of each component do
+    open_set = OpenSet1D.of((-3.0, -1.0), (1.0, 3.0))
+    mu = indicator(-3.0, -1.0, 0.5) + indicator(1.0, 3.0, 0.5)
+    member = make_step_measure(
+        [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], [0.5, 0.55, 0.0, 0.3, 0.65]
+    )
+    table = weak_convergence_experiment([member], mu, open_set)
+    (row,) = table.rows
+    assert table.bounded and _within_modulus(table)
+    assert row.mass_gap == pytest.approx(0.1, abs=1e-12)  # |dh| = 0.05 twice
+    assert row.moment_gap == pytest.approx(0.2, abs=1e-12)  # 0.025 left, 0.175 right
+    assert row.l1_gap > 0.3
+
+
+def test_weak_convergence_saturated_limit():
+    ls = range(2, 10)
+    mu = indicator(-1.0, 1.0)
+    seq = [indicator(-1.0, 1.0, 1.0 - 1.0 / l) for l in ls]
+    table = weak_convergence_experiment(seq, mu, DOMAIN)
+    assert table.bounded and _within_modulus(table)
+    # 2 / h at the smallest hole mass, h = 2/9
+    assert table.constant == pytest.approx(9.0, rel=1e-12)
+    for l, row in zip(ls, table.rows):
+        assert row.l1_gap == row.mass_gap == pytest.approx(2.0 / l, rel=1e-12)
+        assert row.moment_gap == 0.0
+
+
+def test_weak_convergence_modulus_is_sharp_for_equal_mass_shifts():
+    # equal hole masses h = 1.5: the gap moves by dB / h, so the target L1 gap
+    # is 2 dB / h, the modulus's constant times the moment gap exactly
+    mu = indicator(-0.5, 0.5, 0.5)
+    seq = [indicator(-0.5 + s, 0.5 + s, 0.5) for s in (0.2, 0.01, -0.1)]
+    table = weak_convergence_experiment(seq, mu, DOMAIN)
+    assert table.bounded and _within_modulus(table)
+    assert table.constant == pytest.approx(2.0 / 1.5, rel=1e-12)
+    for row in table.rows:
+        assert row.mass_gap == 0.0
+        assert row.l1_gap == pytest.approx(table.constant * row.moment_gap, rel=1e-12)
+
+
+@st.composite
+def weak_families(draw):
+    """1 to 3 disjoint components in (-4, 4), a limit and 1 to 3 members on them.
+
+    On each component a measure is 0, 1 or a density in [0, 1] on each of up
+    to three equal cells, so empty and saturated components both occur.
+    """
+    n = draw(st.integers(1, 3))
+    ends = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=2 * n, max_size=2 * n, unique=True)))
+    comps = list(zip(ends[::2], ends[1::2]))
+    assume(all(d - c > 1e-3 for c, d in comps))
+    density = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+    def measure():
+        parts = []
+        for c, d in comps:
+            m = draw(st.integers(1, 3))
+            breaks = [c + (d - c) * i / m for i in range(m)] + [d]
+            values = draw(st.lists(density, min_size=m, max_size=m))
+            parts.append(make_step_measure(breaks, values))
+        return sum_measures(parts)
+
+    members = [measure() for _ in range(draw(st.integers(1, 3)))]
+    return OpenSet1D.of(*comps), measure(), members
+
+
+def _gap_symmetric_difference(nu, nu0) -> float:
+    """Measure of the symmetric difference of each component's two gaps."""
+    total = 0.0
+    for a, b in zip(nu.blocks, nu0.blocks):
+        overlap = max(0.0, min(a.f, b.f) - max(a.e, b.e))
+        total += (a.f - a.e) + (b.f - b.e) - 2.0 * overlap
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_families())
+def test_weak_convergence_gaps_follow_the_holes(family):
+    open_set, mu, members = family
+    table = weak_convergence_experiment(members, mu, open_set)
+    assert table.bounded and _within_modulus(table)
+    assert math.isfinite(table.constant)
+    limit = solve(mu, open_set)
+    for member, row in zip(members, table.rows):
+        expected = _gap_symmetric_difference(solve(member, open_set), limit)
+        assert row.l1_gap == pytest.approx(expected, rel=1e-12, abs=1e-14)
