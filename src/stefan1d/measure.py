@@ -273,61 +273,67 @@ def zero_measure() -> StepMeasure:
 # -- merged-grid operations ---------------------------------------------------
 
 
-def _merge_walk(a: Sequence[float], b: Sequence[float]) -> Iterator[tuple]:
-    """Walk the merged grid of two strictly increasing break sequences.
+def _merged(nb: Sequence, nv: Sequence, mb: Sequence, mv: Sequence) -> tuple[list, list, list]:
+    """Two grids' breaks in order, and each side's value right of every one.
 
-    Yields (lo, hi, i, j) for every interval, both unbounded tails included;
-    i and j count the breaks of a and of b that are <= lo, so they index the
-    piece of each side covering it. A break both sides hold comes once, as a's.
+    ``nv`` and ``mv`` are the values padded by both tails, so a count of a
+    grid's breaks so far indexes them. A break both grids hold comes twice,
+    nu's copy first. Each of nu's m breaks is bisected into mu's n, whose run
+    of breaks below it is copied as one slice: O(m log n + n), so a solve's
+    few-break target, its nu, costs list copies of the input.
     """
-    a, b = (*a, math.inf), (*b, math.inf)
-    i = j = 0
-    lo = -math.inf
-    while lo < math.inf:
-        x, y = a[i], b[j]
-        if x <= y:
-            yield lo, x, i, j
-            lo = x
-            i += 1
-            j += x == y
-        else:
-            yield lo, y, i, j
-            lo = y
-            j += 1
+    xs, a, b, q = [], [], [], 0
+    for i, x in enumerate(nb):  # mu's breaks below x come before it
+        p = bisect_left(mb, x, q)
+        xs += mb[q:p]
+        a += [nv[i]] * (p - q)
+        b += mv[q + 1 : p + 1]
+        xs.append(x)
+        a.append(nv[i + 1])
+        b.append(mv[p])
+        q = p
+    xs += mb[q:]
+    a += [nv[len(nb)]] * (len(mb) - q)
+    b += mv[q + 1 : len(mb) + 1]  # an empty grid pads one tail value twice
+    return xs, a, b
 
 
-def _merged_cells(
-    mu: StepMeasure, nu: StepMeasure
-) -> Iterator[tuple[float, float, float, float]]:
-    """Yield (lo, hi, density_mu, density_nu) over the merged break grid."""
-    # a count of breaks <= lo indexes the densities padded by both zero tails
-    mv, nv = (0.0, *mu.values, 0.0), (0.0, *nu.values, 0.0)
-    for lo, hi, i, j in _merge_walk(mu.breaks, nu.breaks):
-        if -math.inf < lo and hi < math.inf:
-            yield lo, hi, mv[i], nv[j]
+def _once(xs: list, a: list, b: list) -> tuple[list, list, list]:
+    """:func:`_merged` with each shared break once, as mu's copy: the zero-width piece goes."""
+    keep = [*map(operator.ne, xs, xs[1:]), True]
+    return [*compress(xs, keep)], [*compress(a, keep)], [*compress(b, keep)]
+
+
+def _merged_cells(mu: StepMeasure, nu: StepMeasure) -> Iterator[tuple[float, float, float, float]]:
+    """(lo, hi, density_mu, density_nu) over the merged break grid, left to right."""
+    xs, n, m = _once(*_merged(nu.breaks, (0.0, *nu.values, 0.0), mu.breaks, (0.0, *mu.values, 0.0)))
+    return zip(xs, xs[1:], m, n)
 
 
 def positive_part_l1(mu: StepMeasure, nu: StepMeasure) -> float:
     """Integral of max(mu - nu, 0), exact over the merged break grid."""
-    return sum(
-        (a - b) * (hi - lo) for lo, hi, a, b in _merged_cells(mu, nu) if a > b
-    )
+    return sum(((a - b) * (hi - lo) for lo, hi, a, b in _merged_cells(mu, nu) if a > b), 0.0)
 
 
 def l1_distance(mu: StepMeasure, nu: StepMeasure) -> float:
     """Integral of |mu - nu|."""
-    return sum(abs(a - b) * (hi - lo) for lo, hi, a, b in _merged_cells(mu, nu))
+    return sum((abs(a - b) * (hi - lo) for lo, hi, a, b in _merged_cells(mu, nu)), 0.0)
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:  # NaN too
+        raise ValidationError(f"tolerance must be nonnegative, got {tol!r}")
 
 
 def pointwise_leq(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> bool:
     """True iff mu <= nu + tol a.e."""
-    if tol < 0.0:
-        raise ValidationError("tolerance must be nonnegative")
+    _check_tol(tol)
     return all(a <= b + tol for _, _, a, b in _merged_cells(mu, nu))
 
 
 def measures_allclose(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> bool:
     """True iff the densities agree within tol a.e."""
+    _check_tol(tol)
     return all(abs(a - b) <= tol for _, _, a, b in _merged_cells(mu, nu))
 
 

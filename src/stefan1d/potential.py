@@ -16,14 +16,14 @@ moment of sigma about a centre,
 the integrated-distribution form of the convex order (Chacon and Walsh,
 1976; Hobson's survey of the Skorokhod embedding problem, 2011). The two
 grids merge in O(m log n + n) for m breaks of nu and n of mu, nu's bisected
-into mu's (:func:`_merged`). One walk over the merged cells accumulates F
-and G from cell widths and densities, so no absolute coordinate is squared,
-and maximises the difference exactly:
-at every break, and at the vertex of each cell where sigma > 0, about the
-component's midpoint (the joint hull's for a bare :func:`dominates`) in a
-power of two near its width as the length unit: the verdict depends neither
-on position nor on scale, though reported gaps still underflow below ~1e-154.
-For equal masses the derivative of the difference is -F, so the same
+into mu's by the package's one merge (:func:`stefan1d.measure._merged`). One
+walk over the merged cells accumulates F and G from cell widths and
+densities, so no absolute coordinate is squared, and maximises the difference
+exactly: at every break, and at the vertex of each cell where sigma > 0,
+about the component's midpoint (the joint hull's for a bare :func:`dominates`)
+in a power of two near its width as the length unit: the verdict depends
+neither on position nor on scale, though reported gaps still underflow below
+~1e-154. For equal masses the derivative of the difference is -F, so the same
 cumulative sum locates its stationary points as the zeros of F.
 """
 
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, count
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merge_walk, _unit, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merged, _once, _unit, restrict
 
 #: Hypothesis of the order relation that cannot be checked from step data;
 #: recorded on every certificate built by :func:`_certify_parts`.
@@ -68,13 +68,11 @@ class PiecewiseQuadratic:
 
     def __sub__(self, other: "PiecewiseQuadratic") -> "PiecewiseQuadratic":
         mine, theirs = self.coeffs, other.coeffs
-        bp: list[float] = []
-        coeffs = []
-        for _, hi, i, j in _merge_walk(self.breakpoints, other.breakpoints):
-            bp.append(hi)
-            coeffs.append(tuple(map(operator.sub, mine[i], theirs[j])))
-        bp.pop()  # the right tail's infinite end
-        return PiecewiseQuadratic(tuple(bp), tuple(coeffs))
+        # the piece left of every break, then the one right of each; a shared break as self's
+        bp, right_t, right_m = _once(*_merged(other.breakpoints, theirs, self.breakpoints, mine))
+        pieces = zip((mine[0], *right_m), (theirs[0], *right_t))
+        coeffs = tuple(tuple(map(operator.sub, p, q)) for p, q in pieces)
+        return PiecewiseQuadratic(tuple(bp), coeffs)
 
     def derivative(self) -> "PiecewiseQuadratic":
         """The derivative, 2a*y + b per piece, as pieces (0, 2a, b)."""
@@ -192,32 +190,14 @@ class OrderCertificate:
         return out
 
 
-def _merged(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
-    """Both grids' breaks in order, and the density of nu - mu on each cell between them.
+def _sigma(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
+    """Both grids' breaks, a shared one twice with nu's copy first, and nu - mu right of each.
 
-    A break both grids hold comes twice, nu's copy first, so the walk reads
-    nu's sign of zero there; the cell between the copies has width zero and
-    adds nothing. Each of nu's m breaks is bisected into mu's n, whose run of
-    breaks below it is copied as one slice: O(m log n + n), so a solve's
-    few-break target, its nu, costs list copies of the input.
+    The walk reads nu's sign of zero at a shared break; the cell between the
+    copies, of width zero, and the last break's right tail add nothing.
     """
-    nb, mb = nu.breaks, mu.breaks
-    # a count of a grid's breaks so far indexes its densities padded by its zero
-    # tails, of which an empty grid has one
-    nv, mv = (0.0, *nu.values, 0.0), (0.0, *mu.values, 0.0)[: len(mb) + 1]
-    xs, sigma, q = [], [], 0
-    for i, x in enumerate(nb):  # mu's breaks below x come before it
-        p = bisect_left(mb, x, q)
-        if p > q:
-            a = nv[i]
-            xs += mb[q:p]
-            sigma += [a - m for m in mv[q + 1 : p + 1]]
-        xs.append(x)
-        sigma.append(nv[i + 1] - mv[p])
-        q = p
-    xs += mb[q:]
-    sigma += [0.0 - m for m in mv[q + 1 :]]
-    return xs, sigma[:-1]  # no cell beyond the last break
+    xs, a, b = _merged(nu.breaks, (0.0, *nu.values, 0.0), mu.breaks, (0.0, *mu.values, 0.0))
+    return xs, [*map(operator.sub, a, b)]
 
 
 def _cumulative(xs, sigma, unit: float) -> tuple[list[float], list[float]]:
@@ -296,7 +276,7 @@ def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> Ord
 
     The walk runs over the joint hull of both grids, about its midpoint.
     """
-    xs, sigma = _merged(nu, mu)
+    xs, sigma = _sigma(nu, mu)
     lo, hi = (xs[0], xs[-1]) if xs else (0.0, 0.0)
     return _certify(mu.mass, nu.mass, xs, sigma, lo, hi, tol)
 
@@ -329,7 +309,7 @@ def _certify_parts(
     The order holds iff it holds on every component; the worst gaps win.
     """
     per = [
-        _certify(m_n.mass, n_n.mass, *_merged(n_n, m_n), c, d, tol)
+        _certify(m_n.mass, n_n.mass, *_sigma(n_n, m_n), c, d, tol)
         for (c, d), m_n, n_n in zip(open_set.components, mus, nus)
     ]
     worst_gap, worst_point = 0.0, 0.0

@@ -38,7 +38,7 @@ from .measure import (
 from .potential import (
     OrderCertificate,
     _certify_parts,
-    _merged,
+    _sigma,
     _zeros_of_f,
     order_leq_sh_O,
     potential,
@@ -246,9 +246,11 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     Solves the leftmost block in the sub-domain ending at the next block's
     left edge, merges the produced right block with that one, and repeats;
     mass and first moment are conserved at every step, so the final two-block
-    state must match :func:`solve`. Linear in the number of blocks, since
-    only :func:`sweep_states` builds the intermediate states. No
-    certification is run here, keeping the route independent.
+    state must match :func:`solve`. Each merge rounds the carried block's ends,
+    so the endpoints' error grows like ulp * W / h for holes of mass h in a
+    width W: a few ulps away from saturation, far more near it. Linear in the
+    number of blocks, since only :func:`sweep_states` builds the intermediate
+    states. No certification is run here, keeping the route independent.
     """
     block, _, _ = _sweep(mu, open_set)
     target = block.measure()
@@ -297,7 +299,7 @@ def critical_point(k: float, beta: float) -> float:
     # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
     target = _gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)).measure()
 
-    zeros, flats = _zeros_of_f(*_merged(target, source))
+    zeros, flats = _zeros_of_f(*_sigma(target, source))
     margin = 1e-7
     interior = [r for r in zeros if -1.0 + margin < r < 1.0 - margin]
     interior_flats = [

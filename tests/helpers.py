@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, count, repeat
@@ -24,7 +25,7 @@ from stefan1d import (
     make_step_measure,
     zero_measure,
 )
-from stefan1d.measure import _bounds, _from_cells
+from stefan1d.measure import _bounds, _checked, _from_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
 from stefan1d.solver import BlockPair, _gap, _holes, _unit_blocks
@@ -376,6 +377,91 @@ def walk_reference(xs, sigma, centre: float, unit: float) -> tuple[float, float,
             if val > best or (val == best and j < at):
                 best, at, point = val, j + 1, xs[j] + t / unit
     return best + 0.0, point, moment
+
+
+# -- the per-break merge walk that the run merge replaced -------------------------
+
+
+def merge_walk_reference(a, b):
+    """Walk the merged grid of two strictly increasing break sequences.
+
+    Yields (lo, hi, i, j) for every interval, both unbounded tails included;
+    i and j count the breaks of a and of b that are <= lo, so they index the
+    piece of each side covering it. A break both sides hold comes once, as a's.
+    """
+    a, b = (*a, math.inf), (*b, math.inf)
+    i = j = 0
+    lo = -math.inf
+    while lo < math.inf:
+        x, y = a[i], b[j]
+        if x <= y:
+            yield lo, x, i, j
+            lo = x
+            i += 1
+            j += x == y
+        else:
+            yield lo, y, i, j
+            lo = y
+            j += 1
+
+
+def walked_cells_reference(mu: StepMeasure, nu: StepMeasure) -> list[tuple]:
+    """(lo, hi, density_mu, density_nu) over the merged break grid, by the walk."""
+    mv, nv = (0.0, *mu.values, 0.0), (0.0, *nu.values, 0.0)
+    return [
+        (lo, hi, mv[i], nv[j])
+        for lo, hi, i, j in merge_walk_reference(mu.breaks, nu.breaks)
+        if -math.inf < lo and hi < math.inf
+    ]
+
+
+def walked_sub_reference(f, g):
+    """f - g for piecewise quadratics, one piece per interval of the walk."""
+    bp, coeffs = [], []
+    for _, hi, i, j in merge_walk_reference(f.breakpoints, g.breakpoints):
+        bp.append(hi)
+        coeffs.append(tuple(map(operator.sub, f.coeffs[i], g.coeffs[j])))
+    bp.pop()  # the right tail's infinite end
+    return type(f)(tuple(bp), tuple(coeffs))
+
+
+#: Grid lengths: none, one lone break, a cell, a few, and long enough that
+#: nu's breaks fall in long runs of mu's, or mu's between long runs of nu's.
+MERGE_LENGTHS = [0, 1, 2, 5, 40, 300]
+
+
+def _grid(rng: random.Random, n: int, place, shared, zero) -> tuple[float, ...]:
+    """n distinct breaks, some from the shared pool, led by ``zero`` if given."""
+    points = {zero} if n and zero is not None else set()
+    while len(points) < n:
+        points.add(rng.choice(shared) if rng.random() < 0.3 else place(rng.uniform(-1.0, 1.0)))
+    return tuple(sorted(points))
+
+
+@st.composite
+def merge_pairs(draw):
+    """Two measures placed alike, sharing breaks; nu may hold 0.0 where mu holds -0.0.
+
+    Built without canonicalisation, so zero cells and the drawn lengths stay.
+    Densities shrink with a scale above 1, so the door admits every pair.
+    """
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8)))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if offset:
+        scale = max(scale, 1e-6 * abs(offset))
+    place = (lambda u: offset + scale * u) if offset else (lambda u: scale * u)
+    shared = [place(k / 4) for k in range(-4, 5)]
+    signed_zeros = st.sampled_from([(None, None), (0.0, -0.0), (-0.0, 0.0)])
+    zeros = (None, None) if offset else draw(signed_zeros)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for zero in zeros:
+        breaks = _grid(rng, draw(st.sampled_from(MERGE_LENGTHS)), place, shared, zero)
+        values = tuple(
+            rng.choice([0.0, 0.5, 1.0, rng.random()]) / max(scale, 1.0) for _ in breaks[1:]
+        )
+        pair.append(_checked(breaks, values) if len(breaks) > 1 else StepMeasure(breaks, values))
+    return tuple(pair)
 
 
 # -- particle system: exact initial sampling and the single-rate loop -----------

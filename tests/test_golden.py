@@ -21,8 +21,10 @@ to 1.2e-16 and the r = 0.95 Lipschitz ratio from 9.8667948718 to the closed
 form's 9.86679487179; ``stability_weak`` when the weak table came to be
 read from each component's holes, which moved its ``constant`` from the
 endpoint sensitivity's 2.0 to 2 / h = 1.96923076923, where h = 65/64 is
-the l = 64 member's hole mass, the larger of its pair; nothing else moved).
-A change
+the l = 64 member's hole mass, the larger of its pair; ``stability_monotone``
+when the L1 helpers came to sum from the float 0.0, which turned the two
+rows' ``"input_l1_gap": 0`` into ``0.0`` and left its CSV as it was;
+nothing else moved). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -124,7 +126,7 @@ EXPECTED = {
     },
     "stability_monotone": {
         "exit": 0,
-        "stdout": "ed9dcd65075423a0840d96c2ef3409b9ce8cde0aa781ad4e2ebb127e59a65621",
+        "stdout": "c8001ceeda6fb0f493f90bca316644ceff34c589ce8290e548098c39a5aa0292",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "a390cb07182a751b9fa3228e8e4340cf2ba4ce675d7820cd9cf17cdac9978323",
     },

@@ -74,10 +74,22 @@ def components(draw):
     return make_step_measure(breaks, [1.0 - ratio * u for u in holes]), c, d
 
 
+#: Two unit blocks whose holes, 7.7e-14 in all, are about 1e-12 of the width.
+_NEAR_SATURATION = (
+    make_step_measure(
+        [-0.04612977545791512, -0.018404631276007034, -0.018404631275991266, 0.022658282062356913],
+        [1.0, 0.0, 1.0],
+    ),
+    -0.04612977545796382,
+    0.022658282062369334,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(components())
 @example((make_step_measure([-1.0, 1.0], [1.0]), -1.0, 1.0))
 @example((make_step_measure([-0.5, 0.5], [1.0 - 1e-12]), -1.0, 1.0))
+@example(_NEAR_SATURATION)
 def test_blocks_match_the_exact_gap(case):
     _check_solve(*case)
 
@@ -89,7 +101,7 @@ def unit_blocks(draw):
     Holes and blocks alternate, their lengths within a factor 100 of each
     other. Every merge rounds the carried block's ends to floats, so the
     sweep's error grows as the holes shrink against W; near saturation only
-    :func:`solve` is held to the exact gap.
+    :func:`solve` is held to the exact gap (the strict xfail below pins one).
     """
     c, d = _component(draw)
     n = draw(st.integers(1, 6))
@@ -109,6 +121,17 @@ _FAR_BLOCKS = [1e8 + t for t in (0.2, 0.5, 0.7, 0.9, 1.3, 1.6, 2.0, 2.4)]
 @example((make_step_measure(_FAR_BLOCKS, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), 1e8, 1e8 + 3.0))
 def test_sweep_matches_the_exact_gap(case):
     mu, c, d = case
+    sweep = solve_by_sweep(mu, OpenSet1D.interval(c, d))
+    assert max(_endpoint_errors(sweep.blocks[0], mu, c, d)) <= ULPS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="each merge rounds the carried block's ends, so the sweep's error grows like "
+    "ulp * W / h: its gap ends sit 6.5e10 ulps from the exact ones, solve's within 1",
+)
+def test_sweep_matches_the_exact_gap_near_saturation():
+    mu, c, d = _NEAR_SATURATION
     sweep = solve_by_sweep(mu, OpenSet1D.interval(c, d))
     assert max(_endpoint_errors(sweep.blocks[0], mu, c, d)) <= ULPS
 

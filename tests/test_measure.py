@@ -1,4 +1,5 @@
 import math
+import operator
 import sys
 
 import numpy as np
@@ -7,12 +8,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stefan1d import (
+    DEFAULT_TOL,
     OpenSet1D,
+    PiecewiseQuadratic,
+    StepMeasure,
     SupportError,
     ValidationError,
     indicator,
     l1_distance,
     make_step_measure,
+    measures_allclose,
     pointwise_leq,
     positive_part_l1,
     restrict,
@@ -27,12 +32,15 @@ from helpers import (
     grid_open_sets,
     make_step_measure_reference,
     mass_reference,
+    merge_pairs,
     merged_cells_reference,
     midpoints_interior,
     raw_cells,
     restrict_reference,
+    walked_cells_reference,
+    walked_sub_reference,
 )
-from stefan1d.measure import _merged_cells
+from stefan1d.measure import _from_cells, _merged_cells
 from stefan1d.walkers import _quantiles
 
 
@@ -329,6 +337,56 @@ def test_merged_grid_on_ulp_adjacent_breaks():
     assert mu + zero_measure() == mu
     assert l1_distance(mu, mu) == 0.0
     assert l1_distance(mu, zero_measure()) == mu.mass
+
+
+def test_l1_helpers_sum_from_a_float_zero():
+    # with no cell contributing, a sum started at the int 0 printed as `0`
+    for mu in (indicator(0.0, 1.0), zero_measure()):
+        assert repr(positive_part_l1(mu, mu)) == "0.0"
+        assert repr(l1_distance(mu, mu)) == "0.0"
+
+
+@pytest.mark.parametrize("tol", [-1.0, -5e-324, -math.inf, math.nan])
+@pytest.mark.parametrize("compare", [pointwise_leq, measures_allclose])
+def test_pointwise_comparisons_reject_a_bad_tolerance(compare, tol):
+    mu = indicator(0.0, 1.0)
+    with pytest.raises(ValidationError, match="tolerance"):
+        compare(mu, mu, tol)
+
+
+def _quadratics(mu: StepMeasure) -> PiecewiseQuadratic:
+    """A piecewise quadratic on mu's grid, its pieces told apart by their constant terms."""
+    padded = (0.0, *mu.values, 0.0)[: len(mu.breaks) + 1]
+    return PiecewiseQuadratic(mu.breaks, tuple((v, -v, float(i)) for i, v in enumerate(padded)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_pairs())
+@example(
+    (
+        make_step_measure([-1.0, 0.0, 1.0], [0.5, 1.0]),
+        make_step_measure([-0.5, -0.0, 0.5], [1.0, 0.5]),
+    )
+)
+@example((StepMeasure((0.0,), ()), make_step_measure([-0.0, 1.0], [0.5])))
+@example((zero_measure(), StepMeasure((0.5,), ())))
+def test_merged_grid_operations_match_the_walk_bit_for_bit(pair):
+    a, b = pair
+    for mu, nu in ((a, b), (b, a)):
+        cells = walked_cells_reference(mu, nu)
+        assert repr(list(_merged_cells(mu, nu))) == repr(cells)
+        above = sum(((x - y) * (hi - lo) for lo, hi, x, y in cells if x > y), 0.0)
+        assert repr(positive_part_l1(mu, nu)) == repr(above)
+        total = sum((abs(x - y) * (hi - lo) for lo, hi, x, y in cells), 0.0)
+        assert repr(l1_distance(mu, nu)) == repr(total)
+        for tol in (0.0, DEFAULT_TOL):
+            assert pointwise_leq(mu, nu, tol) is all(x <= y + tol for _, _, x, y in cells)
+            close = all(abs(x - y) <= tol for _, _, x, y in cells)
+            assert measures_allclose(mu, nu, tol) is close
+        added = [(lo, hi, x + y) for lo, hi, x, y in cells]
+        assert _outcome(operator.add, mu, nu) == _outcome(_from_cells, added)
+        p, q = _quadratics(mu), _quadratics(nu)
+        assert repr(p - q) == repr(walked_sub_reference(p, q))
 
 
 # -- one-pass construction and the cached totals against their references ------

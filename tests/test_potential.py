@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -24,8 +23,8 @@ from stefan1d import (
     sweep_states,
     zero_measure,
 )
-from stefan1d.measure import _bounds, _checked, _unit
-from stefan1d.potential import _merged, _walk
+from stefan1d.measure import _bounds, _unit
+from stefan1d.potential import _sigma, _walk
 
 import referee
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     grid_breaks,
     hull,
     max_on_reference,
+    merge_pairs,
     merged_reference,
     midpoints_interior,
     potential_reference,
@@ -429,44 +429,6 @@ def test_walk_error_does_not_grow_with_position(s):
 
 # -- the merged grid by runs against the stable sort -----------------------------
 
-#: Grid lengths: none, one lone break, a cell, a few, and long enough that
-#: nu's breaks fall in long runs of mu's, or mu's between long runs of nu's.
-MERGE_LENGTHS = [0, 1, 2, 5, 40, 300]
-
-
-def _grid(rng: random.Random, n: int, place, shared, zero) -> tuple[float, ...]:
-    """n distinct breaks, some from the shared pool, led by ``zero`` if given."""
-    points = {zero} if n and zero is not None else set()
-    while len(points) < n:
-        points.add(rng.choice(shared) if rng.random() < 0.3 else place(rng.uniform(-1.0, 1.0)))
-    return tuple(sorted(points))
-
-
-@st.composite
-def merge_pairs(draw):
-    """Two measures placed alike, sharing breaks; nu may hold 0.0 where mu holds -0.0.
-
-    Built without canonicalisation, so zero cells and the drawn lengths stay.
-    Densities shrink with a scale above 1, so the door admits every pair.
-    """
-    offset = draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8)))
-    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
-    if offset:
-        scale = max(scale, 1e-6 * abs(offset))
-    place = (lambda u: offset + scale * u) if offset else (lambda u: scale * u)
-    shared = [place(k / 4) for k in range(-4, 5)]
-    signed_zeros = st.sampled_from([(None, None), (0.0, -0.0), (-0.0, 0.0)])
-    zeros = (None, None) if offset else draw(signed_zeros)
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    pair = []
-    for zero in zeros:
-        breaks = _grid(rng, draw(st.sampled_from(MERGE_LENGTHS)), place, shared, zero)
-        values = tuple(
-            rng.choice([0.0, 0.5, 1.0, rng.random()]) / max(scale, 1.0) for _ in breaks[1:]
-        )
-        pair.append(_checked(breaks, values) if len(breaks) > 1 else StepMeasure(breaks, values))
-    return tuple(pair)
-
 
 @settings(max_examples=200, deadline=None)
 @given(merge_pairs())
@@ -481,12 +443,14 @@ def merge_pairs(draw):
 def test_merge_and_walk_match_the_stable_sort_bit_for_bit(pair):
     a, b = pair
     for nu, mu in ((a, b), (b, a)):
-        got = _merged(nu, mu)
-        assert repr(got) == repr(merged_reference(nu, mu))
-        xs, sigma = got
+        xs, sigma = _sigma(nu, mu)
+        # sigma closes with the zero density beyond the last break
+        assert repr((xs, sigma[:-1])) == repr(merged_reference(nu, mu))
+        assert repr(sigma[-1:]) == ("[0.0]" if xs else "[]")
         lo, hi = (xs[0], xs[-1]) if xs else (0.0, 0.0)
         centre, unit = 0.5 * (lo + hi), _unit(lo, hi)
-        assert repr(_walk(xs, sigma, centre, unit)) == repr(walk_reference(xs, sigma, centre, unit))
+        want = walk_reference(xs, sigma[:-1], centre, unit)
+        assert repr(_walk(xs, sigma, centre, unit)) == repr(want)
 
 
 @pytest.mark.xfail(
