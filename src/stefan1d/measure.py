@@ -340,29 +340,33 @@ def measures_allclose(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL
 def restrict(
     mu: StepMeasure, open_set: OpenSet1D, tol: float = DEFAULT_TOL
 ) -> list[StepMeasure]:
-    """Component-wise restrictions of mu to the open set.
+    """Component-wise restrictions of mu to the open set: :func:`_cuts` as measures.
 
     The returned list is aligned with ``open_set.components`` and the sum of
-    the parts equals mu restricted to the set. Mass outside the set beyond
-    the policy's mass bound (:func:`_bounds`, relative to the total mass)
-    raises SupportError carrying the leaked amount.
-
-    Costs O(cells + components · log cells): each component bisects its
-    endpoints into mu's breaks and slices the cells between them.
+    the parts equals mu restricted to the set; a part is mu itself where one
+    component holds all of it. Mass outside the set beyond the policy's mass
+    bound (:func:`_bounds`, relative to the total mass) raises SupportError
+    carrying the leaked amount.
     """
-    parts = _slices(mu, open_set)
-    leaked = mu.mass - sum(p.mass for p in parts)
-    if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
-        raise SupportError(
-            f"measure carries mass {leaked:.9g} outside the open set", leaked
-        )
-    return parts
+    return [
+        zero_measure() if not b else mu if b is mu.breaks else _checked(b, v)
+        for b, v, _ in _cuts(mu, open_set, tol)
+    ]
 
 
-def _slices(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
-    """:func:`restrict`'s parts, without its check for mass outside the set."""
+def _cuts(
+    mu: StepMeasure, open_set: OpenSet1D, tol: float | None = None
+) -> list[tuple[Sequence[float], Sequence[float], float]]:
+    """(breaks, values, mass) of mu on each component: its restriction, as no measure.
+
+    mu's cells meeting (c, d), zero end cells dropped and end breaks clipped at
+    c and d; mu's own when it lies in (c, d) unclipped, ``((), (), 0.0)`` when
+    none does; masses summed as :attr:`StepMeasure.mass` sums. Given ``tol``,
+    mass outside the set beyond the policy's bound raises SupportError. Each
+    component bisects its ends into mu's breaks: O(cells + components · log cells).
+    """
     b, v = mu.breaks, mu.values
-    parts: list[StepMeasure] = []
+    cuts = []
     for c, d in open_set.components:
         # mu's cells lo..hi-1 meet (c, d): drop zero end cells, clip end breaks
         lo = max(bisect_right(b, c) - 1, 0)
@@ -372,12 +376,15 @@ def _slices(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
         while lo < hi and not v[hi - 1]:
             hi -= 1
         if lo == hi:
-            parts.append(zero_measure())
-            continue
-        if hi - lo == len(v) and b[0] >= c and b[-1] <= d:
-            # all of mu, ends unclipped: mu itself, with its cached totals
-            parts.append(mu)
-            continue
-        breaks = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d)))
-        parts.append(_checked(breaks, v[lo:hi]))
-    return parts
+            cuts.append(((), (), 0.0))
+        elif hi - lo == len(v) and b[0] >= c and b[-1] <= d:
+            cuts.append((b, v, mu.mass))
+        else:
+            breaks, values = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d))), v[lo:hi]
+            mass = sum(map(operator.mul, values, map(operator.sub, breaks[1:], breaks)), 0.0)
+            cuts.append((breaks, values, mass))
+    if tol is not None:
+        leaked = mu.mass - sum(m for _, _, m in cuts)
+        if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
+            raise SupportError(f"measure carries mass {leaked:.9g} outside the open set", leaked)
+    return cuts

@@ -37,7 +37,8 @@ from itertools import accumulate, count
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _merged, _once, _unit, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _cuts, _merged, _once, _unit
+from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
 
 #: Hypothesis of the order relation that cannot be checked from step data;
 #: recorded on every certificate built by :func:`_certify_parts`.
@@ -190,13 +191,14 @@ class OrderCertificate:
         return out
 
 
-def _sigma(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
+def _sigma(nb: Sequence, nv: Sequence, mb: Sequence, mv: Sequence) -> tuple[list, list]:
     """Both grids' breaks, a shared one twice with nu's copy first, and nu - mu right of each.
 
-    The walk reads nu's sign of zero at a shared break; the cell between the
-    copies, of width zero, and the last break's right tail add nothing.
+    Each side comes as its breaks and values, a measure's or a cut's. The walk
+    reads nu's sign of zero at a shared break; the cell between the copies, of
+    width zero, and the last break's right tail add nothing.
     """
-    xs, a, b = _merged(nu.breaks, (0.0, *nu.values, 0.0), mu.breaks, (0.0, *mu.values, 0.0))
+    xs, a, b = _merged(nb, (0.0, *nv, 0.0), mb, (0.0, *mv, 0.0))
     return xs, [*map(operator.sub, a, b)]
 
 
@@ -276,7 +278,7 @@ def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> Ord
 
     The walk runs over the joint hull of both grids, about its midpoint.
     """
-    xs, sigma = _sigma(nu, mu)
+    xs, sigma = _sigma(nu.breaks, nu.values, mu.breaks, mu.values)
     lo, hi = (xs[0], xs[-1]) if xs else (0.0, 0.0)
     return _certify(mu.mass, nu.mass, xs, sigma, lo, hi, tol)
 
@@ -294,23 +296,21 @@ def order_leq_sh_O(
     inequality holds for the restricted pair. Each component is walked about
     its midpoint. Support outside the set (beyond tol) raises SupportError.
     """
-    mus = restrict(mu, open_set, tol)
-    return _certify_parts(mus, restrict(nu, open_set, tol), open_set, tol)
+    mus = _cuts(mu, open_set, tol)
+    return _certify_parts(mus, _cuts(nu, open_set, tol), open_set, tol)
 
 
 def _certify_parts(
-    mus: Sequence[StepMeasure],
-    nus: Sequence[StepMeasure],
-    open_set: OpenSet1D,
-    tol: float,
+    mus: Sequence, nus: Sequence, open_set: OpenSet1D, tol: float
 ) -> OrderCertificate:
-    """:func:`order_leq_sh_O` on restrictions aligned with the set's components.
+    """:func:`order_leq_sh_O` on cuts aligned with the set's components.
 
-    The order holds iff it holds on every component; the worst gaps win.
+    Each cut is a component's (breaks, values, mass), as :func:`stefan1d.measure._cuts`
+    gives it: the order holds iff it holds on every component; the worst gaps win.
     """
     per = [
-        _certify(m_n.mass, n_n.mass, *_sigma(n_n, m_n), c, d, tol)
-        for (c, d), m_n, n_n in zip(open_set.components, mus, nus)
+        _certify(m_k, n_k, *_sigma(nb, nv, mb, mv), c, d, tol)
+        for (c, d), (mb, mv, m_k), (nb, nv, n_k) in zip(open_set.components, mus, nus)
     ]
     worst_gap, worst_point = 0.0, 0.0
     mass_gap = moment_gap = 0.0

@@ -17,32 +17,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    AdmissibilityError,
-    InfeasibilityError,
-    ValidationError,
-    VerificationError,
-)
-from .measure import (
-    DEFAULT_TOL,
-    OpenSet1D,
-    StepMeasure,
-    _bounds,
-    _from_cells,
-    _slices,
-    _unit,
-    indicator,
-    measures_allclose,
-    restrict,
-)
-from .potential import (
-    OrderCertificate,
-    _certify_parts,
-    _sigma,
-    _zeros_of_f,
-    order_leq_sh_O,
-    potential,
-)
+from .errors import AdmissibilityError, InfeasibilityError, ValidationError, VerificationError
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _cuts, _from_cells, _unit
+from .measure import indicator, measures_allclose, restrict
+from .potential import OrderCertificate, _certify_parts, _sigma, _zeros_of_f
+from .potential import order_leq_sh_O, potential
 
 
 @dataclass(frozen=True)
@@ -125,15 +104,16 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
     return _gap(c, d, h, min(max(lean / h, -half), half) if h else 0.0)
 
 
-def _holes(mu: StepMeasure, c: float, d: float) -> tuple[float, float]:
-    """Mass h of mu's holes (1 - mu)^+ on (c, d), and their barycentre's offset from the midpoint.
+def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[float, float]:
+    """Mass h of the holes (1 - mu)^+ on (c, d), and their barycentre's offset from the midpoint.
 
-    Nonnegative weights and positions from the midpoint: nothing cancels near
-    saturation or far from 0. Weights are in the length unit of (c, d)
+    mu's breaks and values lie in [c, d], a measure's or a cut's. Nonnegative
+    weights and positions from the midpoint: nothing cancels near saturation
+    or far from 0. Weights are in the length unit of (c, d)
     (:func:`stefan1d.measure._unit`), so no product under- or overflows.
     """
     mid, unit = 0.5 * (c + d), _unit(c, d)
-    b, v = (c, *mu.breaks, d), (0.0, *mu.values, 0.0)
+    b, v = (c, *breaks, d), (0.0, *values, 0.0)
     w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
     h = sum(w, 0.0)
     off = sum([x * ((lo - mid) + (hi - mid)) for x, lo, hi in zip(w, b, b[1:])], 0.0)
@@ -169,16 +149,16 @@ def solve(
         raise AdmissibilityError(
             f"density {top:.9g} exceeds the admissible bound 1"
         )
-    parts = restrict(mu, open_set, tol)
+    cuts = _cuts(mu, open_set, tol)
     blocks, stats = [], []
-    for (c, d), mu_n in zip(open_set.components, parts):
-        h, off = _holes(mu_n, c, d)
+    for (c, d), (breaks, values, k) in zip(open_set.components, cuts):
+        h, off = _holes(breaks, values, c, d)
         blocks.append(_gap(c, d, h, off))
-        # beta = W * mid - h * g, with restrict's mass for W - h
-        stats.append((mu_n.mass, mu_n.mass * 0.5 * (c + d) - h * off))
+        # beta = W * mid - h * g, with the cut's mass for W - h
+        stats.append((k, k * 0.5 * (c + d) - h * off))
     target = _blocks_measure(b.as_tuple() for b in blocks)
-    # the target lies in the set by construction: restrict's leak check is moot
-    certificate = _certify_parts(parts, _slices(target, open_set), open_set, tol)
+    # the target lies in the set by construction: the leak check is moot
+    certificate = _certify_parts(cuts, _cuts(target, open_set), open_set, tol)
     if not certificate.ordered:
         raise VerificationError(
             "solver output failed the potential order certification "
@@ -213,11 +193,20 @@ def _unit_blocks(mu: StepMeasure) -> list[tuple[float, float]]:
     return blocks
 
 
+def _two_holes(e: float, h: float, right: float, end: float) -> tuple[float, float]:
+    """:func:`_holes` on (e, end) for holes (e, e + h), known by its mass h, and (right, end)."""
+    mid, unit = 0.5 * (e + end), _unit(e, end)
+    w, v = h * unit, (end - right) * unit
+    off = w * ((e - mid) + ((e - mid) + h)) + v * ((right - mid) + (end - mid))
+    return (w + v) / unit, 0.5 * off / (w + v)
+
+
 def _sweep(mu: StepMeasure, open_set: OpenSet1D):
     """Final block pair, unit blocks and one (sat_end, carry, i) per merge.
 
-    Linear in the blocks: after merge i, (c, sat_end) is saturated and carry
-    is the produced right block; only :func:`sweep_states` builds the states.
+    Linear in the blocks. (c, e) is saturated, a hole of mass h follows, and
+    the carried block ends at right: each merge carries h, not rounded ends.
+    carry is the produced block, its left end rounded, for :func:`sweep_states`.
     """
     if len(open_set.components) != 1:
         raise ValidationError("sweep operates on a single-interval domain")
@@ -229,14 +218,13 @@ def _sweep(mu: StepMeasure, open_set: OpenSet1D):
         raise ValidationError("sweep blocks must lie strictly inside the domain")
 
     merges = []
-    sat_end = c  # (c, sat_end) is saturated so far
-    carry = blocks[0]
-    for i, nxt in enumerate(blocks[1:], start=1):
-        sub = _gap(sat_end, nxt[0], *_holes(StepMeasure(carry, (1.0,)), sat_end, nxt[0]))
-        sat_end = sub.e
-        carry = (sub.f, nxt[1])  # produced right block touches the next one
-        merges.append((sat_end, carry, i))
-    final = _gap(sat_end, d, *_holes(StepMeasure(carry, (1.0,)), sat_end, d))
+    e, h, right = c, blocks[0][0] - c, blocks[0][1]
+    for i, (lo, hi) in enumerate(blocks[1:], start=1):
+        h, off = _two_holes(e, h, right, lo)
+        sub = _gap(e, lo, h, off)
+        e, right = sub.e, hi  # the produced right block touches the next one
+        merges.append((e, (sub.f, hi), i))
+    final = _gap(e, d, *_two_holes(e, h, right, d))
     return BlockPair(c, final.e, final.f, d), blocks, merges
 
 
@@ -246,11 +234,11 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     Solves the leftmost block in the sub-domain ending at the next block's
     left edge, merges the produced right block with that one, and repeats;
     mass and first moment are conserved at every step, so the final two-block
-    state must match :func:`solve`. Each merge rounds the carried block's ends,
-    so the endpoints' error grows like ulp * W / h for holes of mass h in a
-    width W: a few ulps away from saturation, far more near it. Linear in the
-    number of blocks, since only :func:`sweep_states` builds the intermediate
-    states. No certification is run here, keeping the route independent.
+    state must match :func:`solve`. Each merge carries its holes' mass, so the
+    endpoints stay within a few ulps of the exact gap near saturation too.
+    Linear in the number of blocks, since only :func:`sweep_states` builds the
+    intermediate states. No certification is run here, keeping the route
+    independent.
     """
     block, _, _ = _sweep(mu, open_set)
     target = block.measure()
@@ -299,7 +287,7 @@ def critical_point(k: float, beta: float) -> float:
     # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
     target = _gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)).measure()
 
-    zeros, flats = _zeros_of_f(*_sigma(target, source))
+    zeros, flats = _zeros_of_f(*_sigma(target.breaks, target.values, source.breaks, source.values))
     margin = 1e-7
     interior = [r for r in zeros if -1.0 + margin < r < 1.0 - margin]
     interior_flats = [

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from stefan1d import (
     DEFAULT_TOL,
+    AdmissibilityError,
+    MaximalSolution,
     OpenSet1D,
     StepMeasure,
     SupportError,
@@ -27,8 +29,14 @@ from stefan1d import (
 )
 from stefan1d.measure import _bounds, _checked, _from_cells
 from stefan1d.particles import ComponentRunReport
-from stefan1d.potential import OrderCertificate, PiecewiseQuadratic
-from stefan1d.solver import BlockPair, _gap, _holes, _unit_blocks
+from stefan1d.potential import (
+    EXIT_TIME_ASSUMPTION,
+    OrderCertificate,
+    PiecewiseQuadratic,
+    _certify,
+    _sigma,
+)
+from stefan1d.solver import BlockPair, _blocks_measure, _gap, _holes, _two_holes, _unit_blocks
 from stefan1d.walkers import _quantiles
 
 
@@ -136,10 +144,12 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
 
     states: list[StepMeasure] = []
     sat_end = c  # (c, sat_end) is saturated so far
+    hole = blocks[0][0] - c  # then a hole of this mass, then the carried block
     carry = blocks[0]
     for i, nxt in enumerate(blocks[1:], start=1):
-        # the carried block's gap in the sub-domain, from its holes as in solve
-        sub = _gap(sat_end, nxt[0], *_holes(StepMeasure(carry, (1.0,)), sat_end, nxt[0]))
+        # the carried block's gap in the sub-domain, from the hole's mass and the next hole
+        hole, off = _two_holes(sat_end, hole, carry[1], nxt[0])
+        sub = _gap(sat_end, nxt[0], hole, off)
         sat_end = sub.e
         carry = (sub.f, nxt[1])  # produced right block touches the next one
         states.append(
@@ -148,7 +158,7 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
                 + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
             )
         )
-    final = _gap(sat_end, d, *_holes(StepMeasure(carry, (1.0,)), sat_end, d))
+    final = _gap(sat_end, d, *_two_holes(sat_end, hole, carry[1], d))
     return BlockPair(c, final.e, final.f, d), states
 
 
@@ -177,6 +187,88 @@ def restrict_reference(
             f"measure carries mass {leaked:.9g} outside the open set", leaked
         )
     return parts
+
+
+# -- the certificate on per-component measures, before it read cuts ----------------
+
+
+def slices_reference(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
+    """The bisect-and-slice parts of mu, each built through the door, without the leak check."""
+    b, v = mu.breaks, mu.values
+    parts: list[StepMeasure] = []
+    for c, d in open_set.components:
+        lo = max(bisect_right(b, c) - 1, 0)
+        hi = min(bisect_left(b, d), len(v))
+        while lo < hi and not v[lo]:
+            lo += 1
+        while lo < hi and not v[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            parts.append(zero_measure())
+        elif hi - lo == len(v) and b[0] >= c and b[-1] <= d:
+            parts.append(mu)
+        else:
+            breaks = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d)))
+            parts.append(_checked(breaks, v[lo:hi]))
+    return parts
+
+
+def sliced_restrict_reference(
+    mu: StepMeasure, open_set: OpenSet1D, tol: float = DEFAULT_TOL
+) -> list[StepMeasure]:
+    """The slices, then the check for mass outside the set on their cached masses."""
+    parts = slices_reference(mu, open_set)
+    leaked = mu.mass - sum(p.mass for p in parts)
+    if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
+        raise SupportError(f"measure carries mass {leaked:.9g} outside the open set", leaked)
+    return parts
+
+
+def certify_parts_reference(mus, nus, open_set: OpenSet1D, tol: float) -> OrderCertificate:
+    """The component-wise certificate on measures aligned with the components."""
+    per = [
+        _certify(m.mass, n.mass, *_sigma(n.breaks, n.values, m.breaks, m.values), c, d, tol)
+        for (c, d), m, n in zip(open_set.components, mus, nus)
+    ]
+    worst_gap, worst_point, mass_gap, moment_gap = 0.0, 0.0, 0.0, 0.0
+    for cert in per:
+        if cert.worst_gap > worst_gap:
+            worst_gap, worst_point = cert.worst_gap, cert.worst_point
+        mass_gap = max(mass_gap, cert.mass_gap)
+        moment_gap = max(moment_gap, cert.moment_gap)
+    return OrderCertificate(
+        all(cert.ordered for cert in per), mass_gap, moment_gap, worst_point, worst_gap,
+        per_component=tuple(per), assumptions=EXIT_TIME_ASSUMPTION,
+    )
+
+
+def order_reference(mu, nu, open_set: OpenSet1D, tol: float = DEFAULT_TOL) -> OrderCertificate:
+    mus = sliced_restrict_reference(mu, open_set, tol)
+    return certify_parts_reference(mus, sliced_restrict_reference(nu, open_set, tol), open_set, tol)
+
+
+def solve_reference(
+    mu: StepMeasure, open_set: OpenSet1D, tol: float = DEFAULT_TOL
+) -> MaximalSolution:
+    """The solve that restricts mu and slices its target into measures, then certifies those."""
+    top = mu.max_density()
+    if top > 1.0 + tol:
+        raise AdmissibilityError(f"density {top:.9g} exceeds the admissible bound 1")
+    parts = sliced_restrict_reference(mu, open_set, tol)
+    blocks, stats = [], []
+    for (c, d), mu_n in zip(open_set.components, parts):
+        h, off = _holes(mu_n.breaks, mu_n.values, c, d)
+        blocks.append(_gap(c, d, h, off))
+        stats.append((mu_n.mass, mu_n.mass * 0.5 * (c + d) - h * off))
+    target = _blocks_measure(b.as_tuple() for b in blocks)
+    certificate = certify_parts_reference(parts, slices_reference(target, open_set), open_set, tol)
+    if not certificate.ordered:
+        raise VerificationError(
+            "solver output failed the potential order certification "
+            f"(worst gap {certificate.worst_gap:.3e} at {certificate.worst_point:.9g})",
+            certificate,
+        )
+    return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
 
 
 def merged_cells_reference(mu: StepMeasure, nu: StepMeasure) -> list[tuple]:

@@ -98,14 +98,17 @@ def test_blocks_match_the_exact_gap(case):
 def unit_blocks(draw):
     """1 to 6 unit blocks strictly inside (s, s + W) as in _component.
 
-    Holes and blocks alternate, their lengths within a factor 100 of each
-    other. Every merge rounds the carried block's ends to floats, so the
-    sweep's error grows as the holes shrink against W; near saturation only
-    :func:`solve` is held to the exact gap (the strict xfail below pins one).
+    Holes and blocks alternate, within a factor 100 of each other, and the
+    holes then shrink by a ratio log-uniform down to 1e-14, or to where a hole
+    would span only ~100 ulps: the sweep carries each merge's hole mass, so it
+    stays near the exact gap at saturation too.
     """
     c, d = _component(draw)
     n = draw(st.integers(1, 6))
     parts = draw(st.lists(st.floats(0.01, 1.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    floor = math.log10(1e5 * math.ulp(max(abs(c), abs(d))) / (d - c))
+    ratio = 10.0 ** draw(st.floats(min(max(floor, -14.0), 0.0), 0.0))
+    parts = [x * ratio if i % 2 == 0 else x for i, x in enumerate(parts)]
     edges = [c + (d - c) * (x / sum(parts)) for x in accumulate(parts[:-1])]
     assume(c < edges[0] and all(map(float.__lt__, edges, edges[1:])) and edges[-1] < d)
     return make_step_measure(edges, [1.0 - i % 2 for i in range(2 * n - 1)]), c, d
@@ -125,12 +128,9 @@ def test_sweep_matches_the_exact_gap(case):
     assert max(_endpoint_errors(sweep.blocks[0], mu, c, d)) <= ULPS
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="each merge rounds the carried block's ends, so the sweep's error grows like "
-    "ulp * W / h: its gap ends sit 6.5e10 ulps from the exact ones, solve's within 1",
-)
 def test_sweep_matches_the_exact_gap_near_saturation():
+    # each merge used to round the carried block's ends to floats, so the error
+    # grew like ulp * W / h: these gap ends sat 6.5e10 ulps from the exact ones
     mu, c, d = _NEAR_SATURATION
     sweep = solve_by_sweep(mu, OpenSet1D.interval(c, d))
     assert max(_endpoint_errors(sweep.blocks[0], mu, c, d)) <= ULPS
@@ -163,7 +163,7 @@ def test_potentials_at_1e200_are_rejected_but_the_hole_pass_still_places_the_gap
     with pytest.raises(ValidationError, match="overflows"):
         make_step_measure(breaks, [0.5, 0.8, 0.3])
     mu, c, d = StepMeasure(breaks, (0.5, 0.8, 0.3)), s, s + 2.0 * unit
-    blocks = _gap(c, d, *_holes(mu, c, d))
+    blocks = _gap(c, d, *_holes(mu.breaks, mu.values, c, d))
     assert max(_endpoint_errors(blocks, mu, c, d)) <= ULPS
 
 

@@ -443,7 +443,7 @@ def test_walk_error_does_not_grow_with_position(s):
 def test_merge_and_walk_match_the_stable_sort_bit_for_bit(pair):
     a, b = pair
     for nu, mu in ((a, b), (b, a)):
-        xs, sigma = _sigma(nu, mu)
+        xs, sigma = _sigma(nu.breaks, nu.values, mu.breaks, mu.values)
         # sigma closes with the zero density beyond the last break
         assert repr((xs, sigma[:-1])) == repr(merged_reference(nu, mu))
         assert repr(sigma[-1:]) == ("[0.0]" if xs else "[]")

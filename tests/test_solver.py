@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -38,10 +39,14 @@ from hypothesis import strategies as st
 import referee
 from helpers import (
     grid_breaks,
+    grid_measures,
     grid_open_sets,
+    order_reference,
     random_admissible_measure,
     random_open_set,
     random_unit_blocks,
+    sliced_restrict_reference,
+    solve_reference,
     sum_measures,
     sweep_reference,
     unit_block_measures,
@@ -225,27 +230,42 @@ def test_certificate_matches_order_check_under_translation(s):
 
 
 @st.composite
-def measures_inside(draw):
-    """An open set on grid points and a measure of density <= 1 inside it."""
+def measures_inside(draw, may_leak: bool = False):
+    """An open set on grid points and a measure of density <= 1 inside it.
+
+    With ``may_leak``, half the measures keep their mass outside the set.
+    """
     O = draw(grid_open_sets())
     breaks = draw(grid_breaks(min_size=2))
     density = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
     values = draw(st.lists(density, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
-    return sum_measures(restrict(make_step_measure(breaks, values), O, tol=math.inf)), O
+    mu = make_step_measure(breaks, values)
+    if may_leak and draw(st.booleans()):
+        return mu, O
+    return sum_measures(restrict(mu, O, tol=math.inf)), O
+
+
+#: Touching components, one saturated, one empty; -0.0 meeting 0.0; and
+#: components one subnormal ulp wide, where the midpoint, h/2 and the half-ulp
+#: mass round: the policy's 4-ulp floor must hold in the length unit.
+_EDGE_CASES = [
+    (indicator(-1.0, -0.5) + indicator(-0.5, 0.5, 0.5), OpenSet1D.of((-1.0, -0.5), (-0.5, 1.0))),
+    (indicator(0.0, 1.0), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0), (1.0, 2.0))),
+    (indicator(-1.0, -0.0, 0.5), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0))),
+    (zero_measure(), OpenSet1D.of((-3.0, 0.0), (0.0, 5e-324))),
+    (indicator(-3.0, 0.0, 0.5), OpenSet1D.of((-3.0, -2.75), (-2.75, -5e-324), (-5e-324, 0.0))),
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(measures_inside())
-# touching components, one saturated, one empty; -0.0 meeting 0.0
-@example((indicator(-1.0, -0.5) + indicator(-0.5, 0.5, 0.5), OpenSet1D.of((-1.0, -0.5), (-0.5, 1.0))))
-@example((indicator(0.0, 1.0), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0), (1.0, 2.0))))
-@example((indicator(-1.0, -0.0, 0.5), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0))))
-# components one subnormal ulp wide, where the midpoint, h/2 and the half-ulp
-# mass round: the policy's 4-ulp floor must hold in the length unit
-@example((zero_measure(), OpenSet1D.of((-3.0, 0.0), (0.0, 5e-324))))
-@example((indicator(-3.0, 0.0, 0.5), OpenSet1D.of((-3.0, -2.75), (-2.75, -5e-324), (-5e-324, 0.0))))
+@example(_EDGE_CASES[0])
+@example(_EDGE_CASES[1])
+@example(_EDGE_CASES[2])
+@example(_EDGE_CASES[3])
+@example(_EDGE_CASES[4])
 def test_certificate_matches_order_check_of_the_target(case):
-    # solve certifies its parts against the slices of the target it returns:
+    # solve certifies its cuts of mu against the cuts of the target it returns:
     # the certificate must be the order check's of that target, bit for bit
     mu, O = case
     try:
@@ -255,6 +275,52 @@ def test_certificate_matches_order_check_of_the_target(case):
         cert = exc.certificate
         target = solve(mu, O, tol=math.inf).measure
     assert repr(cert) == repr(order_leq_sh_O(mu, target, O))
+
+
+def _result(run) -> str:
+    """repr of what run returns, or of the error with its leaked mass and certificate."""
+    try:
+        return repr(run())
+    except (ValueError, RuntimeError) as exc:
+        extra = getattr(exc, "leaked_mass", None), getattr(exc, "certificate", None)
+        return f"{type(exc).__name__}: {exc} {extra!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    measures_inside(may_leak=True),
+    st.one_of(st.none(), grid_measures()),
+    st.sampled_from([1e-9, 0.1]),
+)
+@example(_EDGE_CASES[0], None, 1e-9)
+@example(_EDGE_CASES[1], None, 1e-9)
+@example(_EDGE_CASES[2], None, 1e-9)
+@example(_EDGE_CASES[3], None, 1e-9)
+@example(_EDGE_CASES[4], None, 1e-9)
+# cells clipped at both ends of touching components; mass leaking past a clipped cell
+@example(
+    (indicator(-1.0, 0.5, 0.5), OpenSet1D.of((-0.75, -0.25), (-0.25, 1.0))),
+    indicator(-0.5, 0.5),
+    0.1,
+)
+@example((indicator(-1.0, 1.0, 0.5), OpenSet1D.of((-0.5, 0.5))), None, 1e-9)
+def test_cuts_match_the_route_through_measures(case, nu, tol):
+    # solve and order_leq_sh_O certify cuts of mu and the target; the reference
+    # builds each component's part as a measure first: same bits, same errors
+    mu, O = case
+    if nu is None:
+        try:
+            nu = solve(mu, O, tol=math.inf).measure
+        except (ValueError, RuntimeError):
+            nu = mu
+    assert _result(lambda: solve(mu, O, tol)) == _result(lambda: solve_reference(mu, O, tol))
+    assert _result(lambda: order_leq_sh_O(mu, nu, O, tol)) == _result(
+        lambda: order_reference(mu, nu, O, tol)
+    )
+    for m in (mu, nu):
+        assert _result(lambda: [(p, p is m) for p in restrict(m, O, tol)]) == _result(
+            lambda: [(p, p is m) for p in sliced_restrict_reference(m, O, tol)]
+        )
 
 
 def test_thousand_components_far_from_the_origin_certify():
@@ -273,12 +339,16 @@ def test_thousand_components_far_from_the_origin_certify():
     assert sol.certificate.ordered and len(sol.certificate.per_component) == 1000
 
 
-def test_solve_restricts_once(monkeypatch):
-    calls = []
+def _count_restrictions(monkeypatch, calls: list) -> None:
+    """Record (measure, tol) for every restrict and _cuts that solver or potential makes."""
 
     def counted(fn):
+        signature = inspect.signature(fn)
+
         def wrapper(*args, **kwargs):
-            calls.append(fn)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments["mu"], bound.arguments["tol"]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -286,10 +356,44 @@ def test_solve_restricts_once(monkeypatch):
     # by module path: the package attribute `potential` is the function
     for name in ("stefan1d.solver", "stefan1d.potential"):
         module = importlib.import_module(name)
-        monkeypatch.setattr(module, "restrict", counted(module.restrict))
+        for attr in ("restrict", "_cuts"):
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+
+
+def test_solve_restricts_once(monkeypatch):
+    # mu is cut once, with the leak check; the cut of the target skips it
+    calls = []
+    _count_restrictions(monkeypatch, calls)
     O = OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.5))
-    solve(indicator(-2.8, -2.5) + indicator(-0.5, 0.5, 0.7) + indicator(2.5, 3.0), O)
-    assert len(calls) == 1
+    mu = indicator(-2.8, -2.5) + indicator(-0.5, 0.5, 0.7) + indicator(2.5, 3.0)
+    solve(mu, O)
+    assert [tol is not None for m, tol in calls if m is mu] == [True]
+
+
+def _many_components(n: int = 200):
+    """n components, each with 4 cells across its middle, densities in [0, 1)."""
+    rng = np.random.default_rng(30)
+    comps, breaks, values, left = [], [], [], -120.0
+    for _ in range(n):
+        c, d = left, left + float(rng.uniform(0.5, 1.5))
+        comps.append((c, d))
+        values += [0.0] if breaks else []
+        breaks += np.linspace(c + 0.25 * (d - c), d - 0.25 * (d - c), 5).tolist()
+        values += rng.uniform(0.0, 1.0, 4).tolist()
+        left = d + float(rng.uniform(0.05, 0.4))
+    return make_step_measure(breaks, values), OpenSet1D.of(*comps)
+
+
+def test_solve_builds_one_measure_for_many_components(monkeypatch):
+    # each component is certified from cuts of mu and of the target: only the
+    # target passes the door, where the per-component parts made 2n + 1 calls
+    mu, O = _many_components()
+    measure = importlib.import_module("stefan1d.measure")
+    calls = []
+    real = measure._checked
+    monkeypatch.setattr(measure, "_checked", lambda b, v: calls.append(1) or real(b, v))
+    sol = solve(mu, O)
+    assert len(calls) == 1 and len(sol.certificate.per_component) == 200
 
 
 def test_zero_mass_solution():
@@ -580,20 +684,10 @@ def test_check_admissible_raises_for_mu_outside():
 
 def test_check_admissible_restricts_nu_once(monkeypatch):
     nu = solve(ADM_MU, ADM_O).measure
-    seen = []
-
-    def counted(fn):
-        def wrapper(measure, *args, **kwargs):
-            seen.append(measure)
-            return fn(measure, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("stefan1d.solver", "stefan1d.potential"):
-        module = importlib.import_module(name)
-        monkeypatch.setattr(module, "restrict", counted(module.restrict))
+    calls = []
+    _count_restrictions(monkeypatch, calls)
     assert check_admissible(nu, ADM_MU, ADM_O).ordered
-    assert sum(m is nu for m in seen) == 1
+    assert sum(m is nu for m, _ in calls) == 1
 
 
 def test_maximality_among_admissible_candidates():
