@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SupportError, ValidationError
@@ -56,8 +56,8 @@ class StepMeasure:
     strictly increasing breaks, no adjacent cells with equal density, no
     leading or trailing zero cells, and the zero measure is ``breaks == ()``.
     Build instances through :func:`make_step_measure`, :func:`indicator` or
-    arithmetic on existing measures; direct construction skips
-    canonicalisation.
+    arithmetic on existing measures: each ends in the one canonicaliser,
+    :func:`_canonical`. Direct construction skips it.
 
     Values are immutable after construction and safe to share across
     concurrent tasks.
@@ -88,8 +88,7 @@ class StepMeasure:
 
     @cached_property
     def mass(self) -> float:
-        b = self.breaks
-        return sum(map(operator.mul, self.values, map(operator.sub, b[1:], b)), 0.0)
+        return _mass(self.breaks, self.values)
 
     @cached_property
     def first_moment(self) -> float:
@@ -110,9 +109,9 @@ class StepMeasure:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "StepMeasure") -> "StepMeasure":
-        return _from_cells(
-            (lo, hi, a + b) for lo, hi, a, b in _merged_cells(self, other)
-        )
+        nb, mb = other.breaks, self.breaks
+        xs, n, m = _once(*_merged(nb, (0.0, *other.values, 0.0), mb, (0.0, *self.values, 0.0)))
+        return _canonical(xs, map(operator.add, m, n))
 
     # -- wire format --------------------------------------------------------
 
@@ -163,6 +162,11 @@ class OpenSet1D:
 # -- constructors ------------------------------------------------------------
 
 
+def _mass(breaks: Sequence[float], values: Sequence[float]) -> float:
+    """Sum of the cells' masses, left to right: a measure's or a cut's."""
+    return sum(map(operator.mul, values, map(operator.sub, breaks[1:], breaks)), 0.0)
+
+
 def _checked(breaks: tuple[float, ...], values: tuple[float, ...]) -> StepMeasure:
     """The door every constructor ends at: the measure, if its span and totals are finite.
 
@@ -184,56 +188,12 @@ def _checked(breaks: tuple[float, ...], values: tuple[float, ...]) -> StepMeasur
     return mu
 
 
-def _from_cells(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
-    """Canonical StepMeasure from (lo, hi, density) cells.
-
-    Cells must be non-overlapping but may touch, arrive unsorted, and may
-    include zero-width entries or densities below _MIN_DENSITY (both dropped).
-    Gaps between kept cells become explicit zero cells so the break grid
-    stays contiguous.
-    """
-    pos = sorted(
-        (float(lo), float(hi), float(v))
-        for lo, hi, v in cells
-        if hi > lo and v >= _MIN_DENSITY
-    )
-    breaks: list[float] = []
-    values: list[float] = []
-    for lo, hi, v in pos:
-        if breaks:
-            # tolerate rounding dust, reject genuine overlap
-            if lo < breaks[-1] and breaks[-1] - lo > _bounds(0.0, 0.0, pos[0][0], pos[-1][1])[0]:
-                raise ValidationError("internal: overlapping cells")
-            lo = max(lo, breaks[-1])
-            if hi <= lo:
-                continue
-        if not breaks:
-            breaks.extend((lo, hi))
-            values.append(v)
-            continue
-        if lo > breaks[-1]:
-            values.append(0.0)
-            breaks.append(lo)
-        if values and values[-1] == v:
-            breaks[-1] = hi
-        else:
-            values.append(v)
-            breaks.append(hi)
-    return _checked(tuple(breaks), tuple(values))
-
-
 def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepMeasure:
-    """Validated constructor; the result is canonical and equal a.e. to the input.
-
-    The cells arrive sorted, so one pass canonicalises them: densities below
-    _MIN_DENSITY become 0, equal neighbours merge and zero end cells go.
-    """
+    """Validated constructor; the result is canonical (:func:`_canonical`) and a.e. the input."""
     b = tuple(map(float, breaks))
     v = tuple(map(float, values))
     if len(v) != max(len(b) - 1, 0):
-        raise ValidationError(
-            f"expected len(values) == len(breaks) - 1, got {len(v)} and {len(b)}"
-        )
+        raise ValidationError(f"expected len(values) == len(breaks) - 1, got {len(v)} and {len(b)}")
     if not all(map(math.isfinite, b)):
         i = [*map(math.isfinite, b)].index(False)
         raise ValidationError(f"breaks[{i}] is not finite: {b[i]!r}")
@@ -247,13 +207,33 @@ def make_step_measure(breaks: Sequence[float], values: Sequence[float]) -> StepM
         i, x = next((i, x) for i, x in enumerate(v) if not 0.0 <= x < math.inf)
         problem = "negative" if math.isfinite(x) else "not finite"
         raise ValidationError(f"values[{i}] is {problem}: {x!r}")
-    v = [x if x >= _MIN_DENSITY else 0.0 for x in v]
+    return _canonical(b, v)
+
+
+def _canonical(breaks: Sequence[float], values: Iterable[float]) -> StepMeasure:
+    """The one canonicaliser: the measure with density ``values[i]`` on (breaks[i], breaks[i+1]).
+
+    A value past the last cell is ignored. A cell goes when its right break is not above every
+    break before it: breaks may repeat, or step back where a particle front overshoots. Densities
+    below _MIN_DENSITY become 0, equal neighbours merge, zero end cells go. A repeated break
+    keeps its first copy, but a zero keeps the sign of the nonzero cell it bounds.
+    """
+    keep = [*map(operator.lt, breaks, breaks[1:])]  # cell i is wider than zero
+    if not all(keep) and any(map(operator.gt, breaks, breaks[1:])):  # a break steps back
+        top = [*accumulate(breaks, max)]
+        keep = [*map(operator.lt, top, top[1:])]
+    v = [x if x >= _MIN_DENSITY else 0.0 for x in compress(values, keep)]
+    b = [*breaks[:1], *compress(breaks[1:], keep)]
     starts = [True, *map(operator.ne, v[1:], v)]  # cell i starts a run of equal densities
     values, cuts = [*compress(v, starts)], [*compress(b, starts), *b[-1:]]
     if values and not values[-1]:
         del values[-1], cuts[-1]
     if values and not values[0]:
         del values[0], cuts[0]
+    if 0.0 in cuts:
+        k = cuts.index(0.0)
+        if k == 0 or not values[k - 1]:  # after a zero run or none: the next cell's own start
+            cuts[k] = next(x for x in reversed(breaks) if x == 0.0)
     return _checked(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
 
 
@@ -263,7 +243,7 @@ def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
         raise ValidationError(f"indicator endpoints must be finite with a < b: ({a!r}, {b!r})")
     if not 0.0 <= density < math.inf:
         raise ValidationError(f"density must be finite and nonnegative, got {density!r}")
-    return _from_cells([(a, b, density)])
+    return _canonical((float(a), float(b)), (float(density),))
 
 
 def zero_measure() -> StepMeasure:
@@ -381,8 +361,7 @@ def _cuts(
             cuts.append((b, v, mu.mass))
         else:
             breaks, values = (float(max(b[lo], c)), *b[lo + 1 : hi], float(min(b[hi], d))), v[lo:hi]
-            mass = sum(map(operator.mul, values, map(operator.sub, breaks[1:], breaks)), 0.0)
-            cuts.append((breaks, values, mass))
+            cuts.append((breaks, values, _mass(breaks, values)))
     if tol is not None:
         leaked = mu.mass - sum(m for _, _, m in cuts)
         if leaked > _bounds(tol, mu.mass, *mu.support())[0]:

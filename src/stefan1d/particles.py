@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import AdmissibilityError, ValidationError
+from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, l1_distance, restrict
-from .solver import MaximalSolution, _blocks_measure
+from .solver import MaximalSolution, _admit, _blocks_measure
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,7 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
 
     Component i draws from a generator seeded by (cfg.seed, i).
     """
-    if mu.max_density() > 1.0 + DEFAULT_TOL:
-        raise AdmissibilityError(
-            f"density {mu.max_density():.9g} exceeds the admissible bound 1"
-        )
+    _admit(mu, DEFAULT_TOL)
     parts = restrict(mu, open_set, DEFAULT_TOL)
     masses = [p.mass for p in parts]
     alloc = _allocate(cfg.n_particles, masses)

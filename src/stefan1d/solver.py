@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityError, InfeasibilityError, ValidationError, VerificationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _cuts, _from_cells, _unit
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _cuts, _unit
 from .measure import indicator, measures_allclose, restrict
 from .potential import OrderCertificate, _certify_parts, _sigma, _zeros_of_f
 from .potential import order_leq_sh_O, potential
@@ -144,11 +145,7 @@ def solve(
     always fit: a density in [0, 1] with hole mass h has its hole barycentre
     in [c + h/2, d - h/2]. A failed certificate raises VerificationError.
     """
-    top = mu.max_density()
-    if top > 1.0 + tol:
-        raise AdmissibilityError(
-            f"density {top:.9g} exceeds the admissible bound 1"
-        )
+    _admit(mu, tol)
     cuts = _cuts(mu, open_set, tol)
     blocks, stats = [], []
     for (c, d), (breaks, values, k) in zip(open_set.components, cuts):
@@ -168,12 +165,17 @@ def solve(
     return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
 
 
+def _admit(mu: StepMeasure, tol: float) -> None:
+    """AdmissibilityError where mu's density passes the admissible bound 1 by more than tol."""
+    top = mu.max_density()
+    if top > 1.0 + tol:
+        raise AdmissibilityError(f"density {top:.9g} exceeds the admissible bound 1")
+
+
 def _blocks_measure(blocks: Iterable[tuple[float, ...]]) -> StepMeasure:
-    """Indicator of (c, e) union (f, d) over every (c, e, f, d) given."""
-    cells = []
-    for c, e, f, d in blocks:
-        cells.extend(((c, e, 1.0), (f, d, 1.0)))
-    return _from_cells(cells)
+    """Indicator of (c, e) union (f, d) over every (c, e, f, d) given, left to right."""
+    breaks = [*map(float, chain.from_iterable(blocks))]
+    return _canonical(breaks, [1.0, 0.0, 1.0, 0.0] * (len(breaks) // 4))
 
 
 # -- sweep oracle ----------------------------------------------------------------
@@ -255,10 +257,7 @@ def sweep_states(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:
     _, blocks, merges = _sweep(mu, open_set)
     c = open_set.components[0][0]
     return [
-        _from_cells(
-            [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
-            + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
-        )
+        _blocks_measure([(c, sat_end, *carry), *[(lo, hi, hi, hi) for lo, hi in blocks[i + 1 :]]])
         for sat_end, carry, i in merges
     ]
 
@@ -431,9 +430,11 @@ def check_admissible(
     nu: StepMeasure, mu: StepMeasure, open_set: OpenSet1D
 ) -> OrderCertificate:
     """Certificate that nu is a reachable target for mu inside the open set."""
-    top = nu.max_density()
-    if top > 1.0 + DEFAULT_TOL:
-        lo_s, hi_s = nu.support()
+    try:
+        _admit(nu, DEFAULT_TOL)
+        return order_leq_sh_O(mu, nu, open_set)
+    except AdmissibilityError:
+        lo_s, hi_s, top = *nu.support(), nu.max_density()
         return OrderCertificate(
             ordered=False,
             mass_gap=0.0,
@@ -442,8 +443,6 @@ def check_admissible(
             worst_gap=top - 1.0,
             note=f"density {top:.9g} exceeds the unit bound",
         )
-    try:
-        return order_leq_sh_O(mu, nu, open_set)
     except ValidationError:
         # nu outside the set fails the certificate even when mu leaks too
         try:

@@ -27,7 +27,7 @@ from stefan1d import (
     make_step_measure,
     zero_measure,
 )
-from stefan1d.measure import _bounds, _checked, _from_cells
+from stefan1d.measure import _MIN_DENSITY, _bounds, _canonical, _checked
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import (
     EXIT_TIME_ASSUMPTION,
@@ -59,7 +59,45 @@ def cdf(mu: StepMeasure, y: float) -> float:
 
 def canonicalize(mu: StepMeasure) -> StepMeasure:
     """Re-normalise a StepMeasure; idempotent on canonical inputs."""
-    return _from_cells(mu.cells())
+    return _canonical(mu.breaks, mu.values)
+
+
+def from_cells_reference(cells: Iterable[tuple[float, float, float]]) -> StepMeasure:
+    """Canonical StepMeasure from (lo, hi, density) cells: the sort-and-clamp loop.
+
+    Cells must be non-overlapping but may touch, arrive unsorted, and may
+    include zero-width entries or densities below _MIN_DENSITY (both dropped).
+    Gaps between kept cells become explicit zero cells so the break grid
+    stays contiguous.
+    """
+    pos = sorted(
+        (float(lo), float(hi), float(v))
+        for lo, hi, v in cells
+        if hi > lo and v >= _MIN_DENSITY
+    )
+    breaks: list[float] = []
+    values: list[float] = []
+    for lo, hi, v in pos:
+        if breaks:
+            # tolerate rounding dust, reject genuine overlap
+            if lo < breaks[-1] and breaks[-1] - lo > _bounds(0.0, 0.0, pos[0][0], pos[-1][1])[0]:
+                raise ValidationError("internal: overlapping cells")
+            lo = max(lo, breaks[-1])
+            if hi <= lo:
+                continue
+        if not breaks:
+            breaks.extend((lo, hi))
+            values.append(v)
+            continue
+        if lo > breaks[-1]:
+            values.append(0.0)
+            breaks.append(lo)
+        if values and values[-1] == v:
+            breaks[-1] = hi
+        else:
+            values.append(v)
+            breaks.append(hi)
+    return _checked(tuple(breaks), tuple(values))
 
 
 def random_open_set(rng: np.random.Generator, max_components: int = 3) -> OpenSet1D:
@@ -153,7 +191,7 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
         sat_end = sub.e
         carry = (sub.f, nxt[1])  # produced right block touches the next one
         states.append(
-            _from_cells(
+            from_cells_reference(
                 [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
                 + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
             )
@@ -180,7 +218,7 @@ def restrict_reference(
             for lo, hi, v in mu.cells()
             if min(hi, d) > max(lo, c)
         ]
-        parts.append(_from_cells(sub))
+        parts.append(from_cells_reference(sub))
     leaked = mu.mass - sum(p.mass for p in parts)
     if leaked > _bounds(tol, mu.mass, *mu.support())[0]:
         raise SupportError(
@@ -326,7 +364,7 @@ def midpoints_interior(*grids) -> bool:
 
 
 def make_step_measure_reference(breaks, values) -> StepMeasure:
-    """Validate index by index, then sort and rebuild the cells in _from_cells."""
+    """Validate index by index, then sort and rebuild the cells in from_cells_reference."""
     b = tuple(float(x) for x in breaks)
     v = tuple(float(x) for x in values)
     if len(b) == 0 and len(v) == 0:
@@ -349,7 +387,7 @@ def make_step_measure_reference(breaks, values) -> StepMeasure:
             raise ValidationError(f"values[{i}] is not finite: {x!r}")
         if x < 0.0:
             raise ValidationError(f"values[{i}] is negative: {x!r}")
-    return _from_cells(zip(b, b[1:], v))
+    return from_cells_reference(zip(b, b[1:], v))
 
 
 def mass_reference(mu: StepMeasure) -> float:

@@ -24,10 +24,14 @@ from stefan1d import (
     zero_measure,
 )
 from helpers import (
+    EDGE_DENSITIES,
     POW_BREAK,
     canonicalize,
     cdf,
+    cell_measures,
     first_moment_reference,
+    from_cells_reference,
+    grid_breaks,
     grid_measures,
     grid_open_sets,
     make_step_measure_reference,
@@ -37,10 +41,14 @@ from helpers import (
     midpoints_interior,
     raw_cells,
     restrict_reference,
+    sweep_reference,
+    unit_block_measures,
     walked_cells_reference,
     walked_sub_reference,
 )
-from stefan1d.measure import _from_cells, _merged_cells
+from stefan1d.measure import _merged_cells
+from stefan1d.particles import ComponentRunReport
+from stefan1d.solver import _blocks_measure, sweep_states
 from stefan1d.walkers import _quantiles
 
 
@@ -384,7 +392,7 @@ def test_merged_grid_operations_match_the_walk_bit_for_bit(pair):
             close = all(abs(x - y) <= tol for _, _, x, y in cells)
             assert measures_allclose(mu, nu, tol) is close
         added = [(lo, hi, x + y) for lo, hi, x, y in cells]
-        assert _outcome(operator.add, mu, nu) == _outcome(_from_cells, added)
+        assert _outcome(operator.add, mu, nu) == _outcome(from_cells_reference, added)
         p, q = _quadratics(mu), _quadratics(nu)
         assert repr(p - q) == repr(walked_sub_reference(p, q))
 
@@ -444,3 +452,78 @@ def test_construction_errors_match_reference(breaks, values):
 def test_mass_and_first_moment_are_computed_once():
     mu = make_step_measure([0.0, 1.0, 3.0], [0.5, 2.0])
     assert mu.mass is mu.mass and mu.first_moment is mu.first_moment
+
+
+# -- the one canonicaliser against the sort-and-clamp loop it replaced ---------------
+
+
+def _frozen(c: float, d: float, left: float, right: float) -> ComponentRunReport:
+    """A particle report on (c, d) whose fronts froze at left and right."""
+    nan = math.nan
+    return ComponentRunReport((c, d), 1, 0.0, 1, 0, 0, 0.0, 0.0, left, right, nan, nan, nan, (), ())
+
+
+def _unit_cells(blocks) -> list[tuple[float, float, float]]:
+    return [cell for c, e, f, d in blocks for cell in ((c, e, 1.0), (f, d, 1.0))]
+
+
+def _builds(kind: str, args) -> tuple[str, str]:
+    """The builder's outcome and the reference's, as repr, errors included."""
+    if kind == "add":
+        added = [(lo, hi, x + y) for lo, hi, x, y in walked_cells_reference(*args)]
+        return _outcome(operator.add, *args), _outcome(from_cells_reference, added)
+    if kind == "indicator":
+        return _outcome(indicator, *args), _outcome(from_cells_reference, [args])
+    if kind == "sweep":
+        domain = OpenSet1D.interval(-1.0, 1.0)
+        return repr(sweep_states(args, domain)), repr(sweep_reference(args, domain)[1])
+    if kind == "frozen":  # each report's frozen measure, then all of them as `run` joins them
+        ends = [r._frozen_ends() for r in args]
+        new = [*(r.frozen_measure() for r in args), _blocks_measure(ends)]
+        ref = [from_cells_reference(_unit_cells(b)) for b in ([e] for e in ends)]
+        ref.append(from_cells_reference(_unit_cells(ends)))
+        return repr(new), repr(ref)
+    return _outcome(_blocks_measure, args), _outcome(from_cells_reference, _unit_cells(args))
+
+
+@st.composite
+def block_runs(draw):
+    """Blocks (c, e, f, d) in order on sorted, repeating points: saturated, empty, touching."""
+    point = st.one_of(st.sampled_from([k / 4 for k in range(-8, 9)] + [-0.0]), st.floats(-3.0, 3.0))
+    xs = sorted(draw(st.lists(point, max_size=16)))
+    return [tuple(xs[i : i + 4]) for i in range(0, len(xs) - 3, 4)]
+
+
+_DENSITY = st.one_of(st.sampled_from(EDGE_DENSITIES), st.floats(0.0, 5.0))
+_UP = math.nextafter(0.5, 1.0)  # one ulp above 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("add"), st.tuples(cell_measures(), cell_measures())),
+        st.tuples(st.just("indicator"), st.tuples(grid_breaks(2, 2), _DENSITY).map(
+            lambda t: (*t[0], t[1]))),
+        st.tuples(st.just("blocks"), block_runs()),
+        st.tuples(st.just("sweep"), unit_block_measures(max_blocks=6)),
+    )
+)
+@example(("blocks", [(-1.0, -0.75, -0.25, 0.0), (0.0, 0.25, 0.5, 1.0)]))  # touching
+@example(("blocks", [(-1.0, -1.0, -0.25, 0.0), (0.0, 0.0, 0.5, 1.0)]))  # e == c
+@example(("blocks", [(-1.0, -0.5, 0.0, 0.0), (0.0, 0.25, 1.0, 1.0)]))  # f == d
+@example(("blocks", [(-1.0, 0.0, 0.0, 0.5), (0.5, 0.75, 0.75, 1.0)]))  # e == f
+# a zero's copies differ in sign: the break is the nonzero cell's own
+@example(("blocks", [(-1.0, -0.5, 0.0, 0.0), (-0.0, 0.25, 0.5, 1.0)]))
+@example(("blocks", [(-1.0, -0.5, -0.0, -0.0), (0.0, 0.0, 0.5, 1.0)]))
+@example(("blocks", [(-0.0, -0.0, 0.0, 1.0)]))
+@example(("indicator", (0.0, 1.0, 5e-324)))
+@example(("indicator", (0.0, 1.0, sys.float_info.min)))
+@example(("add", (indicator(0.0, 1.0, sys.float_info.min), indicator(0.5, 2.0, 5e-324))))
+@example(("add", (make_step_measure([0.0, 1.0, 2.0], [5e-324, 0.5]), indicator(0.0, 1.0))))
+# crossed fronts put a left front past d: touching, apart, and apart by less than the overshoot
+@example(("frozen", [_frozen(-1.0, 0.5, _UP, 0.5), _frozen(0.5, 2.0, 1.0, 1.5)]))
+@example(("frozen", [_frozen(-1.0, 0.5, _UP, 0.5), _frozen(0.75, 2.0, 1.0, 1.5)]))
+@example(("frozen", [_frozen(-1.0, 0.5, math.nextafter(_UP, 1.0), 0.5), _frozen(_UP, 2, 1, 2)]))
+def test_builders_match_the_sort_and_clamp_reference(case):
+    new, ref = _builds(*case)
+    assert new == ref

@@ -358,6 +358,18 @@ def test_saturated_component_with_density_just_above_one_freezes_whole():
         assert rep.measure == indicator(-1.0, 1.0)
 
 
+def test_left_fronts_past_touching_component_ends_join_the_frozen_blocks():
+    # one walker per component at density 1 + 5e-10: both walkers freeze left,
+    # so each left front passes its component's end d by 5e-10, over the next
+    # component's start, by more than the sort-and-clamp reference
+    # (helpers.from_cells_reference) lets overlap; the frozen blocks join into one
+    O = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
+    mu = make_step_measure([-1.0, 1.0], [1.0 + 5e-10])
+    rep = run(mu, O, SimConfig(n_particles=2, seed=3))
+    assert all(c.left_front > c.interval[1] for c in rep.components)
+    assert rep.measure == make_step_measure([-1.0, rep.components[1].left_front], [1.0])
+
+
 def test_component_allocation_and_seed_rule():
     O = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
     mu = indicator(-0.75, -0.25) + indicator(0.25, 0.75, 0.5)

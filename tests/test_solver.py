@@ -477,11 +477,11 @@ def test_sweep_matches_reference(mu):
 
 
 def test_sweep_builds_only_the_target(monkeypatch):
-    solver = importlib.import_module("stefan1d.solver")
+    measure = importlib.import_module("stefan1d.measure")
     mu = random_unit_blocks(np.random.default_rng(27), -1.0, 1.0, 6)
     calls = []
-    real = solver._from_cells
-    monkeypatch.setattr(solver, "_from_cells", lambda cells: calls.append(1) or real(cells))
+    real = measure._checked
+    monkeypatch.setattr(measure, "_checked", lambda b, v: calls.append(1) or real(b, v))
     solve_by_sweep(mu, DOMAIN)
     assert len(calls) == 1
 

@@ -16,3 +16,17 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/stefan1d: {found}"
+
+
+def test_measures_are_built_only_in_the_measure_module():
+    # every other module builds through make_step_measure, indicator, + or the
+    # canonicaliser, so each measure passes the one door, measure._checked
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "measure.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "StepMeasure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, f"StepMeasure called outside measure.py: {found}"
