@@ -35,10 +35,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValidationError("n_particles must be at least 1")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValidationError("dt must be positive")
-        if not self.t_max > 0.0:
-            raise ValidationError("t_max must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValidationError("dt must be finite and positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValidationError("t_max must be finite and positive")
         if self.hist_bins < 1:
             raise ValidationError("hist_bins must be at least 1")
 
@@ -86,6 +86,16 @@ class RunReport:
         return {**asdict(self), "all_frozen": self.all_frozen}
 
 
+def _step_count(t_max: float, dt: float) -> int:
+    """The fine steps of length dt ending before t_max - dt/2."""
+    # dt > 0 first: a default dt of 1e-4 * width**2 underflows to 0 on tiny components
+    if not (dt > 0.0 and 0.0 < t_max / dt < math.inf):
+        raise ValidationError(
+            f"t_max / dt must be finite and positive, got t_max {t_max!r} and dt {dt!r}"
+        )
+    return math.ceil(t_max / dt - 0.5)
+
+
 def _allocate(n_total: int, masses: list[float]) -> list[int]:
     """Largest-remainder apportionment, at least one walker per massive component."""
     total = sum(masses)
@@ -113,15 +123,20 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     masses = [p.mass for p in parts]
     alloc = _allocate(cfg.n_particles, masses)
 
+    dts = [
+        cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2 for c, d in open_set.components
+    ]
+    for dt in dts:
+        _step_count(cfg.t_max, dt)  # refuse before any walk allocates
+
     # imported here, so that `import stefan1d` and the other commands do not load numpy
     from .walkers import simulate_component
 
     def one(i: int) -> ComponentRunReport:
         c, d = open_set.components[i]
-        dt = cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2
         n_i = alloc[i] if masses[i] > 0.0 else 0
         return simulate_component(
-            parts[i], c, d, n_i, dt, cfg.t_max, [cfg.seed, i], cfg.hist_bins
+            parts[i], c, d, n_i, dts[i], cfg.t_max, [cfg.seed, i], cfg.hist_bins
         )
 
     components = tuple(one(i) for i in range(len(open_set.components)))

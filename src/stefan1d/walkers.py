@@ -27,6 +27,12 @@ When a freeze moves a front into the band of a coarse walker, at any level
 in force, the walker rejoins the walk from its Brownian bridge point, which
 is exact in law. The coarsest level is the last whose band is narrower than
 half the component, since no walker could be coarse at a coarser one.
+
+Memory: the walk holds two float64 numbers per walker, its freeze position
+and freeze time, which the report reads. The fine step's float32 scratch is
+sized to the largest fine set met so far, a small share of the walkers,
+since most of them are coarse at most steps; the table of freeze slots to
+the largest freeze batch. The start is sampled in place.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .measure import DEFAULT_TOL, StepMeasure, _bounds
-from .particles import ComponentRunReport
+from .particles import ComponentRunReport, _step_count
 
 # A path reaches a level z below its start within time T with probability
 # erfc(z / sqrt(2 T)) (reflection principle), so a walker _Z * sqrt(T) from
@@ -57,10 +63,19 @@ def _positive_cell_arrays(mu: StepMeasure):
 
 
 def _quantiles(mu: StepMeasure, u: np.ndarray) -> np.ndarray:
+    """The points of mu's inverse cdf at the masses u, written over u and returned.
+
+    u must be a float64 array that the caller gives up: the transform runs in
+    place, so the only other n-sized array is the cell index.
+    """
     lb, dens, cum = _positive_cell_arrays(mu)
     idx = np.searchsorted(cum[1:], u, side="left")
-    idx = np.clip(idx, 0, len(lb) - 1)
-    return lb[idx] + (u - cum[idx]) / dens[idx]
+    np.clip(idx, 0, len(lb) - 1, out=idx)
+    # lb + (u - cum) / dens, in that order: addition commutes exactly
+    u -= cum[idx]
+    u /= dens[idx]
+    u += lb[idx]
+    return u
 
 
 def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, rng) -> np.ndarray:
@@ -95,28 +110,52 @@ class _Walk:
     float64 scalars, so the mass and moment accounting is unaffected;
     `fronts` holds both as a float32 column, the value a float32 operation
     gives a float64 scalar, so that one subtraction serves both.
+
+    Per walker the walk holds only what the report reads: `freeze_pos` and
+    `freeze_t`, float64. The fine step's scratch (`bufs`, `u`, `p`, `q`)
+    holds `cap` walkers, the largest fine set met so far, at least doubled
+    at each growth and never past n.
     """
 
     def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng):
-        self.c, self.d, self.m, self.dt, self.rng = c, d, m, dt, rng
+        self.c, self.d, self.n, self.m, self.dt, self.rng = c, d, n, m, dt, rng
         self.n_steps = n_steps
         self.left, self.right = c, d  # fronts; left <= right always
         self.fronts = np.array([[c], [d]], dtype=np.float32)
         self.frozen_left = self.frozen_right = self.n_frozen = 0
         self.freeze_pos = np.empty(n)
         self.freeze_t = np.empty(n)
-        self.slots = np.arange(n) + 0.5
+        self.slots = np.empty(0)  # 0.5, 1.5, ...: slot midpoints for the largest batch so far
         self.slack = _bounds(DEFAULT_TOL, n * m, c, d)[0]  # admissible excess mass, as in solve
         self.sqrt_dt = math.sqrt(dt)
         self.inv_dt = -2.0 / dt
-        self.bufs = (np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32))  # used in turn
-        self.u = np.empty(n, dtype=np.float32)
-        self.p = np.empty((2, n), dtype=np.float32)
-        self.q = np.empty((2, n), dtype=np.float32)
+        self.release()  # the first fine step sizes the scratch
         self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
 
+    def release(self):
+        """Drop the fine step's scratch."""
+        self.cap = 0
+        self.bufs = self.u = self.p = self.q = None
+
+    def capacity(self, size: int, cap: int) -> int:
+        """At least size, and at least double cap, but never past n."""
+        return min(max(size, 2 * cap), self.n)
+
+    def grow(self, size: int):
+        """Size the fine step's scratch to at least size walkers."""
+        cap = self.cap = self.capacity(size, self.cap)
+        # pos may be a view of the old bufs; the new ones never alias it
+        self.bufs = (np.empty(cap, dtype=np.float32), np.empty(cap, dtype=np.float32))
+        self.u = np.empty(cap, dtype=np.float32)
+        self.p = np.empty((2, cap), dtype=np.float32)
+        self.q = np.empty((2, cap), dtype=np.float32)
+
     def freeze(self, nl: int, nr: int, when: float) -> int:
-        # fronts stay at exactly c + m*count and d - m*count
+        # fronts stay at exactly c + m*count and d - m*count; walker j of a
+        # batch freezes at the midpoint of its slot, j + 0.5 masses in
+        batch = max(nl, nr)
+        if batch > self.slots.size:
+            self.slots = np.arange(self.capacity(batch, self.slots.size)) + 0.5
         i = self.n_frozen
         if nl:
             out = self.freeze_pos[i : i + nl]
@@ -201,7 +240,9 @@ class _Walk:
     def fine_step(self, pos: np.ndarray, step: int) -> np.ndarray:
         """Move every walker of pos through fine step `step`."""
         size = pos.size
-        new = self.bufs[step & 1][:size]  # pos is at most a view of the other buffer
+        if size > self.cap:
+            self.grow(size)
+        new = self.bufs[step & 1][:size]  # used in turn: pos is at most a view of the other
         self.rng.standard_normal(dtype=np.float32, out=new)
         np.multiply(new, self.sqrt_dt, out=new)
         np.add(new, pos, out=new)
@@ -238,13 +279,18 @@ def simulate_component(
     hist_bins: int,
 ) -> ComponentRunReport:
     """Walk n walkers from mu_n on (c, d) with a generator seeded by seed."""
+    n_steps = _step_count(t_max, dt)
     rng = np.random.default_rng(seed)
     k = mu_n.mass
     m = k / n if n else 0.0
-    n_steps = math.ceil(t_max / dt - 0.5)  # the steps ending before t_max - dt/2
+    # the start is sampled in place before the walk allocates, so the
+    # sampler's index array and the freeze record are never held at once
+    pos = rng.random(n)
+    pos *= k
+    pos = _quantiles(mu_n, pos)
     walk = _Walk(c, d, n, m, dt, n_steps, rng)
     # mass starting on the boundary freezes at once
-    pos = walk.settle(_quantiles(mu_n, rng.random(n) * k), 0).astype(np.float32)
+    pos = walk.settle(pos, 0).astype(np.float32)
     # the coarsest level is the last whose band is narrower than half the
     # component: a coarser one could hold no walker
     top = 0
@@ -255,6 +301,7 @@ def simulate_component(
             if not pos.size:
                 break
             pos = walk.block(top, start, pos)
+    walk.release()  # before the histogram's temporaries
 
     frozen = walk.freeze_pos[: walk.n_frozen]
     times = walk.freeze_t[: walk.n_frozen]

@@ -231,6 +231,30 @@ def test_simulate_rejects_ill_typed_config(tmp_path, capsys, config, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "support, config",
+    [
+        ("[-0.25, 0.25]", '"t_max": 1e400'),  # JSON 1e400 reads as infinity
+        ("[-0.25, 0.25]", '"dt": 1e400'),
+        ("[-0.25, 0.25]", '"dt": 1e-10, "t_max": 1e308'),  # t_max / dt overflows
+        # on the component (0, 1e-160) the default dt, 1e-4 * width**2, underflows to 0
+        ("[0, 1e-160]", '"dt": null'),
+    ],
+)
+def test_simulate_refuses_step_counts_it_cannot_form(tmp_path, capsys, support, config):
+    sim_in = tmp_path / "sim.json"
+    sim_in.write_text(
+        f'{{"measure": {{"breaks": {support}, "values": [0.5]}}, '
+        f'"open_set": {{"components": [{support}]}}, '
+        f'"config": {{"n_particles": 50, {config}}}}}'
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", str(sim_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0], err
+    assert not out.exists()
+
+
 def test_tol_only_where_read():
     for argv in (["potential", "--tol", "1e-3"], ["repro", "--tol", "1e-3"]):
         with pytest.raises(SystemExit):

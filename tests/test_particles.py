@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -243,6 +245,44 @@ def test_run_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def traced_walk():
+    """The tracemalloc peak and the report of one component's walk.
+
+    Criterion 07's input at n = 20,000 and dt = 1e-3: the fine step's scratch
+    grows, freezes come in batches, and most walkers start coarse at the top
+    level.
+    """
+    mu = indicator(0.0, math.sqrt(0.75), 0.99)
+    mu_n = restrict(mu, DOMAIN)[0]
+    n, dt, seed = 20000, 1e-3, [12345, 0]
+    walkers.simulate_component(mu_n, -1.0, 1.0, 100, dt, 50.0, seed, 64)  # numpy's set-up
+    tracemalloc.start()
+    try:
+        report = walkers.simulate_component(mu_n, -1.0, 1.0, n, dt, 50.0, seed, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / n, report
+
+
+def test_walk_peak_memory_per_walker(traced_walk):
+    # the report needs each walker's freeze position and time, 16 B; the
+    # fine step's scratch follows the fine set (27% of the walkers here), and
+    # the histogram's temporaries come after the scratch is dropped. n-sized
+    # scratch and slot tables would read about 100 B per walker.
+    per_walker, report = traced_walk
+    assert report.unfrozen == 0
+    assert per_walker <= 56.0, per_walker
+
+
+def test_walk_report_bits_are_pinned(traced_walk):
+    # sizing the buffers must not move a bit of the report: the digest was
+    # recorded with n-sized scratch and slot tables
+    digest = hashlib.sha256(repr(traced_walk[1]).encode()).hexdigest()
+    assert digest == "ab896dd140c94e9a4999491d8e10650896686088aa0358473aebeee2b9057b62"
 
 
 def test_coarse_band_meets_the_float32_budget():
