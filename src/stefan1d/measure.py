@@ -322,12 +322,13 @@ def restrict(
 ) -> list[StepMeasure]:
     """Component-wise restrictions of mu to the open set: :func:`_cuts` as measures.
 
-    The returned list is aligned with ``open_set.components`` and the sum of
-    the parts equals mu restricted to the set; a part is mu itself where one
-    component holds all of it. Mass outside the set beyond the policy's mass
-    bound (:func:`_bounds`, relative to the total mass) raises SupportError
-    carrying the leaked amount.
+    No in-package caller: the public wrapper of :func:`_cuts`. The list is
+    aligned with ``open_set.components``; the parts sum to mu restricted to
+    the set, and a part is mu itself where one component holds all of it.
+    Mass outside the set beyond the policy's mass bound (:func:`_bounds`,
+    relative to the total mass) raises SupportError carrying the leaked amount.
     """
+    _check_tol(tol)
     return [
         zero_measure() if not b else mu if b is mu.breaks else _checked(b, v)
         for b, v, _ in _cuts(mu, open_set, tol)
@@ -344,6 +345,8 @@ def _cuts(
     none does; masses summed as :attr:`StepMeasure.mass` sums. Given ``tol``,
     mass outside the set beyond the policy's bound raises SupportError. Each
     component bisects its ends into mu's breaks: O(cells + components · log cells).
+    The package's one restriction: solve, order_leq_sh_O, check_admissible and
+    particles.run read it; :func:`restrict` wraps it.
     """
     b, v = mu.breaks, mu.values
     cuts = []

@@ -12,7 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, l1_distance, restrict
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _cuts, l1_distance
+from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
 from .solver import MaximalSolution, _admit, _blocks_measure
 
 
@@ -33,8 +34,13 @@ class SimConfig:
     hist_bins: int = 64
 
     def __post_init__(self):
+        for name in ("n_particles", "seed", "hist_bins"):
+            if type(getattr(self, name)) is not int:  # bool is an int too
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_particles < 1:
             raise ValidationError("n_particles must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValidationError("dt must be finite and positive")
         if not 0.0 < self.t_max < math.inf:
@@ -97,7 +103,7 @@ def _step_count(t_max: float, dt: float) -> int:
 
 
 def _allocate(n_total: int, masses: list[float]) -> list[int]:
-    """Largest-remainder apportionment, at least one walker per massive component."""
+    """Largest-remainder apportionment: at least one walker per massive component, none else."""
     total = sum(masses)
     if total <= 0.0:
         return [0 for _ in masses]
@@ -107,10 +113,7 @@ def _allocate(n_total: int, masses: list[float]) -> list[int]:
     short = n_total - sum(alloc)
     for i in order[:short]:
         alloc[i] += 1
-    for i, k in enumerate(masses):
-        if k > 0.0 and alloc[i] == 0:
-            alloc[i] = 1
-    return alloc
+    return [max(a, 1) if k > 0.0 else 0 for a, k in zip(alloc, masses)]
 
 
 def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
@@ -119,27 +122,19 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     Component i draws from a generator seeded by (cfg.seed, i).
     """
     _admit(mu, DEFAULT_TOL)
-    parts = restrict(mu, open_set, DEFAULT_TOL)
-    masses = [p.mass for p in parts]
-    alloc = _allocate(cfg.n_particles, masses)
-
-    dts = [
-        cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2 for c, d in open_set.components
-    ]
-    for dt in dts:
-        _step_count(cfg.t_max, dt)  # refuse before any walk allocates
+    cuts = _cuts(mu, open_set, DEFAULT_TOL)
+    alloc = _allocate(cfg.n_particles, [k for _, _, k in cuts])
+    dts = [cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2 for c, d in open_set.components]
+    steps = [_step_count(cfg.t_max, dt) for dt in dts]  # refuse before any walk allocates
 
     # imported here, so that `import stefan1d` and the other commands do not load numpy
     from .walkers import simulate_component
 
-    def one(i: int) -> ComponentRunReport:
-        c, d = open_set.components[i]
-        n_i = alloc[i] if masses[i] > 0.0 else 0
-        return simulate_component(
-            parts[i], c, d, n_i, dts[i], cfg.t_max, [cfg.seed, i], cfg.hist_bins
-        )
-
-    components = tuple(one(i) for i in range(len(open_set.components)))
+    walks = enumerate(zip(cuts, open_set.components, alloc, dts, steps))
+    components = tuple(
+        simulate_component(cut, c, d, n, dt, n_steps, [cfg.seed, i], cfg.hist_bins)
+        for i, (cut, (c, d), n, dt, n_steps) in walks
+    )
     measure = _blocks_measure(comp._frozen_ends() for comp in components)
     return RunReport(components=components, measure=measure, config=cfg)
 

@@ -37,7 +37,8 @@ from itertools import accumulate, count
 from typing import Sequence
 
 from .errors import ValidationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _cuts, _merged, _once, _unit
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _check_tol, _cuts, _merged
+from .measure import _once, _unit
 from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
 
 #: Hypothesis of the order relation that cannot be checked from step data;
@@ -278,6 +279,7 @@ def dominates(mu: StepMeasure, nu: StepMeasure, tol: float = DEFAULT_TOL) -> Ord
 
     The walk runs over the joint hull of both grids, about its midpoint.
     """
+    _check_tol(tol)
     xs, sigma = _sigma(nu.breaks, nu.values, mu.breaks, mu.values)
     lo, hi = (xs[0], xs[-1]) if xs else (0.0, 0.0)
     return _certify(mu.mass, nu.mass, xs, sigma, lo, hi, tol)
@@ -296,6 +298,7 @@ def order_leq_sh_O(
     inequality holds for the restricted pair. Each component is walked about
     its midpoint. Support outside the set (beyond tol) raises SupportError.
     """
+    _check_tol(tol)
     mus = _cuts(mu, open_set, tol)
     return _certify_parts(mus, _cuts(nu, open_set, tol), open_set, tol)
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .errors import AdmissibilityError, InfeasibilityError, ValidationError, VerificationError
-from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _cuts, _unit
-from .measure import indicator, measures_allclose, restrict
-from .potential import OrderCertificate, _certify_parts, _sigma, _zeros_of_f
-from .potential import order_leq_sh_O, potential
+from .errors import AdmissibilityError, InfeasibilityError, SupportError, ValidationError
+from .errors import VerificationError
+from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _check_tol, _cuts
+from .measure import _unit, indicator, measures_allclose
+from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
+from .potential import OrderCertificate, _certify_parts, _sigma, _zeros_of_f, potential
+from .potential import order_leq_sh_O  # noqa: F401  (uncalled: pinned as restrict is)
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,7 @@ def solve(
     always fit: a density in [0, 1] with hole mass h has its hole barycentre
     in [c + h/2, d - h/2]. A failed certificate raises VerificationError.
     """
+    _check_tol(tol)
     _admit(mu, tol)
     cuts = _cuts(mu, open_set, tol)
     blocks, stats = [], []
@@ -429,10 +432,13 @@ class CostIndependenceReport:
 def check_admissible(
     nu: StepMeasure, mu: StepMeasure, open_set: OpenSet1D
 ) -> OrderCertificate:
-    """Certificate that nu is a reachable target for mu inside the open set."""
+    """Certificate that nu is a reachable target for mu inside the open set.
+
+    nu too dense or outside the set fails it; mu outside the set raises SupportError.
+    """
     try:
         _admit(nu, DEFAULT_TOL)
-        return order_leq_sh_O(mu, nu, open_set)
+        nus = _cuts(nu, open_set, DEFAULT_TOL)
     except AdmissibilityError:
         lo_s, hi_s, top = *nu.support(), nu.max_density()
         return OrderCertificate(
@@ -443,20 +449,16 @@ def check_admissible(
             worst_gap=top - 1.0,
             note=f"density {top:.9g} exceeds the unit bound",
         )
-    except ValidationError:
-        # nu outside the set fails the certificate even when mu leaks too
-        try:
-            restrict(nu, open_set)
-        except ValidationError as exc:
-            return OrderCertificate(
-                ordered=False,
-                mass_gap=0.0,
-                moment_gap=0.0,
-                worst_point=0.0,
-                worst_gap=math.inf,
-                note=f"support violation: {exc}",
-            )
-        raise
+    except SupportError as exc:
+        return OrderCertificate(
+            ordered=False,
+            mass_gap=0.0,
+            moment_gap=0.0,
+            worst_point=0.0,
+            worst_gap=math.inf,
+            note=f"support violation: {exc}",
+        )
+    return _certify_parts(_cuts(mu, open_set, DEFAULT_TOL), nus, open_set, DEFAULT_TOL)
 
 
 def independence_check(

@@ -1,10 +1,11 @@
 """Front-freezing Brownian particle walk: the numpy engine of `particles.run`.
 
-Walkers start from the initial density and move by Gaussian increments
-inside their component. Two saturation fronts advance inward from the
-component endpoints; a walker meeting a front freezes there and the front
-advances by one particle mass, so the frozen region has density exactly one
-by accounting and the discrete stopping time never exceeds the exit time of
+Walkers start from their component's cut of the initial density, which
+`particles.run` takes once, and move by Gaussian increments inside the
+component. Two saturation fronts advance inward from the component
+endpoints; a walker meeting a front freezes there and the front advances by
+one particle mass, so the frozen region has density exactly one by
+accounting and the discrete stopping time never exceeds the exit time of
 the component. The final front positions estimate the block widths of the
 maximal target; mass and first-moment conservation force the agreement.
 
@@ -38,12 +39,13 @@ the largest freeze batch. The start is sampled in place.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import VerificationError
-from .measure import DEFAULT_TOL, StepMeasure, _bounds
-from .particles import ComponentRunReport, _step_count
+from .measure import DEFAULT_TOL, _bounds
+from .particles import ComponentRunReport
 
 # A path reaches a level z below its start within time T with probability
 # erfc(z / sqrt(2 T)) (reflection principle), so a walker _Z * sqrt(T) from
@@ -51,24 +53,18 @@ from .particles import ComponentRunReport, _step_count
 _Z = 5.55
 _RADIX = 4  # sub-blocks per block
 
-def _positive_cell_arrays(mu: StepMeasure):
-    lb, dens, cum = [], [], [0.0]
-    for lo, hi, v in mu.cells():
-        if v <= 0.0:
-            continue
-        lb.append(lo)
-        dens.append(v)
-        cum.append(cum[-1] + v * (hi - lo))
-    return np.asarray(lb), np.asarray(dens), np.asarray(cum)
 
+def _quantiles(breaks: Sequence[float], values: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """The points of a cut's inverse cdf at the masses u, written over u and returned.
 
-def _quantiles(mu: StepMeasure, u: np.ndarray) -> np.ndarray:
-    """The points of mu's inverse cdf at the masses u, written over u and returned.
-
-    u must be a float64 array that the caller gives up: the transform runs in
-    place, so the only other n-sized array is the cell index.
+    The positive cells' masses are summed left to right (cumsum). u must be
+    a float64 array that the caller gives up: the transform runs in place, so
+    the only other n-sized array is the cell index.
     """
-    lb, dens, cum = _positive_cell_arrays(mu)
+    b, v = np.asarray(breaks, dtype=float), np.asarray(values, dtype=float)
+    positive = v > 0.0
+    lb, dens = b[:-1][positive], v[positive]
+    cum = np.concatenate(([0.0], np.cumsum(dens * (b[1:] - b[:-1])[positive])))
     idx = np.searchsorted(cum[1:], u, side="left")
     np.clip(idx, 0, len(lb) - 1, out=idx)
     # lb + (u - cum) / dens, in that order: addition commutes exactly
@@ -269,25 +265,25 @@ class _Walk:
 
 
 def simulate_component(
-    mu_n: StepMeasure,
+    cut: tuple[Sequence[float], Sequence[float], float],
     c: float,
     d: float,
     n: int,
     dt: float,
-    t_max: float,
+    n_steps: int,
     seed: list[int],
     hist_bins: int,
 ) -> ComponentRunReport:
-    """Walk n walkers from mu_n on (c, d) with a generator seeded by seed."""
-    n_steps = _step_count(t_max, dt)
+    """Walk n walkers from cut, the input's (breaks, values, mass) on (c, d) as
+    :func:`stefan1d.measure._cuts` gives it, for n_steps steps of dt, seeded by seed."""
+    breaks, values, k = cut
     rng = np.random.default_rng(seed)
-    k = mu_n.mass
     m = k / n if n else 0.0
     # the start is sampled in place before the walk allocates, so the
     # sampler's index array and the freeze record are never held at once
     pos = rng.random(n)
     pos *= k
-    pos = _quantiles(mu_n, pos)
+    pos = _quantiles(breaks, values, pos)
     walk = _Walk(c, d, n, m, dt, n_steps, rng)
     # mass starting on the boundary freezes at once
     pos = walk.settle(pos, 0).astype(np.float32)

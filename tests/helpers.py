@@ -597,6 +597,25 @@ def merge_pairs(draw):
 # -- particle system: exact initial sampling and the single-rate loop -----------
 
 
+def quantiles_reference(breaks, values, u: np.ndarray) -> np.ndarray:
+    """The inverse cdf of the cells (breaks, values) at the masses u, from a loop over the cells.
+
+    The positive cells and their cumulative masses are built in Python, one
+    cell at a time: ``walkers._quantiles`` must match it bit for bit.
+    """
+    lb, dens, cum = [], [], [0.0]
+    for lo, hi, v in zip(breaks, breaks[1:], values):
+        if v <= 0.0:
+            continue
+        lb.append(lo)
+        dens.append(v)
+        cum.append(cum[-1] + v * (hi - lo))
+    lb, dens, cum = np.asarray(lb), np.asarray(dens), np.asarray(cum)
+    idx = np.searchsorted(cum[1:], u, side="left")
+    np.clip(idx, 0, len(lb) - 1, out=idx)
+    return lb[idx] + (u - cum[idx]) / dens[idx]
+
+
 def sample_initial(mu: StepMeasure, n: int, seed) -> np.ndarray:
     """n i.i.d. draws from mu / mass(mu) by exact inversion of the cdf."""
     if mu.ncells == 0 or mu.mass <= 0.0:
@@ -604,7 +623,7 @@ def sample_initial(mu: StepMeasure, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValidationError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
-    return _quantiles(mu, rng.random(n) * mu.mass)
+    return _quantiles(mu.breaks, mu.values, rng.random(n) * mu.mass)
 
 
 def simulate_component_reference(
@@ -626,7 +645,7 @@ def simulate_component_reference(
     m = k / n
     left, right = c, d  # fronts; left <= right always
     frozen_left = frozen_right = 0
-    pos = _quantiles(mu_n, rng.random(n) * k)
+    pos = _quantiles(mu_n.breaks, mu_n.values, rng.random(n) * k)
 
     freeze_pos = np.empty(n)
     freeze_t = np.empty(n)

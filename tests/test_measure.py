@@ -14,13 +14,16 @@ from stefan1d import (
     StepMeasure,
     SupportError,
     ValidationError,
+    dominates,
     indicator,
     l1_distance,
     make_step_measure,
     measures_allclose,
+    order_leq_sh_O,
     pointwise_leq,
     positive_part_l1,
     restrict,
+    solve,
     zero_measure,
 )
 from helpers import (
@@ -39,6 +42,7 @@ from helpers import (
     merge_pairs,
     merged_cells_reference,
     midpoints_interior,
+    quantiles_reference,
     raw_cells,
     restrict_reference,
     sweep_reference,
@@ -46,7 +50,7 @@ from helpers import (
     walked_cells_reference,
     walked_sub_reference,
 )
-from stefan1d.measure import _merged_cells
+from stefan1d.measure import _cuts, _merged_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.solver import _blocks_measure, sweep_states
 from stefan1d.walkers import _quantiles
@@ -147,7 +151,7 @@ def test_pointwise_leq():
 def test_cdf_quantile_examples():
     mu = indicator(-1.0, 1.0)
     assert cdf(mu, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert _quantiles(mu, np.array([0.0, mu.mass])).tolist() == [-1.0, 1.0]
+    assert _quantiles(mu.breaks, mu.values, np.array([0.0, mu.mass])).tolist() == [-1.0, 1.0]
     ys = np.linspace(-2.0, 2.0, 41)
     vals = [cdf(mu, y) for y in ys]
     assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
@@ -156,7 +160,9 @@ def test_cdf_quantile_examples():
 def test_quantile_skips_zero_density_gaps():
     mu = indicator(0.0, 1.0, 0.5) + indicator(2.0, 3.0, 0.5)
     # just past the first cell's mass the quantile must land in the second block
-    assert _quantiles(mu, np.array([0.5 + 1e-9]))[0] == pytest.approx(2.0, abs=1e-8)
+    assert _quantiles(mu.breaks, mu.values, np.array([0.5 + 1e-9]))[0] == pytest.approx(
+        2.0, abs=1e-8
+    )
 
 
 def test_restrict_examples():
@@ -266,8 +272,26 @@ def test_quantile_inverts_cdf_on_support(mu, frac):
             y = lo + frac * (hi - lo)
             y = min(max(y, lo + 1e-9 * (hi - lo)), hi - 1e-9 * (hi - lo))
             u = cdf(mu, y)
-            assert _quantiles(mu, np.array([u]))[0] == pytest.approx(y, rel=1e-9, abs=1e-9)
+            x = _quantiles(mu.breaks, mu.values, np.array([u]))[0]
+            assert x == pytest.approx(y, rel=1e-9, abs=1e-9)
             break
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(grid_measures(), step_measures()), grid_open_sets(), st.lists(st.floats(0.0, 1.0))
+)
+# one clipped cell; clipped ends about an interior zero cell
+@example(indicator(-1.0, 1.0, 0.7), OpenSet1D.interval(-0.5, 0.25), [0.5])
+@example(indicator(-1.0, -0.5) + indicator(0.0, 1.0, 0.3), OpenSet1D.interval(-0.75, 0.5), [0.5])
+def test_quantiles_match_the_cell_loop_bit_for_bit(mu, O, fracs):
+    # on the cuts the particle run samples from, u from exactly 0 to exactly the mass
+    for breaks, values, k in _cuts(mu, O):
+        if not k:
+            continue  # an empty component samples no walker
+        u = [0.0, *(f * k for f in fracs), k]
+        got = _quantiles(breaks, values, np.array(u)).tolist()
+        assert repr(got) == repr(quantiles_reference(breaks, values, np.array(u)).tolist())
 
 
 def test_zero_measure_propagates():
@@ -354,9 +378,25 @@ def test_l1_helpers_sum_from_a_float_zero():
         assert repr(l1_distance(mu, mu)) == "0.0"
 
 
+_UNIT_SET = OpenSet1D.interval(-1.0, 1.0)
+
+
 @pytest.mark.parametrize("tol", [-1.0, -5e-324, -math.inf, math.nan])
-@pytest.mark.parametrize("compare", [pointwise_leq, measures_allclose])
+@pytest.mark.parametrize(
+    "compare",
+    [
+        pointwise_leq,
+        measures_allclose,
+        dominates,
+        pytest.param(
+            lambda mu, nu, tol: order_leq_sh_O(mu, nu, _UNIT_SET, tol), id="order_leq_sh_O"
+        ),
+        pytest.param(lambda mu, nu, tol: solve(mu, _UNIT_SET, tol), id="solve"),
+        pytest.param(lambda mu, nu, tol: restrict(mu, _UNIT_SET, tol), id="restrict"),
+    ],
+)
 def test_pointwise_comparisons_reject_a_bad_tolerance(compare, tol):
+    # every function that takes a tolerance refuses a bad one before any other check
     mu = indicator(0.0, 1.0)
     with pytest.raises(ValidationError, match="tolerance"):
         compare(mu, mu, tol)

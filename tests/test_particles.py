@@ -25,6 +25,8 @@ from stefan1d import (
     zero_measure,
 )
 from stefan1d import walkers
+from stefan1d.measure import _cuts
+from stefan1d.particles import _step_count
 
 from helpers import cdf, sample_initial, simulate_component_reference
 
@@ -95,6 +97,24 @@ def test_run_is_deterministic():
     a = run(mu, DOMAIN, cfg)
     b = run(mu, DOMAIN, cfg)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_particles", 2.5),
+        ("n_particles", True),
+        ("hist_bins", 2.5),
+        ("hist_bins", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", -1),
+    ],
+)
+def test_sim_config_refuses_a_bad_integer_field(field, value):
+    # the library refuses what the CLI refuses, before a slice or numpy sees it
+    with pytest.raises(ValidationError, match=field):
+        SimConfig(**{"n_particles": 10, field: value})
 
 
 def test_t_max_flags_unfrozen_walkers():
@@ -256,12 +276,13 @@ def traced_walk():
     level.
     """
     mu = indicator(0.0, math.sqrt(0.75), 0.99)
-    mu_n = restrict(mu, DOMAIN)[0]
+    cut = _cuts(mu, DOMAIN)[0]
     n, dt, seed = 20000, 1e-3, [12345, 0]
-    walkers.simulate_component(mu_n, -1.0, 1.0, 100, dt, 50.0, seed, 64)  # numpy's set-up
+    n_steps = _step_count(50.0, dt)
+    walkers.simulate_component(cut, -1.0, 1.0, 100, dt, n_steps, seed, 64)  # numpy's set-up
     tracemalloc.start()
     try:
-        report = walkers.simulate_component(mu_n, -1.0, 1.0, n, dt, 50.0, seed, 64)
+        report = walkers.simulate_component(cut, -1.0, 1.0, n, dt, n_steps, seed, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,6 +304,33 @@ def test_walk_report_bits_are_pinned(traced_walk):
     # recorded with n-sized scratch and slot tables
     digest = hashlib.sha256(repr(traced_walk[1]).encode()).hexdigest()
     assert digest == "ab896dd140c94e9a4999491d8e10650896686088aa0358473aebeee2b9057b62"
+
+
+@pytest.mark.parametrize(
+    "mu, open_set, digest",
+    [
+        (  # both cuts clipped at the shared end 0
+            indicator(-0.6, 0.4, 0.7),
+            OpenSet1D.of((-1.0, 0.0), (0.0, 1.0)),
+            "021197da9b40f72c4f609e348ba2d68f65fe3452c017d7d89737457c59b6ebcc",
+        ),
+        (
+            indicator(-0.8, -0.3, 0.9) + indicator(0.2, 0.7, 0.6),
+            DOMAIN,
+            "35e156cd8894a0153cc93cac2d6757403f28cf092c50b6172939914637187b15",
+        ),
+        (
+            indicator(-0.7, -0.2, 0.8) + indicator(2.2, 2.9, 0.5),
+            OpenSet1D.of((-1.0, 0.0), (0.5, 1.5), (2.0, 3.0)),
+            "b8323c9b9f967fbaa68fdf3ae81ac4c9eb4ca83a5ccd216ea7b1802c58a9eef1",
+        ),
+    ],
+    ids=["touching-clipped", "interior-zero-cell", "empty-component"],
+)
+def test_run_report_bits_are_pinned_on_every_kind_of_cut(mu, open_set, digest):
+    # the digests were recorded when the run restricted mu to a measure per component
+    report = run(mu, open_set, SimConfig(n_particles=3000, seed=17, dt=1e-3))
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 
 def test_coarse_band_meets_the_float32_budget():
