@@ -124,7 +124,10 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     _admit(mu, DEFAULT_TOL)
     cuts = _cuts(mu, open_set, DEFAULT_TOL)
     alloc = _allocate(cfg.n_particles, [k for _, _, k in cuts])
-    dts = [cfg.dt if cfg.dt is not None else 1e-4 * (d - c) ** 2 for c, d in open_set.components]
+    try:
+        dts = [1e-4 * (d - c) ** 2 if cfg.dt is None else cfg.dt for c, d in open_set.components]
+    except OverflowError:
+        raise ValidationError("the default dt, 1e-4 * width ** 2, overflows: give dt") from None
     steps = [_step_count(cfg.t_max, dt) for dt in dts]  # refuse before any walk allocates
 
     # imported here, so that `import stefan1d` and the other commands do not load numpy

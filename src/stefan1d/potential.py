@@ -16,15 +16,16 @@ moment of sigma about a centre,
 the integrated-distribution form of the convex order (Chacon and Walsh,
 1976; Hobson's survey of the Skorokhod embedding problem, 2011). The two
 grids merge in O(m log n + n) for m breaks of nu and n of mu, nu's bisected
-into mu's by the package's one merge (:func:`stefan1d.measure._merged`). One
-walk over the merged cells accumulates F and G from cell widths and
-densities, so no absolute coordinate is squared, and maximises the difference
-exactly: at every break, and at the vertex of each cell where sigma > 0,
-about the component's midpoint (the joint hull's for a bare :func:`dominates`)
-in a power of two near its width as the length unit: the verdict depends
-neither on position nor on scale, though reported gaps still underflow below
-~1e-154. For equal masses the derivative of the difference is -F, so the same
-cumulative sum locates its stationary points as the zeros of F.
+into mu's by the package's one merge (:func:`stefan1d.measure._merged`). Two
+passes over the merged cells accumulate F and G from cell widths and
+densities, so no absolute coordinate is squared: the first sums M and B, the
+second maximises the difference exactly, at every break and at the vertex of
+each cell where sigma > 0. Both run about the component's midpoint (the joint
+hull's for a bare :func:`dominates`) in a power of two near its width as the
+length unit: the verdict depends neither on position nor on scale, though
+reported gaps still underflow below ~1e-154. For equal masses the derivative
+of the difference is -F, so the same cumulative sum locates its stationary
+points as the zeros of F.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import ValidationError
@@ -125,7 +126,10 @@ def potential(mu: StepMeasure) -> PiecewiseQuadratic:
     if not mu.ncells:
         return PiecewiseQuadratic((), ((0.0, 0.0, 0.0),))
     b, v = mu.breaks, mu.values
-    sq = [x ** 2 for x in b]
+    try:
+        sq = [x ** 2 for x in b]
+    except OverflowError:
+        raise ValidationError(f"breaks too far from 0 to square: ({b[0]!r}, {b[-1]!r})") from None
     cell_mass = [x * (hi - lo) for x, lo, hi in zip(v, b, b[1:])]
     cell_mom = [x * (s_hi - s_lo) / 2.0 for x, s_lo, s_hi in zip(v, sq, sq[1:])]
     k = sum(cell_mass)
@@ -203,40 +207,42 @@ def _sigma(nb: Sequence, nv: Sequence, mb: Sequence, mv: Sequence) -> tuple[list
     return xs, [*map(operator.sub, a, b)]
 
 
-def _cumulative(xs, sigma, unit: float) -> tuple[list[float], list[float]]:
-    """Cell widths times unit, and F = sigma(-inf, xs[i]] so scaled, from a zero start."""
-    widths = [unit * (hi - lo) for lo, hi in zip(xs, xs[1:])]
-    return widths, [*accumulate(map(operator.mul, sigma, widths), initial=0.0)]
-
-
 def _walk(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
     """First maximum of U_nu - U_mu on [xs[0], xs[-1]], where, and the moment B.
 
     ``sigma[j]`` is the density of nu - mu on (xs[j], xs[j+1]); the module
     docstring gives the difference in terms of F, G, M and B about
     ``centre``, every length but the returned point's taken times ``unit``.
-    On a cell of density s > 0 it is concave with its vertex where F crosses
-    M/2; every other cell peaks at an end. Candidates are compared in order
-    along the line, a later one winning only when strictly larger.
+    A first pass sums F and 2G for M and B; a second redoes the same sums and
+    offers each cell's vertex, where F crosses M/2 with s > 0, then its right
+    break: a later candidate wins only when strictly larger.
     """
     if not xs:
         return 0.0, 0.0, 0.0
-    widths, cum = _cumulative(xs, sigma, unit)
-    twice_g = [*accumulate(map(operator.mul, widths, map(operator.add, cum, cum[1:])), initial=0.0)]
-    mass = cum[-1]
-    moment = (xs[-1] - centre) * unit * mass - 0.5 * twice_g[-1]
-    diff = [0.5 * ((x - centre) * unit * mass - moment - g) for x, g in zip(xs, twice_g)]
-    best = max(diff)
-    at = diff.index(best)
-    point = xs[at]
-    half_m = 0.5 * mass
-    for j in [j for j, lo, hi in zip(count(), cum, cum[1:]) if lo < half_m < hi]:
-        rise = half_m - cum[j]
-        t = rise / sigma[j]
-        if 0.0 < t < widths[j]:
-            val = diff[j] + 0.5 * rise * t
-            if val > best or (val == best and j < at):
-                best, at, point = val, j + 1, xs[j] + t / unit
+    f = twice_g = 0.0
+    for lo, hi, s in zip(xs, xs[1:], sigma):
+        w = unit * (hi - lo)
+        f_hi = f + s * w
+        f, twice_g = f_hi, twice_g + w * (f + f_hi)
+    mass, half_m = f, 0.5 * f
+    moment = (xs[-1] - centre) * unit * mass - 0.5 * twice_g
+    f = twice_g = 0.0
+    best = at_lo = 0.5 * ((xs[0] - centre) * unit * mass - moment - twice_g)
+    point = xs[0]
+    for lo, hi, s in zip(xs, xs[1:], sigma):
+        w = unit * (hi - lo)
+        f_hi = f + s * w
+        if f < half_m < f_hi:
+            rise = half_m - f
+            t = rise / s
+            if 0.0 < t < w:
+                val = at_lo + 0.5 * rise * t
+                if val > best:
+                    best, point = val, lo + t / unit
+        f, twice_g = f_hi, twice_g + w * (f + f_hi)
+        at_lo = 0.5 * ((hi - centre) * unit * mass - moment - twice_g)
+        if at_lo > best:
+            best, point = at_lo, hi
     return best + 0.0, point, moment  # + 0.0 reads a gap of -0.0 as 0.0
 
 
@@ -250,11 +256,11 @@ def _zeros_of_f(
     changes sign. When nu and mu have equal mass, U_nu' - U_mu' = -F, so these
     are the stationary points of the potential difference.
     """
-    widths, cum = _cumulative(xs, sigma, 1.0)
+    cum = [*accumulate((s * (hi - lo) for lo, hi, s in zip(xs, xs[1:], sigma)), initial=0.0)]
     points = [x for x, f in zip(xs, cum) if f == 0.0]
     flats = []
     for j, (lo, hi) in enumerate(zip(cum, cum[1:])):
-        if lo == hi == 0.0 and widths[j] > 0.0:
+        if lo == hi == 0.0 and xs[j] < xs[j + 1]:
             flats.append((xs[j], xs[j + 1]))
         elif lo < 0.0 < hi or hi < 0.0 < lo:
             points.append(min(xs[j] - lo / sigma[j], xs[j + 1]))

@@ -115,11 +115,12 @@ def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[floa
     or far from 0. Weights are in the length unit of (c, d)
     (:func:`stefan1d.measure._unit`), so no product under- or overflows.
     """
-    mid, unit = 0.5 * (c + d), _unit(c, d)
-    b, v = (c, *breaks, d), (0.0, *values, 0.0)
-    w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
-    h = sum(w, 0.0)
-    off = sum([x * ((lo - mid) + (hi - mid)) for x, lo, hi in zip(w, b, b[1:])], 0.0)
+    mid, unit, b = 0.5 * (c + d), _unit(c, d), (c, *breaks, d)
+    w, moments = [], []
+    for x, lo, hi in zip((0.0, *values, 0.0), b, b[1:]):
+        w.append((1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0)
+        moments.append(w[-1] * ((lo - mid) + (hi - mid)))
+    h, off = sum(w, 0.0), sum(moments, 0.0)
     return h / unit, (0.5 * off / h if h else 0.0)
 
 

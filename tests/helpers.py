@@ -27,7 +27,7 @@ from stefan1d import (
     make_step_measure,
     zero_measure,
 )
-from stefan1d.measure import _MIN_DENSITY, _bounds, _canonical, _checked
+from stefan1d.measure import _MIN_DENSITY, _bounds, _canonical, _checked, _unit
 from stefan1d.particles import ComponentRunReport
 from stefan1d.potential import (
     EXIT_TIME_ASSUMPTION,
@@ -469,7 +469,7 @@ def hull(mu: StepMeasure, nu: StepMeasure) -> tuple[float, float]:
     return (min(breaks), max(breaks)) if breaks else (0.0, 0.0)
 
 
-# -- the certificate's merge and walk before the merge went by runs -------------
+# -- the certificate's merge and walk as list passes, before runs and loops -----
 
 
 def merged_reference(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], list[float]]:
@@ -486,7 +486,11 @@ def merged_reference(nu: StepMeasure, mu: StepMeasure) -> tuple[list[float], lis
 
 
 def walk_reference(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
-    """The certificate walk with its widths mapped through ``unit.__mul__``."""
+    """The certificate walk over lists of widths, F, 2G and the break values.
+
+    The maximum over the breaks is taken first, then each vertex wins when
+    larger, or equal and before the break that holds the maximum.
+    """
     if not xs:
         return 0.0, 0.0, 0.0
     widths = [*map(unit.__mul__, map(operator.sub, xs[1:], xs))]
@@ -507,6 +511,19 @@ def walk_reference(xs, sigma, centre: float, unit: float) -> tuple[float, float,
             if val > best or (val == best and j < at):
                 best, at, point = val, j + 1, xs[j] + t / unit
     return best + 0.0, point, moment
+
+
+# -- the hole pass before it became one loop ------------------------------------
+
+
+def holes_reference(breaks, values, c: float, d: float) -> tuple[float, float]:
+    """``stefan1d.solver._holes`` with its two summand lists built by comprehensions."""
+    mid, unit = 0.5 * (c + d), _unit(c, d)
+    b, v = (c, *breaks, d), (0.0, *values, 0.0)
+    w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
+    h = sum(w, 0.0)
+    off = sum([x * ((lo - mid) + (hi - mid)) for x, lo, hi in zip(w, b, b[1:])], 0.0)
+    return h / unit, (0.5 * off / h if h else 0.0)
 
 
 # -- the per-break merge walk that the run merge replaced -------------------------

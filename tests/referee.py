@@ -1,14 +1,16 @@
 """Exact referee for the order certificate, in rational arithmetic.
 
 Every float is a dyadic rational, so ``Fraction(x)`` converts it exactly and
-every sum, product and quotient below is exact. The referee runs the same
-walk as ``stefan1d.potential._walk``: with sigma = nu - mu, F(y) =
+every sum, product and quotient below is exact. The referee takes the same
+difference as ``stefan1d.potential._walk``: with sigma = nu - mu, F(y) =
 sigma(-inf, y], G = integral of F, M = sigma(R) and B = integral x dsigma,
 
     U_nu(y) - U_mu(y) = -G(y) + (y * M - B) / 2,
 
 maximised over the joint hull of both grids at every break and at the vertex
-of every cell where sigma > 0. It also gives the exact hole mass and
+of every cell where sigma > 0. Like ``_walk``'s two passes,
+:func:`worst_gap` takes M and B first and then walks the cells, each offering
+its vertex and then its right break. It also gives the exact hole mass and
 barycentre of an input, and so the exact gap of its two-block target. It is
 slow (hundreds of milliseconds at a few thousand cells) and lives in the
 tests only.

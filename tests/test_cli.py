@@ -105,6 +105,37 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == "error: breaks span too wide: (-1e+308, 1e+308)\n"
 
 
+@pytest.mark.parametrize(
+    "command, payload, says",
+    [
+        # the potential's coefficients square each break: 1.5e300 ** 2 overflows
+        (
+            "potential",
+            {"measure": {"breaks": [1e300, 1.5e300], "values": [1e-300]}},
+            "breaks too far from 0 to square: (1e+300, 1.5e+300)",
+        ),
+        # without dt the step is 1e-4 * width ** 2, and the width is 1e160
+        (
+            "simulate",
+            {
+                "measure": {"breaks": [0.0, 1e160], "values": [1e-300]},
+                "open_set": {"components": [[0.0, 1e160]]},
+                "config": {"n_particles": 50},
+            },
+            "the default dt, 1e-4 * width ** 2, overflows: give dt",
+        ),
+    ],
+    ids=["potential", "simulate"],
+)
+def test_commands_refuse_coordinates_whose_squares_overflow(
+    tmp_path, capsys, command, payload, says
+):
+    out = tmp_path / "out.json"
+    assert main([command, "--input", write(tmp_path / "in.json", payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
+
+
 def test_order_counterexample_componentwise_vs_global(tmp_path):
     base = {
         "mu": {"breaks": [-0.5, 0.5], "values": [1.0]},

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import referee
+from helpers import holes_reference
 from stefan1d import (
     DEFAULT_TOL,
     OpenSet1D,
@@ -165,6 +166,29 @@ def test_potentials_at_1e200_are_rejected_but_the_hole_pass_still_places_the_gap
     mu, c, d = StepMeasure(breaks, (0.5, 0.8, 0.3)), s, s + 2.0 * unit
     blocks = _gap(c, d, *_holes(mu.breaks, mu.values, c, d))
     assert max(_endpoint_errors(blocks, mu, c, d)) <= ULPS
+
+
+@st.composite
+def hole_cuts(draw):
+    """(breaks, values, c, d): sorted breaks in [c, d], densities at, below and above 1."""
+    c, d = _component(draw)
+    ts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    breaks = [min(max(c + (d - c) * t, c), d) for t in ts]
+    near_one = st.sampled_from([0.0, 1.0, 1.0 + 0.5 * DEFAULT_TOL, 1.0 - 1e-12])
+    densities = near_one | st.floats(0.0, 1.5)
+    values = draw(st.lists(densities, min_size=len(ts) - 1, max_size=len(ts) - 1))
+    return breaks, values, c, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(hole_cuts())
+@example(([-0.5, 0.0, 0.5], [1.0, 1.0 + 0.5 * DEFAULT_TOL], -1.0, 1.0))
+@example(([0.0, 5e-324, 0.5], [0.75, 0.5], 0.0, 1.0))  # a subnormal-width cell
+@example(([1e160 + 2e146, 1e160 + 1.4e147], [0.5], 1e160, 1e160 + 2e147))
+@example(([-0.0, 0.5], [0.5], -0.0, 1.0))
+@example(([-0.5, -0.0], [0.25], -1.0, 0.0))
+def test_hole_pass_matches_the_list_comprehensions_bit_for_bit(cut):
+    assert repr(_holes(*cut)) == repr(holes_reference(*cut))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])

@@ -429,9 +429,26 @@ def test_walk_error_does_not_grow_with_position(s):
 
 # -- the merged grid by runs against the stable sort -----------------------------
 
+#: sigma = -1, 2, -1, -0.75, 0.75 on the unit cells of (0, 5): the difference
+#: at the vertex of (1, 2), where F crosses M/2 = 0, equals it at the break 5
+#: exactly. Reflected about 2.5, the vertex of (3, 4) ties the break 0.
+_VERTEX_TIES = [
+    (
+        make_step_measure([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 2.0, 0.0, 0.0, 0.75]),
+        make_step_measure([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 0.75]),
+    ),
+    (
+        make_step_measure([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.75, 0.0, 0.0, 2.0, 0.0]),
+        make_step_measure([1.0, 2.0, 3.0, 4.0, 5.0], [0.75, 1.0, 0.0, 1.0]),
+    ),
+]
+
 
 @settings(max_examples=200, deadline=None)
 @given(merge_pairs())
+@example(_VERTEX_TIES[0])  # the first of a vertex and a later break wins
+@example(_VERTEX_TIES[1])  # the first of a break and a later vertex wins
+@example((indicator(0.0, 1.0), zero_measure()))  # the first of two breaks wins
 @example(
     (
         make_step_measure([-1.0, 0.0, 1.0], [0.5, 1.0]),
