@@ -93,11 +93,11 @@ class RunReport:
 
 
 def _step_count(t_max: float, dt: float) -> int:
-    """The fine steps of length dt ending before t_max - dt/2."""
+    """The fine steps of length dt ending before t_max - dt/2: at least one."""
     # dt > 0 first: a default dt of 1e-4 * width**2 underflows to 0 on tiny components
-    if not (dt > 0.0 and 0.0 < t_max / dt < math.inf):
+    if not (dt > 0.0 and 0.5 < t_max / dt < math.inf):
         raise ValidationError(
-            f"t_max / dt must be finite and positive, got t_max {t_max!r} and dt {dt!r}"
+            f"t_max / dt must be finite and above 1/2, got t_max {t_max!r} and dt {dt!r}"
         )
     return math.ceil(t_max / dt - 0.5)
 

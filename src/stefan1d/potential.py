@@ -4,8 +4,7 @@ In one dimension the potential of a finite step measure,
 U(y) = -1/2 * integral |y - x| dmu(x), is piecewise quadratic: concave with
 curvature equal to minus the local density inside the break grid, and linear
 with slopes +mass/2 (left) and -mass/2 (right) outside; :func:`potential`
-builds it for the ``potential`` command and as the second route of the
-stationary-point check.
+builds it for the ``potential`` command.
 
 The order certificate does not build potentials. With sigma = nu - mu,
 F(y) = sigma(-inf, y], G = integral of F, M = sigma(R) and B the first
@@ -24,8 +23,8 @@ each cell where sigma > 0. Both run about the component's midpoint (the joint
 hull's for a bare :func:`dominates`) in a power of two near its width as the
 length unit: the verdict depends neither on position nor on scale, though
 reported gaps still underflow below ~1e-154. For equal masses the derivative
-of the difference is -F, so the same cumulative sum locates its stationary
-points as the zeros of F.
+of the difference is -F, so an interior maximum sits at a cell's vertex,
+where F crosses zero: a stationary point of the difference.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .errors import ValidationError
@@ -147,7 +146,11 @@ def potential(mu: StepMeasure) -> PiecewiseQuadratic:
             v, b, b[1:], sq, sq[1:], pre_m, pre_m[1:], pre_s, pre_s[1:]
         )
     ]
-    return PiecewiseQuadratic(b, ((0.0, k / 2.0, -beta / 2.0), *inner, (0.0, -k / 2.0, beta / 2.0)))
+    coeffs = ((0.0, k / 2.0, -beta / 2.0), *inner, (0.0, -k / 2.0, beta / 2.0))
+    # two finite squares may still add past the float range
+    if not all(map(math.isfinite, chain.from_iterable(coeffs))):
+        raise ValidationError(f"potential coefficients overflow: breaks ({b[0]!r}, {b[-1]!r})")
+    return PiecewiseQuadratic(b, coeffs)
 
 
 # -- order certificates ---------------------------------------------------------
@@ -244,28 +247,6 @@ def _walk(xs, sigma, centre: float, unit: float) -> tuple[float, float, float]:
         if at_lo > best:
             best, point = at_lo, hi
     return best + 0.0, point, moment  # + 0.0 reads a gap of -0.0 as 0.0
-
-
-def _zeros_of_f(
-    xs: Sequence[float], sigma: Sequence[float]
-) -> tuple[list[float], list[tuple[float, float]]]:
-    """Zeros of F on [xs[0], xs[-1]]: isolated points, and cells where F vanishes.
-
-    F is linear on each cell of the walk's grid, so it vanishes at a break
-    where the cumulative sum is zero, or at one point inside a cell where it
-    changes sign. When nu and mu have equal mass, U_nu' - U_mu' = -F, so these
-    are the stationary points of the potential difference.
-    """
-    cum = [*accumulate((s * (hi - lo) for lo, hi, s in zip(xs, xs[1:], sigma)), initial=0.0)]
-    points = [x for x, f in zip(xs, cum) if f == 0.0]
-    flats = []
-    for j, (lo, hi) in enumerate(zip(cum, cum[1:])):
-        if lo == hi == 0.0 and xs[j] < xs[j + 1]:
-            flats.append((xs[j], xs[j + 1]))
-        elif lo < 0.0 < hi or hi < 0.0 < lo:
-            points.append(min(xs[j] - lo / sigma[j], xs[j + 1]))
-    # a break both grids hold comes twice
-    return sorted(set(points)), flats
 
 
 def _certify(

@@ -222,7 +222,7 @@ def _scenario_appendix_critical_point() -> Scenario:
         k = rng.uniform(0.05, 1.95)
         half = k - 0.5 * k * k
         beta = rng.uniform(-0.98 * half, 0.98 * half)
-        # the zero of F that critical_point locates, against the appendix's closed form
+        # the vertex the order walk finds, against the appendix's closed form
         closed_form = 2.0 * beta * (1.0 - k) / (k * (2.0 - k))
         worst = max(worst, abs(critical_point(k, beta) - closed_form))
     rows = (

@@ -23,7 +23,8 @@ from .errors import VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _check_tol, _cuts
 from .measure import _unit, indicator, measures_allclose
 from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
-from .potential import OrderCertificate, _certify_parts, _sigma, _zeros_of_f, potential
+from .potential import OrderCertificate, _certify_parts, dominates
+from .potential import potential  # noqa: F401  (uncalled: pinned as restrict is)
 from .potential import order_leq_sh_O  # noqa: F401  (uncalled: pinned as restrict is)
 
 
@@ -273,12 +274,13 @@ def critical_point(k: float, beta: float) -> float:
     """Unique stationary point of U_target - U_source on (-1, 1).
 
     The source is the single unit block with the given mass and first moment,
-    the target its two-block solution on (-1, 1). Both have mass k, so the
-    derivative of the difference is -F, F the cumulative distribution of
-    target - source; the point is the single interior zero of F. The built
-    potential difference checks it: it must vanish at the endpoints, stay
-    nonpositive inside and attain its minimum there, to the policy's bound.
-    The repro manifest compares it with the appendix's closed form.
+    the target its two-block solution on (-1, 1). Two walks decide it. The
+    source must precede the target: U_target - U_source <= 0 inside and
+    vanishing beyond, to the policy's bound. The reverse walk's first
+    maximum, the minimum of that difference, sits at the vertex where F, the
+    cumulative distribution of target - source, crosses zero. Where that
+    minimum is rounding dust the target is the source and the point is not
+    unique. The repro manifest compares it with the appendix's closed form.
     """
     if not 0.0 < k < 2.0:
         raise InfeasibilityError(f"mass must satisfy 0 < k < 2, got {k!r}")
@@ -289,40 +291,15 @@ def critical_point(k: float, beta: float) -> float:
     source = indicator(a, b)
     # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
     target = _gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)).measure()
-
-    zeros, flats = _zeros_of_f(*_sigma(target.breaks, target.values, source.breaks, source.values))
-    margin = 1e-7
-    interior = [r for r in zeros if -1.0 + margin < r < 1.0 - margin]
-    interior_flats = [
-        seg for seg in flats if seg[1] > -1.0 + margin and seg[0] < 1.0 - margin
-    ]
-    if interior_flats:
-        raise VerificationError(
-            f"derivative difference vanishes on segments {interior_flats}"
+    cert = dominates(source, target)
+    if not cert.ordered:
+        raise VerificationError(f"the source does not precede its target: {cert.to_json()}")
+    reverse = dominates(target, source)
+    if reverse.worst_gap <= _bounds(0.0, 0.0, -1.0, 1.0)[1]:
+        raise InfeasibilityError(
+            f"first moment {beta!r} at the window's edge: the target is the source up to rounding"
         )
-    if len(interior) != 1:
-        raise VerificationError(
-            f"expected a unique interior stationary point, found {interior}"
-        )
-    (s0,) = interior
-
-    u_target, u_source = potential(target), potential(source)
-    diff = u_target - u_source
-    bound = _bounds(DEFAULT_TOL, k, -1.0, 1.0)[1]
-    if abs(diff(-1.0)) > bound or abs(diff(1.0)) > bound:
-        raise VerificationError("potential difference does not vanish at the endpoints")
-    top, _ = diff.max_on(-1.0, 1.0)
-    if top > bound:
-        raise VerificationError(f"potential difference positive inside: {top!r}")
-    # the minimum of diff is minus the maximum of its negation, which IEEE
-    # subtraction gives exactly as u_source - u_target
-    neg_bottom, arg = (u_source - u_target).max_on(-1.0, 1.0)
-    bottom = -neg_bottom
-    if abs(diff(s0) - bottom) > bound:
-        raise VerificationError(
-            f"minimum at {arg!r} with value {bottom!r} is not attained at s0={s0!r}"
-        )
-    return s0
+    return reverse.worst_point
 
 
 # -- primal objective and cost independence ----------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -114,6 +115,12 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
             {"measure": {"breaks": [1e300, 1.5e300], "values": [1e-300]}},
             "breaks too far from 0 to square: (1e+300, 1.5e+300)",
         ),
+        # each square is finite, but their sum in the inner piece's constant is not
+        (
+            "potential",
+            {"measure": {"breaks": [1e154, 1.3e154], "values": [1e-300]}},
+            "potential coefficients overflow: breaks (1e+154, 1.3e+154)",
+        ),
         # without dt the step is 1e-4 * width ** 2, and the width is 1e160
         (
             "simulate",
@@ -125,7 +132,7 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
             "the default dt, 1e-4 * width ** 2, overflows: give dt",
         ),
     ],
-    ids=["potential", "simulate"],
+    ids=["potential", "potential_sum", "simulate"],
 )
 def test_commands_refuse_coordinates_whose_squares_overflow(
     tmp_path, capsys, command, payload, says
@@ -268,6 +275,8 @@ def test_simulate_rejects_ill_typed_config(tmp_path, capsys, config, argv):
         ("[-0.25, 0.25]", '"t_max": 1e400'),  # JSON 1e400 reads as infinity
         ("[-0.25, 0.25]", '"dt": 1e400'),
         ("[-0.25, 0.25]", '"dt": 1e-10, "t_max": 1e308'),  # t_max / dt overflows
+        ("[-0.25, 0.25]", '"dt": 1e300'),  # t_max / dt rounds to zero steps
+        ("[-0.25, 0.25]", '"dt": 2.0, "t_max": 1.0'),  # t_max / dt = 1/2 is zero steps too
         # on the component (0, 1e-160) the default dt, 1e-4 * width**2, underflows to 0
         ("[0, 1e-160]", '"dt": null'),
     ],
@@ -392,13 +401,13 @@ def test_critical_point_row_fails_on_a_shifted_root(monkeypatch):
 
     (row,) = repro._scenario_appendix_critical_point().rows
     assert 0.0 < row.computed <= 1e-12 and row.passed
-    zeros_of_f = solver._zeros_of_f
+    dominates = solver.dominates
 
-    def shifted(xs, sigma):
-        points, flats = zeros_of_f(xs, sigma)
-        return [p + 1e-9 for p in points], flats
+    def shifted(mu, nu):
+        cert = dominates(mu, nu)
+        return dataclasses.replace(cert, worst_point=cert.worst_point + 1e-9)
 
-    monkeypatch.setattr(solver, "_zeros_of_f", shifted)
+    monkeypatch.setattr(solver, "dominates", shifted)
     (row,) = repro._scenario_appendix_critical_point().rows
     assert row.computed == pytest.approx(1e-9, rel=1e-3) and not row.passed
 

@@ -24,7 +24,9 @@ endpoint sensitivity's 2.0 to 2 / h = 1.96923076923, where h = 65/64 is
 the l = 64 member's hole mass, the larger of its pair; ``stability_monotone``
 when the L1 helpers came to sum from the float 0.0, which turned the two
 rows' ``"input_l1_gap": 0`` into ``0.0`` and left its CSV as it was;
-nothing else moved). A change
+``repro_json`` when the stationary point came to be read from the order
+walk's first maximum, which moved the stationary-point defect from
+1.17961196366e-16 to 1.11022302463e-16; nothing else moved). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -97,7 +99,7 @@ EXPECTED = {
     },
     "repro_json": {
         "exit": 0,
-        "stdout": "d435d19619fafb18196b2b115b27015ea37b73398e56cc0b3ab501ce21e3df72",
+        "stdout": "824761b2cc9f5f4d43c000a1a70a4aa78775c0f538728c7130fb2467321ce956",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "simulate_empty_middle": {

@@ -513,11 +513,28 @@ def test_critical_point_formula_value():
 @example(1.0, 0.0)
 @example(0.5, 0.75)
 def test_critical_point_matches_the_closed_form(k, t):
-    # beta at the fraction t of the half window. Nearer its edges, or k nearer
-    # 0 or 2, the zero of F can rest on rounding dust, and critical_point
-    # raises VerificationError there instead
+    # beta at the fraction t of the half window; nearer its edges see the next test
     beta = t * (k - 0.5 * k * k)
     assert abs(critical_point(k, beta) - 2.0 * beta * (1.0 - k) / (k * (2.0 - k))) <= 1e-10
+
+
+def test_critical_point_at_the_window_edge_is_the_closed_form_or_refused():
+    # |beta| within 1e-17 to 1e-12 (relative) of the edge k - k^2/2: the target
+    # may equal the source up to rounding, and then s0 is not unique
+    rng = np.random.default_rng(26)
+    answered = refused = 0
+    for _ in range(5000):
+        k = rng.uniform(0.05, 1.95)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        beta = sign * (k - 0.5 * k * k) * (1.0 - 10.0 ** rng.uniform(-17, -12))
+        try:
+            s0 = critical_point(k, beta)
+        except InfeasibilityError:
+            refused += 1
+            continue
+        assert abs(s0 - 2.0 * beta * (1.0 - k) / (k * (2.0 - k))) <= 1e-10, (k, beta)
+        answered += 1
+    assert answered and refused
 
 
 def test_critical_point_rejects_outside_window():

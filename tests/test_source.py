@@ -43,3 +43,19 @@ def test_restrict_is_called_nowhere_in_the_package():
         and "restrict" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert not found, f"restrict called in src/stefan1d: {found}"
+
+
+def test_potentials_are_built_only_for_the_potential_command():
+    # the walk is the package's one certificate route: potential() serves the
+    # `potential` command alone, and no piecewise maximum stands in for the walk
+    calls = [
+        (path.name, node.lineno, name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        for name in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        if name in ("potential", "max_on")
+    ]
+    found = [f"{f}:{line} {name}" for f, line, name in calls if (f, name) != ("cli.py", "potential")]
+    assert not found, f"potential or max_on called in src/stefan1d: {found}"
+    assert any(f == "cli.py" for f, _, _ in calls), "the potential command no longer calls potential"
