@@ -26,7 +26,6 @@ from .measure import (
     pointwise_leq,
     positive_part_l1,
     restrict,
-    zero_measure,
 )
 from .particles import (
     ComparisonReport,
@@ -123,5 +122,4 @@ __all__ = [
     "solve_component",
     "sweep_states",
     "weak_convergence_experiment",
-    "zero_measure",
 ]

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SupportError, ValidationError
@@ -218,23 +218,22 @@ def _canonical(breaks: Sequence[float], values: Iterable[float]) -> StepMeasure:
     below _MIN_DENSITY become 0, equal neighbours merge, zero end cells go. A repeated break
     keeps its first copy, but a zero keeps the sign of the nonzero cell it bounds.
     """
-    keep = [*map(operator.lt, breaks, breaks[1:])]  # cell i is wider than zero
-    if not all(keep) and any(map(operator.gt, breaks, breaks[1:])):  # a break steps back
-        top = [*accumulate(breaks, max)]
-        keep = [*map(operator.lt, top, top[1:])]
-    v = [x if x >= _MIN_DENSITY else 0.0 for x in compress(values, keep)]
-    b = [*breaks[:1], *compress(breaks[1:], keep)]
-    starts = [True, *map(operator.ne, v[1:], v)]  # cell i starts a run of equal densities
-    values, cuts = [*compress(v, starts)], [*compress(b, starts), *b[-1:]]
-    if values and not values[-1]:
-        del values[-1], cuts[-1]
-    if values and not values[0]:
-        del values[0], cuts[0]
-    if 0.0 in cuts:
+    v, cuts, top = [], [], breaks[0] if breaks else 0.0
+    for hi, x in zip(breaks[1:], values):
+        if hi > top:  # the cell counts: its right break is above every break before it
+            x = x if x >= _MIN_DENSITY else 0.0
+            if x != (v[-1] if v else 0.0):  # x starts a run of equal densities
+                v.append(x)
+                cuts.append(top)
+            top = hi
+    cuts.append(top)
+    if v and not v[-1]:  # a trailing zero run ends the measure at its start
+        del v[-1], cuts[-1]
+    if v and 0.0 in cuts:
         k = cuts.index(0.0)
-        if k == 0 or not values[k - 1]:  # after a zero run or none: the next cell's own start
+        if k == 0 or not v[k - 1]:  # after a zero run or none: the next cell's own start
             cuts[k] = next(x for x in reversed(breaks) if x == 0.0)
-    return _checked(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
+    return _checked(tuple(cuts), tuple(v)) if v else StepMeasure((), ())
 
 
 def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
@@ -244,10 +243,6 @@ def indicator(a: float, b: float, density: float = 1.0) -> StepMeasure:
     if not 0.0 <= density < math.inf:
         raise ValidationError(f"density must be finite and nonnegative, got {density!r}")
     return _canonical((float(a), float(b)), (float(density),))
-
-
-def zero_measure() -> StepMeasure:
-    return StepMeasure((), ())
 
 
 # -- merged-grid operations ---------------------------------------------------
@@ -330,7 +325,7 @@ def restrict(
     """
     _check_tol(tol)
     return [
-        zero_measure() if not b else mu if b is mu.breaks else _checked(b, v)
+        StepMeasure((), ()) if not b else mu if b is mu.breaks else _checked(b, v)
         for b, v, _ in _cuts(mu, open_set, tol)
     ]
 

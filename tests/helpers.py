@@ -7,8 +7,8 @@ import operator
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, count, repeat
-from typing import Iterable
+from itertools import accumulate, compress, count, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 from hypothesis import assume
@@ -25,7 +25,6 @@ from stefan1d import (
     VerificationError,
     indicator,
     make_step_measure,
-    zero_measure,
 )
 from stefan1d.measure import _MIN_DENSITY, _bounds, _canonical, _checked, _unit
 from stefan1d.particles import ComponentRunReport
@@ -38,6 +37,10 @@ from stefan1d.potential import (
 )
 from stefan1d.solver import BlockPair, _blocks_measure, _gap, _holes, _two_holes, _unit_blocks
 from stefan1d.walkers import _quantiles
+
+
+def zero_measure() -> StepMeasure:
+    return StepMeasure((), ())
 
 
 def sum_measures(measures: Iterable[StepMeasure]) -> StepMeasure:
@@ -511,6 +514,30 @@ def walk_reference(xs, sigma, centre: float, unit: float) -> tuple[float, float,
             if val > best or (val == best and j < at):
                 best, at, point = val, j + 1, xs[j] + t / unit
     return best + 0.0, point, moment
+
+
+# -- the canonicaliser before it became one pass ---------------------------------
+
+
+def canonical_reference(breaks: Sequence[float], values: Iterable[float]) -> StepMeasure:
+    """``stefan1d.measure._canonical`` as masks: kept cells, then run starts, then the ends."""
+    keep = [*map(operator.lt, breaks, breaks[1:])]  # cell i is wider than zero
+    if not all(keep) and any(map(operator.gt, breaks, breaks[1:])):  # a break steps back
+        top = [*accumulate(breaks, max)]
+        keep = [*map(operator.lt, top, top[1:])]
+    v = [x if x >= _MIN_DENSITY else 0.0 for x in compress(values, keep)]
+    b = [*breaks[:1], *compress(breaks[1:], keep)]
+    starts = [True, *map(operator.ne, v[1:], v)]  # cell i starts a run of equal densities
+    values, cuts = [*compress(v, starts)], [*compress(b, starts), *b[-1:]]
+    if values and not values[-1]:
+        del values[-1], cuts[-1]
+    if values and not values[0]:
+        del values[0], cuts[0]
+    if 0.0 in cuts:
+        k = cuts.index(0.0)
+        if k == 0 or not values[k - 1]:  # after a zero run or none: the next cell's own start
+            cuts[k] = next(x for x in reversed(breaks) if x == 0.0)
+    return _checked(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
 
 
 # -- the hole pass before it became one loop ------------------------------------

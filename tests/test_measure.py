@@ -24,11 +24,11 @@ from stefan1d import (
     positive_part_l1,
     restrict,
     solve,
-    zero_measure,
 )
 from helpers import (
     EDGE_DENSITIES,
     POW_BREAK,
+    canonical_reference,
     canonicalize,
     cdf,
     cell_measures,
@@ -49,8 +49,9 @@ from helpers import (
     unit_block_measures,
     walked_cells_reference,
     walked_sub_reference,
+    zero_measure,
 )
-from stefan1d.measure import _cuts, _merged_cells
+from stefan1d.measure import _canonical, _cuts, _merged_cells
 from stefan1d.particles import ComponentRunReport
 from stefan1d.solver import _blocks_measure, sweep_states
 from stefan1d.walkers import _quantiles
@@ -316,6 +317,37 @@ def test_zero_measure_propagates():
 def test_canonical_merging_of_equal_neighbours():
     mu = make_step_measure([0.0, 1.0, 2.0], [0.5, 0.5])
     assert mu.breaks == (0.0, 2.0)  # equal neighbours merged
+
+
+@st.composite
+def canonical_inputs(draw):
+    """Breaks sorted, repeated or stepping back, and densities with extra values."""
+    point = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 5e-324]), st.floats(-3.0, 3.0))
+    breaks = draw(st.lists(point, max_size=8))
+    if draw(st.booleans()):
+        breaks.sort()
+    density = st.one_of(st.sampled_from([*EDGE_DENSITIES, math.nan]), st.floats(0.0, 3.0))
+    n = max(len(breaks) - 1, 0) + draw(st.integers(0, 2))
+    return tuple(breaks), draw(st.lists(density, min_size=n, max_size=n))
+
+
+def _canonical_outcome(fn, breaks, values):
+    try:
+        return repr(fn(breaks, iter(values)))
+    except ValidationError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(canonical_inputs())
+@example(((0.0, 1.0, 0.5, 2.0), [0.5, 0.25, 0.75]))  # a break steps back
+@example(((-1.0, -0.0, 0.0, 1.0), [0.0, 0.5, 0.5]))  # -0.0 then 0.0 after a zero run
+@example(((-1.0, 0.0, -0.0, 1.0), [0.5, 0.0, 0.5]))
+@example(((0.0, 1.0, 1.0, 2.0, 3.0), [0.5, 0.25, 0.5, 0.0, 1.0]))  # repeat, trailing zero
+@example(((-0.0, 1.0, 2.0), [5e-324, math.nan, 1.0]))  # flushed densities, one extra value
+@example(((0.0, 1e300, 2e300), [1e10, 1e10]))  # refused: the mass overflows
+def test_canonicaliser_matches_the_mask_passes_bit_for_bit(cut):
+    assert _canonical_outcome(_canonical, *cut) == _canonical_outcome(canonical_reference, *cut)
 
 
 # -- the bisect-and-slice restriction and the merge walk against references --

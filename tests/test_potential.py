@@ -21,7 +21,6 @@ from stefan1d import (
     solve,
     solve_component,
     sweep_states,
-    zero_measure,
 )
 from stefan1d.measure import _bounds, _unit
 from stefan1d.potential import _sigma, _walk
@@ -46,6 +45,7 @@ from helpers import (
     random_unit_blocks,
     sub_reference,
     walk_reference,
+    zero_measure,
 )
 
 

@@ -31,7 +31,6 @@ from stefan1d import (
     solve_by_sweep,
     solve_component,
     sweep_states,
-    zero_measure,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,6 +49,7 @@ from helpers import (
     sum_measures,
     sweep_reference,
     unit_block_measures,
+    zero_measure,
 )
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
@@ -397,8 +397,6 @@ def test_solve_builds_one_measure_for_many_components(monkeypatch):
 
 
 def test_zero_mass_solution():
-    from stefan1d import zero_measure
-
     sol = solve(zero_measure(), DOMAIN)
     assert sol.measure.mass == 0.0
     assert sol.blocks[0].p == 0.0 and sol.blocks[0].q == 0.0
