@@ -29,20 +29,23 @@ in force, the walker rejoins the walk from its Brownian bridge point, which
 is exact in law. The coarsest level is the last whose band is narrower than
 half the component, since no walker could be coarse at a coarser one.
 
-Memory: the walk holds two float64 numbers per walker, its freeze position
-and freeze time, which the report reads. Each fine step allocates float32
-arrays for its fine set alone (the new positions, the uniforms and each
-front's crossing probability), a small share of the walkers, since most of
-them are coarse at most steps; each freeze batch allocates its slot
-midpoints. The start is sampled in place. On 0.99 chi_(0, sqrt(0.75)) in
-(-1, 1) at dt = 1e-3 the tracemalloc peak is 50, 41 and 39 B per walker for
-n = 2e4, 1e5 and 1e6: at the histogram for the first, in `refine` for the
-others.
+Memory: the walk logs each freeze batch as three integers (the walkers
+frozen on each side and the step) and holds nothing per walker beyond the
+positions of the live ones. Each fine step allocates float32 arrays for its
+fine set alone (the new positions, the uniforms and each front's crossing
+probability), a small share of the walkers, since most of them are coarse
+at most steps. The start is sampled in place. When the walk ends, the
+report's float64 freeze positions and times are rebuilt from the log, and
+their histogram taken, _CHUNK walkers at a time. On 0.99 chi_(0, sqrt(0.75))
+in (-1, 1) at dt = 1e-3 the tracemalloc peak is 26.0, 25.4 and 24.0 B per
+walker for n = 2e4, 1e5 and 1e6: in the rebuild for the first, in `refine`
+for the second, and sampling the start for the third.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +59,7 @@ from .particles import ComponentRunReport
 # both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
 _Z = 5.55
 _RADIX = 4  # sub-blocks per block
+_CHUNK = 2048  # walkers per chunk of the freeze record and its histogram
 
 
 def _quantiles(breaks: Sequence[float], values: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -118,47 +122,35 @@ class _Walk:
         self.left, self.right = c, d  # fronts; left <= right always
         self.fronts = np.array([[c], [d]], dtype=np.float32)
         self.frozen_left = self.frozen_right = self.n_frozen = 0
-        self.freeze_pos = np.empty(n)
-        self.freeze_t = np.empty(n)
+        self.log = array("q")  # nl, nr, step of each freeze batch, in order
         self.slack = _bounds(DEFAULT_TOL, n * m, c, d)[0]  # admissible excess mass, as in solve
         self.sqrt_dt = math.sqrt(dt)
         self.inv_dt = -2.0 / dt
         self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
 
-    def freeze(self, nl: int, nr: int, when: float) -> int:
-        # fronts stay at exactly c + m*count and d - m*count; walker j of a
-        # batch freezes at the midpoint of its slot, j + 0.5 masses in
-        slots = np.arange(max(nl, nr)) + 0.5
-        i = self.n_frozen
+    def freeze(self, nl: int, nr: int, step: int) -> int:
+        # fronts stay at exactly c + m*count and d - m*count; the batch's
+        # freeze positions are rebuilt from the log when the walk ends
+        self.log.extend((nl, nr, step))
         if nl:
-            out = self.freeze_pos[i : i + nl]
-            np.multiply(slots[:nl], self.m, out=out)
-            np.add(out, self.left, out=out)
             self.frozen_left += nl
             self.left = self.c + self.m * self.frozen_left
-            i += nl
         if nr:
-            out = self.freeze_pos[i : i + nr]
-            np.multiply(slots[:nr], self.m, out=out)
-            np.subtract(self.right, out, out=out)
             self.frozen_right += nr
             self.right = self.d - self.m * self.frozen_right
-            i += nr
-        self.freeze_t[self.n_frozen : i] = when
-        self.n_frozen = i
+        self.n_frozen += nl + nr
         self.fronts[:, 0] = (self.left, self.right)
         return nl + nr
 
     def settle(self, pos: np.ndarray, step: int) -> np.ndarray:
         """Freeze the walkers the fronts have swept, repeating while they advance."""
-        when = step * self.dt
         # discrete stopping never leaves the component: the loop ends with every
         # walker strictly inside the fronts
         while pos.size and not (pos.min() > self.left and pos.max() < self.right):
             swept_l = pos <= self.left
             swept = swept_l | (pos >= self.right)
             nl = int(np.count_nonzero(swept_l))
-            if not self.freeze(nl, int(np.count_nonzero(swept)) - nl, when):
+            if not self.freeze(nl, int(np.count_nonzero(swept)) - nl, step):
                 # neither inside nor swept: a NaN
                 raise VerificationError(
                     f"live walker outside the fronts ({self.left!r}, {self.right!r})"
@@ -196,9 +188,11 @@ class _Walk:
         span = (end - start) * self.dt
         band = _Z * math.sqrt(span)
         split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
-        far = (pos - self.left > split) & (self.right - pos > split)
+        far = np.minimum(pos - self.left, self.right - pos) > split
         x0 = pos[far]
-        x1 = x0 + math.sqrt(span) * self.rng.standard_normal(x0.size, dtype=np.float32)
+        x1 = self.rng.standard_normal(x0.size, dtype=np.float32)
+        x1 *= math.sqrt(span)
+        x1 += x0
         group = _Coarse(x0, x1, start, end, span, band)
         self.coarse.append(group)
         pos = pos[~far]
@@ -229,8 +223,59 @@ class _Walk:
         if not n_cross:
             return self.settle(new, step)
         nl = int(np.count_nonzero(u < p[0]))  # u < p_l implies u < p_l + p_r
-        self.freeze(nl, n_cross - nl, step * self.dt)
+        self.freeze(nl, n_cross - nl, step)
         return self.refine(self.settle(new[~cross], step), step)
+
+
+def _record(log: array, c: float, d: float, m: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The freeze positions and times of the walkers in a walk's log, in freeze order.
+
+    Walker j of a batch froze at the midpoint of its slot, j + 0.5 masses
+    inward of its front as the batch found it; its time is step * dt. The
+    record is filled _CHUNK walkers at a time, so the temporaries stay
+    chunk-sized, with the float64 operations of a batch-by-batch fill: a
+    right batch's d - m*count + -(slot*m) is d - m*count - slot*m exactly.
+    """
+    nl, nr, step = np.frombuffer(log, dtype=np.int64).reshape(-1, 3).T
+    ends = np.cumsum(nl + nr)
+    seen_l = np.cumsum(nl)
+    seen_l -= nl  # walkers frozen on the left before each batch
+    n = int(ends[-1]) if ends.size else 0
+    pos, times = np.empty(n), np.empty(n)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        lo, hi = np.searchsorted(ends, (a, b - 1), side="right")
+        k = slice(lo, hi + 1)  # the batches of walkers a to b - 1
+        start = ends[k] - nl[k] - nr[k]
+        which = np.repeat(np.arange(hi + 1 - lo), np.minimum(ends[k], b) - np.maximum(start, a))
+        j = np.arange(a, b)
+        j -= start[which]  # each walker's place in its batch
+        n_left = nl[k][which]
+        right = j >= n_left
+        np.subtract(j, n_left, out=j, where=right)  # its place on its side
+        slot = j + 0.5
+        slot *= m
+        np.negative(slot, out=slot, where=right)
+        # the fronts as each batch found them; before a side's first batch
+        # c + 0.0 may differ from c in the sign of a zero, which no sum with
+        # a slot (>= +0.0) shows
+        seen = seen_l[k]
+        front = np.where(right, (d - m * (start - seen))[which], (c + m * seen)[which])
+        np.add(slot, front, out=pos[a:b])
+        np.multiply(step[k][which], dt, out=times[a:b])
+    return pos, times
+
+
+def _histogram(x: np.ndarray, bins: int, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """np.histogram(x, bins, range=(c, d)), taken _CHUNK elements at a time.
+
+    The edges come from the range alone, so every element lands in the bin
+    it lands in on the whole array.
+    """
+    counts, edges = np.histogram(x[:_CHUNK], bins=bins, range=(c, d))
+    for a in range(_CHUNK, x.size, _CHUNK):
+        counts += np.histogram(x[a : a + _CHUNK], bins=bins, range=(c, d))[0]
+    return counts, edges
 
 
 def simulate_component(
@@ -267,9 +312,10 @@ def simulate_component(
                 break
             pos = walk.block(top, start, pos)
 
-    frozen = walk.freeze_pos[: walk.n_frozen]
-    times = walk.freeze_t[: walk.n_frozen]
-    counts, edges = np.histogram(frozen, bins=hist_bins, range=(c, d))
+    frozen, times = _record(walk.log, c, d, m, dt)
+    mean_freeze_time = float(times.mean()) if walk.n_frozen else math.nan
+    del times  # before std's n-sized temporary
+    counts, edges = _histogram(frozen, hist_bins, c, d)
     return ComponentRunReport(
         interval=(c, d),
         n=n,
@@ -281,7 +327,7 @@ def simulate_component(
         q_hat=m * walk.frozen_right,
         left_front=walk.left,
         right_front=walk.right,
-        mean_freeze_time=float(times.mean()) if walk.n_frozen else math.nan,
+        mean_freeze_time=mean_freeze_time,
         freeze_position_mean=float(frozen.mean()) if walk.n_frozen else math.nan,
         freeze_position_std=float(frozen.std()) if walk.n_frozen else math.nan,
         hist_edges=tuple(edges.tolist()),

@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stefan1d import (
@@ -27,7 +31,13 @@ from stefan1d import walkers
 from stefan1d.measure import _cuts
 from stefan1d.particles import _step_count
 
-from helpers import cdf, sample_initial, simulate_component_reference, zero_measure
+from helpers import (
+    cdf,
+    freeze_record_reference,
+    sample_initial,
+    simulate_component_reference,
+    zero_measure,
+)
 
 DOMAIN = OpenSet1D.interval(-1.0, 1.0)
 
@@ -266,17 +276,17 @@ def test_run_leaves_no_reference_cycle():
         gc.enable()
 
 
-@pytest.fixture(scope="module")
-def traced_walk():
-    """The tracemalloc peak and the report of one component's walk.
+@cache
+def _traced_walk(n: int):
+    """The tracemalloc peak per walker and the report of one component's walk.
 
-    Criterion 07's input at n = 20,000 and dt = 1e-3: the fine set changes
-    size from step to step, freezes come in batches, and most walkers start
-    coarse at the top level.
+    Criterion 07's input at dt = 1e-3: the fine set changes size from step
+    to step, freezes come in batches, and most walkers start coarse at the
+    top level.
     """
     mu = indicator(0.0, math.sqrt(0.75), 0.99)
     cut = _cuts(mu, DOMAIN)[0]
-    n, dt, seed = 20000, 1e-3, [12345, 0]
+    dt, seed = 1e-3, [12345, 0]
     n_steps = _step_count(50.0, dt)
     walkers.simulate_component(cut, -1.0, 1.0, 100, dt, n_steps, seed, 64)  # numpy's set-up
     tracemalloc.start()
@@ -288,20 +298,24 @@ def traced_walk():
     return peak / n, report
 
 
-def test_walk_peak_memory_per_walker(traced_walk):
-    # the report needs each walker's freeze position and time, 16 B; each
-    # fine step allocates for the fine set alone (27% of the walkers here),
-    # and the histogram's temporaries (about 34 B) set the peak. n-sized
-    # scratch and slot tables would read about 100 B per walker.
-    per_walker, report = traced_walk
-    assert report.unfrozen == 0
-    assert per_walker <= 56.0, per_walker
+def test_walk_peak_memory_per_walker():
+    # the walk logs (nl, nr, step) per freeze batch and holds no per-walker
+    # record; the report's freeze positions and times (16 B per walker) are
+    # rebuilt from the log after it, 2048 walkers at a time, as is the
+    # histogram. The peak, about 26 B, sits in the rebuild at n = 2e4 and in
+    # `_Walk.refine` at n = 1e5. The record held through the walk and a
+    # whole-record histogram read 50 and 41 B; n-sized step scratch, 100 B.
+    for n, bound in ((20000, 50.0), (100_000, 30.0)):
+        per_walker, report = _traced_walk(n)
+        assert report.unfrozen == 0
+        assert per_walker <= bound, (n, per_walker)
 
 
-def test_walk_report_bits_are_pinned(traced_walk):
-    # how the step's arrays are allocated must not move a bit of the report:
-    # the digest was recorded with n-sized scratch and slot tables
-    digest = hashlib.sha256(repr(traced_walk[1]).encode()).hexdigest()
+def test_walk_report_bits_are_pinned():
+    # how the step's arrays and the freeze record are allocated must not move
+    # a bit of the report: the digest was recorded with n-sized scratch and
+    # slot tables, and with the record filled batch by batch during the walk
+    digest = hashlib.sha256(repr(_traced_walk(20000)[1]).encode()).hexdigest()
     assert digest == "ab896dd140c94e9a4999491d8e10650896686088aa0358473aebeee2b9057b62"
 
 
@@ -330,6 +344,78 @@ def test_run_report_bits_are_pinned_on_every_kind_of_cut(mu, open_set, digest):
     # the digests were recorded when the run restricted mu to a measure per component
     report = run(mu, open_set, SimConfig(n_particles=3000, seed=17, dt=1e-3))
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+
+
+def _log(batches) -> array:
+    return array("q", [count for batch in batches for count in batch])
+
+
+_STRADDLE = [(3, 0, 0), (walkers._CHUNK, 5, 2), (0, 1, 7)]  # one batch across the default chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**6)), max_size=30),
+    st.sampled_from([-0.0, 0.0, -1.0]) | st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(5e-324, 1.0),
+    st.floats(1e-9, 1.0),
+    st.none() | st.integers(1, 64),
+)
+@example([(3, 2, 5)], -1.0, 2.0, 0.01, 1e-3, None)  # both sides in one batch
+@example([(0, 2, 1), (3, 0, 4), (1, 1, 9)], -1.0, 2.0, 0.01, 1e-3, 2)  # first batches at c and d
+@example([(2, 0, 0), (1, 3, 1)], -0.0, 1.0, 0.125, 1e-4, None)
+@example([(2, 1, 0), (0, 3, 1)], -1.0, 1.0, 5e-324, 1e-4, 1)  # slots that round to 0
+@example(_STRADDLE, -1.0, 2.0, 2.0 / 3e4, 1e-4, None)
+@example([], -1.0, 2.0, 0.01, 1e-3, None)  # nothing frozen
+def test_freeze_record_matches_the_batch_fill_bit_for_bit(batches, c, width, m, dt, chunk):
+    log = _log(batches)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk:
+            patch.setattr(walkers, "_CHUNK", chunk)
+        got = walkers._record(log, c, c + width, m, dt)
+    want = freeze_record_reference(log, c, c + width, m, dt)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _edge_record(c: float, d: float, bins: int) -> np.ndarray:
+    """Values on c, on d, on every interior edge, one ulp either side of each, and between."""
+    edges = np.histogram(np.empty(0), bins=bins, range=(c, d))[1]
+    below, above = np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return np.concatenate((edges, below, above, mids, edges[::-1]))
+
+
+@pytest.mark.parametrize("c, d, bins", [(-1.0, 1.0, 64), (-0.0, 0.7, 7), (0.1, 0.3, 3)])
+def test_chunked_histogram_matches_the_whole_record(c, d, bins):
+    x = _edge_record(c, d, bins)
+    want = np.histogram(x, bins=bins, range=(c, d))
+    for chunk in range(1, x.size + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walkers, "_CHUNK", chunk)
+            got = walkers._histogram(x, bins, c, d)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], chunk
+    empty = walkers._histogram(np.empty(0), bins, c, d)
+    want = np.histogram(np.empty(0), bins=bins, range=(c, d))
+    assert [a.tobytes() for a in empty] == [a.tobytes() for a in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(1e-6, 1e3),
+    st.integers(1, 80),
+    st.lists(st.floats(0.0, 1.0), max_size=40),
+    st.integers(1, 50),
+)
+def test_chunked_histogram_matches_on_random_records(c, width, bins, fracs, chunk):
+    d = c + width
+    x = np.concatenate((_edge_record(c, d, bins), [c + f * width for f in fracs]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walkers, "_CHUNK", chunk)
+        got = walkers._histogram(x, bins, c, d)
+    want = np.histogram(x, bins=bins, range=(c, d))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_coarse_band_meets_the_float32_budget():
