@@ -238,11 +238,7 @@ def cmd_simulate(args) -> int:
     if args.hist:
         rows = []
         for i, comp in enumerate(report.components):
-            width = (
-                comp.hist_edges[1] - comp.hist_edges[0]
-                if len(comp.hist_edges) > 1
-                else 1.0
-            )
+            width = comp.hist_edges[1] - comp.hist_edges[0]
             for j, count in enumerate(comp.hist_counts):
                 density = count * comp.unit_mass / width if width > 0 else 0.0
                 rows.append(

@@ -51,6 +51,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ComponentRunReport:
+    """One component's walk; its freeze position statistics are the slot midpoints'."""
+
     interval: tuple[float, float]
     n: int
     unit_mass: float
@@ -131,8 +133,14 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     steps = [_step_count(cfg.t_max, dt) for dt in dts]  # refuse before any walk allocates
 
     # imported here, so that `import stefan1d` and the other commands do not load numpy
+    import numpy as np
+
     from .walkers import simulate_component
 
+    with np.errstate(over="ignore"):  # the walk runs in float32
+        wide = [cd for cd in open_set.components if not np.isfinite(np.float32(cd)).all()]
+    if wide:
+        raise ValidationError(f"component too far from 0 for the float32 walk: {wide[0]}")
     walks = enumerate(zip(cuts, open_set.components, alloc, dts, steps))
     components = tuple(
         simulate_component(cut, c, d, n, dt, n_steps, [cfg.seed, i], cfg.hist_bins)

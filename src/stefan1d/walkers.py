@@ -29,23 +29,21 @@ in force, the walker rejoins the walk from its Brownian bridge point, which
 is exact in law. The coarsest level is the last whose band is narrower than
 half the component, since no walker could be coarse at a coarser one.
 
-Memory: the walk logs each freeze batch as three integers (the walkers
-frozen on each side and the step) and holds nothing per walker beyond the
-positions of the live ones. Each fine step allocates float32 arrays for its
-fine set alone (the new positions, the uniforms and each front's crossing
+Memory: the walk keeps each side's frozen count and the sum of the freeze
+steps, from which the report's statistics come in closed form
+(`_midpoint_stats`), and holds nothing per walker beyond the positions of
+the live ones. Each fine step allocates float32 arrays for its fine set
+alone (the new positions, the uniforms and each front's crossing
 probability), a small share of the walkers, since most of them are coarse
-at most steps. The start is sampled in place. When the walk ends, the
-report's float64 freeze positions and times are rebuilt from the log, and
-their histogram taken, _CHUNK walkers at a time. On 0.99 chi_(0, sqrt(0.75))
-in (-1, 1) at dt = 1e-3 the tracemalloc peak is 26.0, 25.4 and 24.0 B per
-walker for n = 2e4, 1e5 and 1e6: in the rebuild for the first, in `refine`
-for the second, and sampling the start for the third.
+at most steps. The start is sampled in place. On 0.99 chi_(0, sqrt(0.75))
+in (-1, 1) at dt = 1e-3 the tracemalloc peak is 25.1, 25.3 and 24.0 B per
+walker for n = 2e4, 1e5 and 1e6: in the walk for the first two, and
+sampling the start for the third.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +57,6 @@ from .particles import ComponentRunReport
 # both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
 _Z = 5.55
 _RADIX = 4  # sub-blocks per block
-_CHUNK = 2048  # walkers per chunk of the freeze record and its histogram
 
 
 def _quantiles(breaks: Sequence[float], values: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ class _Coarse:
 
 
 class _Walk:
-    """One component's fronts and freeze record.
+    """One component's fronts and freeze counts.
 
     Fine step s ends at time s * dt. The walk runs in float32: position
     rounding (~1e-7) is far below the statistical resolution, and the
@@ -121,24 +118,23 @@ class _Walk:
         self.n_steps = n_steps
         self.left, self.right = c, d  # fronts; left <= right always
         self.fronts = np.array([[c], [d]], dtype=np.float32)
-        self.frozen_left = self.frozen_right = self.n_frozen = 0
-        self.log = array("q")  # nl, nr, step of each freeze batch, in order
+        self.frozen_left = self.frozen_right = 0
+        self.step_sum = 0  # of the freeze steps, one per walker
         self.slack = _bounds(DEFAULT_TOL, n * m, c, d)[0]  # admissible excess mass, as in solve
         self.sqrt_dt = math.sqrt(dt)
         self.inv_dt = -2.0 / dt
         self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
 
     def freeze(self, nl: int, nr: int, step: int) -> int:
-        # fronts stay at exactly c + m*count and d - m*count; the batch's
-        # freeze positions are rebuilt from the log when the walk ends
-        self.log.extend((nl, nr, step))
+        # fronts stay at exactly c + m*count and d - m*count, so each walker
+        # freezes at its slot's midpoint (`_midpoint_stats`)
+        self.step_sum += (nl + nr) * step
         if nl:
             self.frozen_left += nl
             self.left = self.c + self.m * self.frozen_left
         if nr:
             self.frozen_right += nr
             self.right = self.d - self.m * self.frozen_right
-        self.n_frozen += nl + nr
         self.fronts[:, 0] = (self.left, self.right)
         return nl + nr
 
@@ -227,55 +223,37 @@ class _Walk:
         return self.refine(self.settle(new[~cross], step), step)
 
 
-def _record(log: array, c: float, d: float, m: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The freeze positions and times of the walkers in a walk's log, in freeze order.
+def _midpoint_stats(
+    nl: int, nr: int, c: float, d: float, m: float, bins: int
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The mean, std and np.histogram on (c, d) of the slot midpoints c + m*(i + 0.5)
+    for i < nl and d - m*(i + 0.5) for i < nr, without an array of them.
 
-    Walker j of a batch froze at the midpoint of its slot, j + 0.5 masses
-    inward of its front as the batch found it; its time is step * dt. The
-    record is filled _CHUNK walkers at a time, so the temporaries stay
-    chunk-sized, with the float64 operations of a batch-by-batch fill: a
-    right batch's d - m*count + -(slot*m) is d - m*count - slot*m exactly.
+    Within a side the evenly spaced midpoints have variance m**2 (count**2 - 1)
+    / 12, and the sides' means differ by gap; no m**2 or squared coordinate is
+    formed, so nothing under- or overflows. A bin counts the midpoints below
+    its upper edge (at or below d for the last) less those below its lower
+    one, each side's by a binary search over i, in which they are monotone.
     """
-    nl, nr, step = np.frombuffer(log, dtype=np.int64).reshape(-1, 3).T
-    ends = np.cumsum(nl + nr)
-    seen_l = np.cumsum(nl)
-    seen_l -= nl  # walkers frozen on the left before each batch
-    n = int(ends[-1]) if ends.size else 0
-    pos, times = np.empty(n), np.empty(n)
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        lo, hi = np.searchsorted(ends, (a, b - 1), side="right")
-        k = slice(lo, hi + 1)  # the batches of walkers a to b - 1
-        start = ends[k] - nl[k] - nr[k]
-        which = np.repeat(np.arange(hi + 1 - lo), np.minimum(ends[k], b) - np.maximum(start, a))
-        j = np.arange(a, b)
-        j -= start[which]  # each walker's place in its batch
-        n_left = nl[k][which]
-        right = j >= n_left
-        np.subtract(j, n_left, out=j, where=right)  # its place on its side
-        slot = j + 0.5
-        slot *= m
-        np.negative(slot, out=slot, where=right)
-        # the fronts as each batch found them; before a side's first batch
-        # c + 0.0 may differ from c in the sign of a zero, which no sum with
-        # a slot (>= +0.0) shows
-        seen = seen_l[k]
-        front = np.where(right, (d - m * (start - seen))[which], (c + m * seen)[which])
-        np.add(slot, front, out=pos[a:b])
-        np.multiply(step[k][which], dt, out=times[a:b])
-    return pos, times
-
-
-def _histogram(x: np.ndarray, bins: int, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """np.histogram(x, bins, range=(c, d)), taken _CHUNK elements at a time.
-
-    The edges come from the range alone, so every element lands in the bin
-    it lands in on the whole array.
-    """
-    counts, edges = np.histogram(x[:_CHUNK], bins=bins, range=(c, d))
-    for a in range(_CHUNK, x.size, _CHUNK):
-        counts += np.histogram(x[a : a + _CHUNK], bins=bins, range=(c, d))[0]
-    return counts, edges
+    edges = np.linspace(c, d, bins + 1)
+    t = np.append(edges[:-1], np.nextafter(d, np.inf))
+    # row 0 counts the left midpoints below each t, row 1 the right ones at or above it
+    ends, sign, count = np.array([[c], [d]]), np.array([[1.0], [-1.0]]), np.array([[nl], [nr]])
+    k = np.zeros((2, t.size), dtype=np.int64)
+    for b in reversed(range(max(nl, nr).bit_length())):
+        trial = k + (1 << b)
+        x = ends + sign * (m * (trial - 0.5))  # the midpoint of slot trial - 1
+        k = np.where((trial <= count) & ((x < t) != (sign < 0.0)), trial, k)
+    counts = np.diff(k[0] + nr - k[1])
+    n = nl + nr
+    if not n:
+        return math.nan, math.nan, edges, counts
+    # the sides' means are c + m*nl/2 and d - m*nr/2; their gap is taken from
+    # d - c, so the std carries no rounding of the coordinates themselves
+    gap = (d - c) - m * n / 2
+    a = (nl * (nl * nl - 1) + nr * (nr * nr - 1)) / (12 * n)
+    std = math.hypot(m * math.sqrt(a), gap * (math.sqrt(nl * nr) / n))
+    return c + m * nl / 2 + nr / n * gap, std, edges, counts
 
 
 def simulate_component(
@@ -293,8 +271,7 @@ def simulate_component(
     breaks, values, k = cut
     rng = np.random.default_rng(seed)
     m = k / n if n else 0.0
-    # the start is sampled in place before the walk allocates, so the
-    # sampler's index array and the freeze record are never held at once
+    # sampled in place: the uniforms become the start positions
     pos = rng.random(n)
     pos *= k
     pos = _quantiles(breaks, values, pos)
@@ -312,24 +289,22 @@ def simulate_component(
                 break
             pos = walk.block(top, start, pos)
 
-    frozen, times = _record(walk.log, c, d, m, dt)
-    mean_freeze_time = float(times.mean()) if walk.n_frozen else math.nan
-    del times  # before std's n-sized temporary
-    counts, edges = _histogram(frozen, hist_bins, c, d)
+    nl, nr = walk.frozen_left, walk.frozen_right
+    mean, std, edges, counts = _midpoint_stats(nl, nr, c, d, m, hist_bins)
     return ComponentRunReport(
         interval=(c, d),
         n=n,
         unit_mass=m,
-        frozen_left=walk.frozen_left,
-        frozen_right=walk.frozen_right,
+        frozen_left=nl,
+        frozen_right=nr,
         unfrozen=int(pos.size),
-        p_hat=m * walk.frozen_left,
-        q_hat=m * walk.frozen_right,
+        p_hat=m * nl,
+        q_hat=m * nr,
         left_front=walk.left,
         right_front=walk.right,
-        mean_freeze_time=mean_freeze_time,
-        freeze_position_mean=float(frozen.mean()) if walk.n_frozen else math.nan,
-        freeze_position_std=float(frozen.std()) if walk.n_frozen else math.nan,
+        mean_freeze_time=walk.step_sum / (nl + nr) * dt if nl + nr else math.nan,
+        freeze_position_mean=mean,
+        freeze_position_std=std,
         hist_edges=tuple(edges.tolist()),
         hist_counts=tuple(int(x) for x in counts),
     )

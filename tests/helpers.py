@@ -807,41 +807,6 @@ def simulate_component_reference(
     )
 
 
-# -- the freeze record before the walk kept a log of its batches -----------------
-
-
-def freeze_record_reference(log, c: float, d: float, m: float, dt: float):
-    """The freeze positions and times of a walk's (nl, nr, step) batches, filled
-    batch by batch as the walk did while it held the record.
-
-    ``walkers._record`` must match it bit for bit.
-    """
-    batches = [tuple(log[i : i + 3]) for i in range(0, len(log), 3)]
-    freeze_pos = np.empty(sum(nl + nr for nl, nr, _ in batches))
-    freeze_t = np.empty(freeze_pos.size)
-    left, right, frozen_left, frozen_right, i = c, d, 0, 0, 0
-    for nl, nr, step in batches:
-        # walker j of a batch freezes at the midpoint of its slot, j + 0.5 masses in
-        slots = np.arange(max(nl, nr)) + 0.5
-        first = i
-        if nl:
-            out = freeze_pos[i : i + nl]
-            np.multiply(slots[:nl], m, out=out)
-            np.add(out, left, out=out)
-            frozen_left += nl
-            left = c + m * frozen_left
-            i += nl
-        if nr:
-            out = freeze_pos[i : i + nr]
-            np.multiply(slots[:nr], m, out=out)
-            np.subtract(right, out, out=out)
-            frozen_right += nr
-            right = d - m * frozen_right
-            i += nr
-        freeze_t[first:i] = step * dt
-    return freeze_pos, freeze_t
-
-
 # -- strategies for the reference comparisons -----------------------------------
 
 #: Breaks, breakpoints and component endpoints share this grid, so endpoints

@@ -131,8 +131,18 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
             },
             "the default dt, 1e-4 * width ** 2, overflows: give dt",
         ),
+        # the walk runs in float32, where 1.2e40 is inf
+        (
+            "simulate",
+            {
+                "measure": {"breaks": [0.0, 1e40], "values": [0.5]},
+                "open_set": {"components": [[-1.0, 1.2e40]]},
+                "config": {"n_particles": 20, "dt": 1e78, "t_max": 1e80},
+            },
+            "component too far from 0 for the float32 walk: (-1.0, 1.2e+40)",
+        ),
     ],
-    ids=["potential", "potential_sum", "simulate"],
+    ids=["potential", "potential_sum", "simulate", "simulate_float32"],
 )
 def test_commands_refuse_coordinates_whose_squares_overflow(
     tmp_path, capsys, command, payload, says
