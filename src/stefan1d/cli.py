@@ -223,15 +223,15 @@ def cmd_simulate(args) -> int:
     unknown = sorted(set(raw_cfg) - {f.name for f in dataclasses.fields(SimConfig)})
     if unknown:
         raise CliInputError(f"unknown keys in 'config': {', '.join(unknown)}")
-    seed = _config_value(raw_cfg, "seed", 0, int) if args.seed is None else args.seed
+    seed = _config_value(raw_cfg, "seed", SimConfig.seed, int) if args.seed is None else args.seed
     if seed < 0:
         raise CliInputError(f"seed must be a non-negative integer, got {seed}")
     cfg = SimConfig(
         n_particles=_config_value(raw_cfg, "n_particles", 10000, int),
         seed=seed,
-        dt=_config_value(raw_cfg, "dt", None, float),
-        t_max=float(_config_value(raw_cfg, "t_max", 50.0, float)),
-        hist_bins=_config_value(raw_cfg, "hist_bins", 64, int),
+        dt=_config_value(raw_cfg, "dt", SimConfig.dt, float),
+        t_max=float(_config_value(raw_cfg, "t_max", SimConfig.t_max, float)),
+        hist_bins=_config_value(raw_cfg, "hist_bins", SimConfig.hist_bins, int),
     )
     report = run(mu, open_set, cfg)
     _emit(report.to_json(), args.out)

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import VerificationError
-from .measure import DEFAULT_TOL, _bounds
+from .measure import DEFAULT_TOL, _bounds, _unit
 from .particles import ComponentRunReport
 
 # A path reaches a level z below its start within time T with probability
@@ -105,12 +105,14 @@ class _Coarse:
 class _Walk:
     """One component's fronts and freeze counts.
 
-    Fine step s ends at time s * dt. The walk runs in float32: position
-    rounding (~1e-7) is far below the statistical resolution, and the
-    narrower arrays nearly halve the step cost. Front bookkeeping stays in
-    float64 scalars, so the mass and moment accounting is unaffected;
-    `fronts` holds both as a float32 column, the value a float32 operation
-    gives a float64 scalar, so that one subtraction serves both.
+    Positions, fronts, c, d, m and dt are in the component's frame
+    (`simulate_component`). Fine step s ends at time s * dt. The walk runs in
+    float32: position rounding (~1e-7 of the width) is far below the
+    statistical resolution, and the narrower arrays nearly halve the step
+    cost. Front bookkeeping stays in float64 scalars, so the mass and moment
+    accounting is unaffected; `fronts` holds both as a float32 column, the
+    value a float32 operation gives a float64 scalar, so that one subtraction
+    serves both.
     """
 
     def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng):
@@ -271,17 +273,22 @@ def simulate_component(
     breaks, values, k = cut
     rng = np.random.default_rng(seed)
     m = k / n if n else 0.0
+    # the walk runs in the component's frame x -> (x - mid) * unit, exact when
+    # mid = 0; values stay densities in x, so the masses scale by unit
+    mid, unit = 0.5 * (c + d), _unit(c, d)
+    lc, ld = (c - mid) * unit, (d - mid) * unit
+    local_dt = dt * unit * unit
     # sampled in place: the uniforms become the start positions
     pos = rng.random(n)
-    pos *= k
-    pos = _quantiles(breaks, values, pos)
-    walk = _Walk(c, d, n, m, dt, n_steps, rng)
+    pos *= k * unit
+    pos = _quantiles([(x - mid) * unit for x in breaks], values, pos)
+    walk = _Walk(lc, ld, n, m * unit, local_dt, n_steps, rng)
     # mass starting on the boundary freezes at once
     pos = walk.settle(pos, 0).astype(np.float32)
     # the coarsest level is the last whose band is narrower than half the
     # component: a coarser one could hold no walker
     top = 0
-    while _Z * math.sqrt(_RADIX ** (top + 1) * dt) < 0.5 * (d - c):
+    while _Z * math.sqrt(_RADIX ** (top + 1) * local_dt) < 0.5 * (ld - lc):
         top += 1
     with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
         for start in range(0, n_steps, _RADIX**top):
@@ -300,8 +307,8 @@ def simulate_component(
         unfrozen=int(pos.size),
         p_hat=m * nl,
         q_hat=m * nr,
-        left_front=walk.left,
-        right_front=walk.right,
+        left_front=c + m * nl if nl else c,
+        right_front=d - m * nr if nr else d,
         mean_freeze_time=walk.step_sum / (nl + nr) * dt if nl + nr else math.nan,
         freeze_position_mean=mean,
         freeze_position_std=std,

@@ -131,18 +131,8 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
             },
             "the default dt, 1e-4 * width ** 2, overflows: give dt",
         ),
-        # the walk runs in float32, where 1.2e40 is inf
-        (
-            "simulate",
-            {
-                "measure": {"breaks": [0.0, 1e40], "values": [0.5]},
-                "open_set": {"components": [[-1.0, 1.2e40]]},
-                "config": {"n_particles": 20, "dt": 1e78, "t_max": 1e80},
-            },
-            "component too far from 0 for the float32 walk: (-1.0, 1.2e+40)",
-        ),
     ],
-    ids=["potential", "potential_sum", "simulate", "simulate_float32"],
+    ids=["potential", "potential_sum", "simulate"],
 )
 def test_commands_refuse_coordinates_whose_squares_overflow(
     tmp_path, capsys, command, payload, says
@@ -216,6 +206,28 @@ def test_simulate_deterministic_and_incomplete(tmp_path):
         },
     )
     assert main(["simulate", "--input", short, "--out", str(tmp_path / "r3.json")]) == 4
+
+
+def test_simulate_walks_far_from_0(tmp_path):
+    # the walk runs in its component's frame: at 1e7 a float32 coordinate's
+    # ulp is 1, far above a step of sqrt(dt) = 0.03
+    sim_in = write(
+        tmp_path / "sim.json",
+        {
+            "measure": {"breaks": [1e7, 1e7 + 0.8], "values": [0.99]},
+            "open_set": {"components": [[1e7 - 1.0, 1e7 + 1.0]]},
+            "config": {"n_particles": 20000, "dt": 1e-3},
+        },
+    )
+    out, sol = tmp_path / "r.json", tmp_path / "sol.json"
+    assert main(["simulate", "--input", sim_in, "--out", str(out)]) == 0
+    assert main(["solve", "--input", sim_in, "--out", str(sol)]) == 0
+    comp, solution = read(out)["components"][0], read(sol)
+    c, e = solution["blocks"][0][:2]
+    p = e - c
+    sigma = math.sqrt(p * (solution["k"][0] - p) / comp["n"])  # binomial, on the left count
+    assert comp["unfrozen"] == 0
+    assert abs(comp["p_hat"] - p) <= 4.0 * sigma
 
 
 def test_simulate_seed_flag_overrides(tmp_path):

@@ -27,7 +27,7 @@ from stefan1d import (
     solve,
 )
 from stefan1d import walkers
-from stefan1d.measure import _cuts
+from stefan1d.measure import _cuts, _unit
 from stefan1d.particles import _step_count
 
 from helpers import (
@@ -186,10 +186,11 @@ def _law_gaps(monkeypatch, mu, n, dt, t_max, seeds=24):
     of its standard error."""
     refined = Counter()
     bridge_point = walkers._bridge_point
+    unit = _unit(-1.0, 1.0)  # span is in the component's frame
 
     def counting_bridge(x0, x1, a, span, rng):
         # a level-l block spans at most _RADIX**l steps, and the last one may be cut short
-        refined[math.ceil(math.log(span / dt, walkers._RADIX) - 1e-9)] += 1
+        refined[math.ceil(math.log(span / (dt * unit * unit), walkers._RADIX) - 1e-9)] += 1
         return bridge_point(x0, x1, a, span, rng)
 
     monkeypatch.setattr(walkers, "_bridge_point", counting_bridge)
@@ -437,6 +438,18 @@ def test_compare_to_formula_statistical_agreement():
     assert row.p_error <= 3.0 * row.sigma_hat + 0.005
 
 
+def test_compare_to_formula_scales_with_the_input():
+    # p_error and sigma_hat are masses: rescaling the input by s, with dt and
+    # t_max by s**2, scales both by s
+    rows = set()
+    for s in (2.0**-10, 1.0, 2.0**10):
+        mu, open_set = indicator(0.0, s * math.sqrt(0.75), 0.99), OpenSet1D.interval(-s, s)
+        cfg = SimConfig(n_particles=2000, seed=21, dt=1e-3 * s * s, t_max=50.0 * s * s)
+        row = compare_to_formula(run(mu, open_set, cfg), solve(mu, open_set)).rows[0]
+        rows.add((row.p_error / s, row.sigma_hat / s))
+    assert len(rows) == 1, rows
+
+
 def test_compare_to_formula_rejects_mismatched_components():
     mu = indicator(-0.25, 0.25)
     sol = solve(mu, DOMAIN)
@@ -535,18 +548,15 @@ def _mu1_run(s: float, shift: float = 0.0):
     return run(mu, OpenSet1D.interval(shift - s, shift + s), cfg).components[0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the walk keeps positions and fronts as float32 absolute coordinates: "
-    "past ~3.4e38 they overflow, below ~1e-38 they lose digits, and far from 0 "
-    "a step of sqrt(dt) rounds away",
-)
 def test_walk_does_not_depend_on_coordinates():
+    # 2**130 and 2**-140 lie beyond float32's normal range, and at 1e7 a
+    # float32 ulp is 1: absolute coordinates fail at each
     base = _mu1_run(1.0)  # 230 frozen left, 1770 right
-    for s in (2.0**130, 2.0**-140):  # float32 coordinates freeze 152/1848 and 256/1744
-        scaled = _mu1_run(s)
+    for j in (-400, -140, -3, 5, 130, 400):
+        scaled = _mu1_run(2.0**j)
         assert (scaled.frozen_left, scaled.frozen_right) == (base.frozen_left, base.frozen_right)
-    shifted = _mu1_run(1.0, 1e7)  # float32 coordinates leave 908 unfrozen, p_hat 0.048
     sigma = math.sqrt(base.p_hat * base.q_hat / base.n)  # binomial, on the left count
-    assert shifted.unfrozen == 0
-    assert abs(shifted.p_hat - base.p_hat) <= 4.0 * sigma
+    for shift in (-1e12, -1e7, -1e3, 1e3, 1e7, 1e12):
+        shifted = _mu1_run(1.0, shift)
+        assert shifted.unfrozen == 0
+        assert abs(shifted.p_hat - base.p_hat) <= 4.0 * sigma

@@ -59,3 +59,17 @@ def test_potentials_are_built_only_for_the_potential_command():
     found = [f"{f}:{line} {name}" for f, line, name in calls if (f, name) != ("cli.py", "potential")]
     assert not found, f"potential or max_on called in src/stefan1d: {found}"
     assert any(f == "cli.py" for f, _, _ in calls), "the potential command no longer calls potential"
+
+
+def test_only_the_walk_knows_it_runs_in_float32():
+    # every other layer reads the walk's report, which is float64 and in the
+    # input's own coordinates: the walk's precision is one module's decision
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "walkers.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "float32"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert not found, f"float32 named outside walkers.py: {found}"
