@@ -3,7 +3,7 @@
 Two value types are the common currency of the whole package: StepMeasure,
 a nonnegative piecewise-constant density with bounded support, and
 OpenSet1D, a finite disjoint union of bounded open intervals. Every
-integral here (mass, first moment, L1 gaps) is evaluated in closed form
+integral here (mass, L1 gaps) is evaluated in closed form
 over merged break grids; nothing is approximated by quadrature.
 """
 
@@ -90,13 +90,6 @@ class StepMeasure:
     def mass(self) -> float:
         return _mass(self.breaks, self.values)
 
-    @cached_property
-    def first_moment(self) -> float:
-        b = self.breaks
-        return sum(
-            [v * (hi * hi - lo * lo) / 2.0 for v, lo, hi in zip(self.values, b, b[1:])], 0.0
-        )
-
     def support(self) -> tuple[float, float]:
         """Hull of the support; (0, 0) for the zero measure."""
         if not self.breaks:
@@ -171,8 +164,8 @@ def _checked(breaks: tuple[float, ...], values: tuple[float, ...]) -> StepMeasur
     """The door every constructor ends at: the measure, if its span and totals are finite.
 
     A finite mass bounds every cell mass, mass times span every potential and
-    centred moment, and mass times the largest |coordinate| the first moment
-    about 0. The mass is summed only when its bound, the top density times
+    centred moment, and mass times the largest |coordinate| the beta that
+    solve reports. The mass is summed only when its bound, the top density times
     the span (doubled for the rounding of the sum), does not settle it.
     """
     mu = StepMeasure(breaks, values)

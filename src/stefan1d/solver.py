@@ -108,21 +108,25 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
     return _gap(c, d, h, min(max(lean / h, -half), half) if h else 0.0)
 
 
-def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[float, float]:
-    """Mass h of the holes (1 - mu)^+ on (c, d), and their barycentre's offset from the midpoint.
+def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[float, float, float]:
+    """Mass h and barycentre offset of the holes (1 - mu)^+ on (c, d), and mu's centred moment.
 
     mu's breaks and values lie in [c, d], a measure's or a cut's. Nonnegative
     weights and positions from the midpoint: nothing cancels near saturation
     or far from 0. Weights are in the length unit of (c, d)
-    (:func:`stefan1d.measure._unit`), so no product under- or overflows.
+    (:func:`stefan1d.measure._unit`), so no product under- or overflows. The
+    offset and the moment are about the midpoint: mu's mass times the midpoint
+    plus its centred moment is its first moment beta, the one the package reports.
     """
     mid, unit, b = 0.5 * (c + d), _unit(c, d), (c, *breaks, d)
-    w, moments = [], []
+    w, moments, centred = [], [], []
     for x, lo, hi in zip((0.0, *values, 0.0), b, b[1:]):
-        w.append((1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0)
-        moments.append(w[-1] * ((lo - mid) + (hi - mid)))
+        width, arm = (hi - lo) * unit, (lo - mid) + (hi - mid)
+        w.append((1.0 - x) * width if x < 1.0 else 0.0)
+        moments.append(w[-1] * arm)
+        centred.append(x * (width * (arm * unit)))
     h, off = sum(w, 0.0), sum(moments, 0.0)
-    return h / unit, (0.5 * off / h if h else 0.0)
+    return h / unit, (0.5 * off / h if h else 0.0), 0.5 * sum(centred, 0.0) / unit / unit
 
 
 def _gap(c: float, d: float, h: float, off: float) -> BlockPair:
@@ -154,10 +158,9 @@ def solve(
     cuts = _cuts(mu, open_set, tol)
     blocks, stats = [], []
     for (c, d), (breaks, values, k) in zip(open_set.components, cuts):
-        h, off = _holes(breaks, values, c, d)
+        h, off, moment = _holes(breaks, values, c, d)
         blocks.append(_gap(c, d, h, off))
-        # beta = W * mid - h * g, with the cut's mass for W - h
-        stats.append((k, k * 0.5 * (c + d) - h * off))
+        stats.append((k, k * (0.5 * (c + d)) + moment))
     target = _blocks_measure(b.as_tuple() for b in blocks)
     # the target lies in the set by construction: the leak check is moot
     certificate = _certify_parts(cuts, _cuts(target, open_set), open_set, tol)
@@ -248,10 +251,9 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     independent.
     """
     block, _, _ = _sweep(mu, open_set)
-    target = block.measure()
-    return MaximalSolution(
-        (block,), target, ((mu.mass, mu.first_moment),), certificate=None
-    )
+    c, d = block.c, block.d
+    beta = mu.mass * (0.5 * (c + d)) + _holes(mu.breaks, mu.values, c, d)[2]
+    return MaximalSolution((block,), block.measure(), ((mu.mass, beta),), certificate=None)
 
 
 def sweep_states(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:

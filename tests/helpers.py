@@ -298,9 +298,9 @@ def solve_reference(
     parts = sliced_restrict_reference(mu, open_set, tol)
     blocks, stats = [], []
     for (c, d), mu_n in zip(open_set.components, parts):
-        h, off = _holes(mu_n.breaks, mu_n.values, c, d)
+        h, off, moment = _holes(mu_n.breaks, mu_n.values, c, d)
         blocks.append(_gap(c, d, h, off))
-        stats.append((mu_n.mass, mu_n.mass * 0.5 * (c + d) - h * off))
+        stats.append((mu_n.mass, mu_n.mass * (0.5 * (c + d)) + moment))
     target = _blocks_measure(b.as_tuple() for b in blocks)
     certificate = certify_parts_reference(parts, slices_reference(target, open_set), open_set, tol)
     if not certificate.ordered:
@@ -543,14 +543,21 @@ def canonical_reference(breaks: Sequence[float], values: Iterable[float]) -> Ste
 # -- the hole pass before it became one loop ------------------------------------
 
 
-def holes_reference(breaks, values, c: float, d: float) -> tuple[float, float]:
-    """``stefan1d.solver._holes`` with its two summand lists built by comprehensions."""
+def holes_reference(breaks, values, c: float, d: float) -> tuple[float, float, float]:
+    """``stefan1d.solver._holes`` with its three summand lists built by comprehensions."""
     mid, unit = 0.5 * (c + d), _unit(c, d)
     b, v = (c, *breaks, d), (0.0, *values, 0.0)
     w = [(1.0 - x) * ((hi - lo) * unit) if x < 1.0 else 0.0 for x, lo, hi in zip(v, b, b[1:])]
     h = sum(w, 0.0)
     off = sum([x * ((lo - mid) + (hi - mid)) for x, lo, hi in zip(w, b, b[1:])], 0.0)
-    return h / unit, (0.5 * off / h if h else 0.0)
+    s = sum(
+        [
+            x * (((hi - lo) * unit) * (((lo - mid) + (hi - mid)) * unit))
+            for x, lo, hi in zip(v, b, b[1:])
+        ],
+        0.0,
+    )
+    return h / unit, (0.5 * off / h if h else 0.0), 0.5 * s / unit / unit
 
 
 # -- the per-break merge walk that the run merge replaced -------------------------

@@ -44,7 +44,12 @@ from stefan1d.repro import (
     weak_family,
 )
 from stefan1d.stability import LipschitzFamilyParams
-from helpers import random_admissible_measure, random_open_set, random_unit_blocks
+from helpers import (
+    first_moment_reference,
+    random_admissible_measure,
+    random_open_set,
+    random_unit_blocks,
+)
 
 
 def report(num, ok, detail):
@@ -64,7 +69,7 @@ def test_criterion_01_reference_solution_endpoints():
         abs(b2.e - (-0.978373786)),
         abs(b2.f - (-0.463373786)),
     ]
-    beta_errs = [abs(MU1.first_moment - 0.37125), abs(MU2.first_moment - 0.37125)]
+    beta_errs = [abs(first_moment_reference(mu) - 0.37125) for mu in (MU1, MU2)]
     ok = max(errs) <= 1e-6 and max(beta_errs) <= 1e-12 and elapsed < 1.0
     assert report(
         1,
@@ -294,7 +299,7 @@ def test_criterion_08_cost_independence():
         candidates = [mu] + states[:2] + [sol.measure]
         rep = independence_check(mu, DOMAIN, candidates, costs)
         all_ok = all_ok and rep.ok and all(rep.argmin_is_maximal)
-        beta = mu.first_moment
+        beta = first_moment_reference(mu)
         for cand in candidates:
             worst_linear = max(worst_linear, abs(primal_objective(cand, linear) - beta))
     elapsed = time.perf_counter() - t0

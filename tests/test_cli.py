@@ -66,6 +66,25 @@ def test_solve_empty_measure(tmp_path):
         assert total == 0.0 and type(total) is float
 
 
+def _strict_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+def test_solve_reports_a_finite_beta_far_from_0(tmp_path):
+    # squares of breaks near 1e200 overflow; beta is summed about the midpoint
+    inp = write(
+        tmp_path / "in.json",
+        {
+            "measure": {"breaks": [1e200, 1.5e200], "values": [1e-250]},
+            "open_set": {"components": [[1e200, 1.5e200]]},
+        },
+    )
+    out = tmp_path / "out.json"
+    assert main(["solve", "--input", inp, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_strict_constant)
+    assert payload["beta"][0] == pytest.approx(6.25e149, rel=1e-15)
+
+
 def test_solve_exit_codes(tmp_path):
     dense = write(
         tmp_path / "dense.json",

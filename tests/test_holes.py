@@ -5,7 +5,9 @@ mass and barycentre of the input's holes (1 - mu)^+. ``referee`` computes
 both in rational arithmetic; the solver's endpoints must sit within a few
 ulps of max(|c|, |d|) of the exact ones, wherever the component lies, however
 wide it is and however close to saturation, and the certificate's verdict
-must be the referee's under the tolerance policy.
+must be the referee's under the tolerance policy. The same pass sums the
+input's moment about the midpoint, so the reported beta is within 1e-15 of
+k max(|c|, |d|) of the exact first moment, light or far from 0.
 """
 
 import json
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import referee
@@ -24,6 +26,7 @@ from stefan1d import (
     OpenSet1D,
     StepMeasure,
     ValidationError,
+    VerificationError,
     dominates,
     indicator,
     make_step_measure,
@@ -164,7 +167,7 @@ def test_potentials_at_1e200_are_rejected_but_the_hole_pass_still_places_the_gap
     with pytest.raises(ValidationError, match="overflows"):
         make_step_measure(breaks, [0.5, 0.8, 0.3])
     mu, c, d = StepMeasure(breaks, (0.5, 0.8, 0.3)), s, s + 2.0 * unit
-    blocks = _gap(c, d, *_holes(mu.breaks, mu.values, c, d))
+    blocks = _gap(c, d, *_holes(mu.breaks, mu.values, c, d)[:2])
     assert max(_endpoint_errors(blocks, mu, c, d)) <= ULPS
 
 
@@ -189,6 +192,59 @@ def hole_cuts(draw):
 @example(([-0.5, -0.0], [0.25], -1.0, 0.0))
 def test_hole_pass_matches_the_list_comprehensions_bit_for_bit(cut):
     assert repr(_holes(*cut)) == repr(holes_reference(*cut))
+
+
+def _check_beta(sol, mu: StepMeasure, c: float, d: float) -> None:
+    """The reported beta within 1e-15 k max(|c|, |d|) of mu's exact first moment."""
+    ((k, beta),) = sol.provenance
+    exact = referee.totals(StepMeasure((), ()), mu)[1]
+    bound = Fraction(1e-15) * Fraction(k) * Fraction(max(abs(c), abs(d)))
+    assert abs(Fraction(beta) - exact) <= bound
+
+
+@st.composite
+def light_components(draw):
+    """Densities 10^[-16, 0] or 0 on up to 7 cells of (s, s + W), |s| up to 1e200.
+
+    W is max(|s|, 1) times 10^[-12, 3]. Far from 0 the densities shrink by a common
+    factor, so mass times coordinates stays finite; the ends may be left uncovered.
+    """
+    a = draw(st.floats(-3.0, 200.0))
+    c = draw(st.sampled_from([-1.0, 1.0])) * 10.0**a
+    d = c + 10.0 ** (max(a, 0.0) + draw(st.floats(-12.0, 3.0)))
+    assume(d - c > 1e3 * math.ulp(max(abs(c), abs(d))))
+    lo = c + 0.01 * (d - c) if draw(st.booleans()) else c
+    hi = d - 0.01 * (d - c) if draw(st.booleans()) else d
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    breaks = sorted({lo, hi, *(x for x in (lo + (hi - lo) * t for t in inner) if lo < x < hi)})
+    cap = min(1.0, 1e300 / (d - c) / max(abs(c), abs(d)))
+    density = st.just(0.0) | st.floats(-16.0, 0.0).map(lambda e: cap * 10.0**e)
+    values = draw(st.lists(density, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return make_step_measure(breaks, values), c, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(light_components())
+@example((indicator(0.0, 0.5, 1e-12), -1.0, 1.0))  # k mid - h off: 8.9e-5 off, relative
+@example((indicator(1e200, 1.5e200, 1e-250), 1e200, 1.5e200))
+def test_solve_reports_the_exact_first_moment(case):
+    mu, c, d = case
+    try:
+        sol = solve(mu, OpenSet1D.interval(c, d))
+    except (ValidationError, VerificationError):
+        # about 1% of draws: a light target keeps a rounding sliver of density 1 (its
+        # mass times coordinates overflows), or fails its certificate as in test_solver's
+        # strict xfail. Neither reports a beta to check.
+        reject()
+    _check_beta(sol, mu, c, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_blocks())
+@example((make_step_measure(_FAR_BLOCKS, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), 1e8, 1e8 + 3.0))
+def test_sweep_reports_the_exact_first_moment(case):
+    mu, c, d = case
+    _check_beta(solve_by_sweep(mu, OpenSet1D.interval(c, d)), mu, c, d)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])

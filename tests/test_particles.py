@@ -32,6 +32,7 @@ from stefan1d.particles import _step_count
 
 from helpers import (
     cdf,
+    first_moment_reference,
     sample_initial,
     simulate_component_reference,
     zero_measure,
@@ -138,7 +139,7 @@ def test_martingale_of_freeze_positions():
     rep = run(mu, DOMAIN, SimConfig(n_particles=20000, seed=8, dt=1e-3))
     comp = rep.components[0]
     assert comp.unfrozen == 0
-    target_mean = mu.first_moment / mu.mass
+    target_mean = first_moment_reference(mu) / mu.mass
     tol = 3.0 * comp.freeze_position_std / math.sqrt(comp.n) + 0.01
     assert abs(comp.freeze_position_mean - target_mean) <= tol
 

@@ -33,6 +33,7 @@ from helpers import (
     cell_measures,
     density_at,
     dominates_reference,
+    first_moment_reference,
     grid_breaks,
     hull,
     max_on_reference,
@@ -112,7 +113,7 @@ def test_derivative_routes_agree():
 def test_derivative_inside_single_block():
     mu = indicator(0.2, 0.8)
     k = mu.mass
-    beta = mu.first_moment
+    beta = first_moment_reference(mu)
     D = potential(mu).derivative()
     for y in (0.3, 0.5, 0.7):
         assert D(y) == pytest.approx(-y + beta / k, abs=1e-12)
@@ -411,7 +412,7 @@ def _translated_pairs(rng, s: float, count: int):
         n = int(rng.integers(1, 12))
         mu = make_step_measure(np.sort(rng.uniform(-0.95, 0.95, n + 1)), rng.uniform(0.0, 1.0, n))
         if i % 2:
-            nu = solve_component(-1.0, 1.0, mu.mass, mu.first_moment).measure()
+            nu = solve_component(-1.0, 1.0, mu.mass, first_moment_reference(mu)).measure()
         else:
             m = int(rng.integers(1, 12))
             nu = make_step_measure(np.sort(rng.uniform(-1.0, 1.0, m + 1)), rng.uniform(0.0, 1.0, m))

@@ -37,9 +37,11 @@ from hypothesis import strategies as st
 
 import referee
 from helpers import (
+    first_moment_reference,
     grid_breaks,
     grid_measures,
     grid_open_sets,
+    holes_reference,
     order_reference,
     random_admissible_measure,
     random_open_set,
@@ -82,7 +84,7 @@ def test_solve_component_left_leaning_block():
     # oracle: the blocks really carry that mass and moment
     target = bp.measure()
     assert target.mass == pytest.approx(0.5, abs=1e-12)
-    assert target.first_moment == pytest.approx(-0.125, abs=1e-12)
+    assert first_moment_reference(target) == pytest.approx(-0.125, abs=1e-12)
 
 
 def test_solve_component_infeasible_inputs():
@@ -145,11 +147,12 @@ def test_feasibility_window_always_passes_for_admissible_densities():
         (c, d) = O.components[0]
         # the first moment window of mass k on (c, d): k*c + k^2/2 and k*d - k^2/2
         k = mu.mass
-        assert k * c + k * k / 2 - 1e-12 <= mu.first_moment <= k * d - k * k / 2 + 1e-12
+        beta = first_moment_reference(mu)
+        assert k * c + k * k / 2 - 1e-12 <= beta <= k * d - k * k / 2 + 1e-12
         # in hole terms: the barycentre leaves room for the holes' mass on both sides
         h, g = referee.holes(mu, c, d)
         assert c + h / 2 <= g <= d - h / 2
-        solve_component(c, d, mu.mass, mu.first_moment)
+        solve_component(c, d, mu.mass, beta)
 
 
 # -- solve -------------------------------------------------------------------
@@ -174,8 +177,8 @@ def test_solve_two_components_stay_independent():
     O = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
     mu = indicator(-0.75, -0.25) + indicator(0.25, 0.75)
     sol = solve(mu, O)
-    left = solve_component(-1.0, 0.0, 0.5, indicator(-0.75, -0.25).first_moment)
-    right = solve_component(0.0, 1.0, 0.5, indicator(0.25, 0.75).first_moment)
+    left = solve_component(-1.0, 0.0, 0.5, first_moment_reference(indicator(-0.75, -0.25)))
+    right = solve_component(0.0, 1.0, 0.5, first_moment_reference(indicator(0.25, 0.75)))
     assert sol.blocks[0].as_tuple() == pytest.approx(left.as_tuple(), abs=1e-12)
     assert sol.blocks[1].as_tuple() == pytest.approx(right.as_tuple(), abs=1e-12)
 
@@ -205,7 +208,7 @@ def test_solve_conserves_mass_and_moment_per_component():
         for block, (k, beta) in zip(sol.blocks, sol.provenance):
             assert block.p + block.q == pytest.approx(k, abs=1e-9)
             m = block.measure()
-            assert m.first_moment == pytest.approx(beta, abs=1e-9)
+            assert first_moment_reference(m) == pytest.approx(beta, abs=1e-9)
 
 
 def test_certificate_matches_order_check_on_touching_components():
@@ -275,6 +278,21 @@ def test_certificate_matches_order_check_of_the_target(case):
         cert = exc.certificate
         target = solve(mu, O, tol=math.inf).measure
     assert repr(cert) == repr(order_leq_sh_O(mu, target, O))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sliver rule reads the ulps of the larger end: the left block, 2.27e-13 "
+    "wide at 16.2, is dropped as rounding, and the mass gap exceeds the floor by 5%",
+)
+def test_light_input_is_solved_or_refused_by_name():
+    # valid input with k = 8.07e-13: solve raised VerificationError (worst gap 2.93e-11)
+    mu = indicator(152.8291291561587, 224.55112085433515, 1.125309416231262e-14)
+    O = OpenSet1D.interval(16.22393221576695, 261.3561094335877)
+    try:
+        assert solve(mu, O).certificate.ordered
+    except ValidationError:
+        pass
 
 
 def _result(run) -> str:
@@ -423,7 +441,7 @@ def test_sweep_symmetric_pair():
 def test_sweep_asymmetric_pair_matches_solve():
     mu = indicator(-0.5, -0.3) + indicator(0.1, 0.4)
     assert mu.mass == pytest.approx(0.5, abs=1e-15)
-    assert mu.first_moment == pytest.approx(-0.005, abs=1e-15)
+    assert first_moment_reference(mu) == pytest.approx(-0.005, abs=1e-15)
     sw = solve_by_sweep(mu, DOMAIN)
     direct = solve(mu, DOMAIN)
     assert sw.blocks[0].as_tuple() == pytest.approx(
@@ -458,9 +476,9 @@ def _outcome(run) -> str:
 
 def _sweep_solution_reference(mu: StepMeasure) -> MaximalSolution:
     block, _ = sweep_reference(mu, DOMAIN)
-    return MaximalSolution(
-        (block,), block.measure(), ((mu.mass, mu.first_moment),), certificate=None
-    )
+    c, d = DOMAIN.components[0]
+    beta = mu.mass * (0.5 * (c + d)) + holes_reference(mu.breaks, mu.values, c, d)[2]
+    return MaximalSolution((block,), block.measure(), ((mu.mass, beta),), certificate=None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -491,7 +509,7 @@ def test_sweep_states_are_admissible_waypoints():
     assert len(states) == 3
     for s in states:
         assert s.mass == pytest.approx(mu.mass, abs=1e-12)
-        assert s.first_moment == pytest.approx(mu.first_moment, abs=1e-12)
+        assert first_moment_reference(s) == pytest.approx(first_moment_reference(mu), abs=1e-12)
         assert check_admissible(s, mu, DOMAIN).ordered
 
 
@@ -567,7 +585,7 @@ def test_linear_cost_gives_first_moment():
     sol = solve(mu, DOMAIN)
     for nu in (mu, sol.measure):
         assert primal_objective(nu, grid) == pytest.approx(
-            nu.first_moment, abs=1e-10
+            first_moment_reference(nu), abs=1e-10
         )
 
 

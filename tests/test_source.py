@@ -73,3 +73,16 @@ def test_only_the_walk_knows_it_runs_in_float32():
         in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     ]
     assert not found, f"float32 named outside walkers.py: {found}"
+
+
+def test_first_moment_is_named_nowhere_in_the_package():
+    # beta has one definition, summed about each component's midpoint in
+    # solver._holes: a first moment about 0 squares breaks and overflows far from 0
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for field in ("id", "attr", "name", "arg", "asname")
+        if getattr(node, field, None) == "first_moment"
+    ]
+    assert not found, f"first_moment named in src/stefan1d: {found}"
