@@ -17,12 +17,7 @@ import math
 import sys
 from itertools import chain
 
-from .errors import (
-    AdmissibilityError,
-    InfeasibilityError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import ValidationError, VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure
 from .particles import SimConfig, run
 from .potential import dominates, order_leq_sh_O, potential
@@ -50,22 +45,10 @@ class CliInputError(Exception):
     """Input file missing, unreadable, or structurally malformed."""
 
 
-_DOMAIN_ERRORS = (ValidationError, InfeasibilityError, AdmissibilityError)
-
-
-def _fmt(x: float) -> float:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return None
-        if math.isinf(x):
-            return x
-        return float(f"{x:.12g}")
-    return x
-
-
 def _round_floats(obj):
+    # 12 significant digits; nan prints as null, and inf passes through
     if isinstance(obj, float):
-        return _fmt(obj)
+        return None if math.isnan(obj) else float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,7 +57,10 @@ def _round_floats(obj):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -145,7 +131,7 @@ def _tolerance(text: str) -> float:
 
 def _config_value(raw: dict, key: str, default, kind: type):
     # an int, or for kind float any number: int() would run 200.5 walkers as
-    # 200, and JSON true is an int to Python; dt alone may be null
+    # 200, and JSON true is an int to Python; dt and t_max may be null
     value = raw.get(key, default)
     if value is None and default is None:
         return None
@@ -226,11 +212,12 @@ def cmd_simulate(args) -> int:
     seed = _config_value(raw_cfg, "seed", SimConfig.seed, int) if args.seed is None else args.seed
     if seed < 0:
         raise CliInputError(f"seed must be a non-negative integer, got {seed}")
+    t_max = _config_value(raw_cfg, "t_max", SimConfig.t_max, float)
     cfg = SimConfig(
         n_particles=_config_value(raw_cfg, "n_particles", 10000, int),
         seed=seed,
         dt=_config_value(raw_cfg, "dt", SimConfig.dt, float),
-        t_max=float(_config_value(raw_cfg, "t_max", SimConfig.t_max, float)),
+        t_max=None if t_max is None else float(t_max),
         hist_bins=_config_value(raw_cfg, "hist_bins", SimConfig.hist_bins, int),
     )
     report = run(mu, open_set, cfg)
@@ -327,12 +314,7 @@ def cmd_repro(args) -> int:
     if args.json:
         _emit(manifest.to_json(), args.out)
     else:
-        text = manifest.format_table() + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(manifest.format_table() + "\n", args.out)
     return 0 if manifest.passed else 5
 
 
@@ -414,10 +396,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except _DOMAIN_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types: every input refusal is a ValidationError; a failed self-check is not."""
 
 
 class ValidationError(ValueError):
-    """Malformed or inconsistent input data."""
+    """Malformed, inconsistent or infeasible input data."""
 
 
 class SupportError(ValidationError):
@@ -13,11 +13,11 @@ class SupportError(ValidationError):
         self.leaked_mass = leaked_mass
 
 
-class InfeasibilityError(ValueError):
+class InfeasibilityError(ValidationError):
     """Mass and first-moment data admit no two-block target."""
 
 
-class AdmissibilityError(ValueError):
+class AdmissibilityError(ValidationError):
     """Density exceeds the unit bound or the support leaves the domain."""
 
 

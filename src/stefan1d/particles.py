@@ -21,16 +21,17 @@ from .solver import MaximalSolution, _admit, _blocks_measure
 class SimConfig:
     """Simulation parameters.
 
-    dt is the time step in units of Brownian time; None picks
-    1e-4 * (component length)^2 per component, since exit times scale
-    diffusively. Seeds for component i derive from (seed, i), so per-component
-    results do not depend on execution order.
+    dt is the time step in units of Brownian time and t_max the time the walk
+    stops at; None picks 1e-4 and 12.5 times (component length)^2 per
+    component, since exit times scale diffusively (t_max 50 at length 2).
+    Seeds for component i derive from (seed, i), so per-component results do
+    not depend on execution order.
     """
 
     n_particles: int
     seed: int = 0
     dt: float | None = None
-    t_max: float = 50.0
+    t_max: float | None = None
     hist_bins: int = 64
 
     def __post_init__(self):
@@ -43,7 +44,7 @@ class SimConfig:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValidationError("dt must be finite and positive")
-        if not 0.0 < self.t_max < math.inf:
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ValidationError("t_max must be finite and positive")
         if self.hist_bins < 1:
             raise ValidationError("hist_bins must be at least 1")
@@ -126,11 +127,17 @@ def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     _admit(mu, DEFAULT_TOL)
     cuts = _cuts(mu, open_set, DEFAULT_TOL)
     alloc = _allocate(cfg.n_particles, [k for _, _, k in cuts])
-    try:
-        dts = [1e-4 * (d - c) ** 2 if cfg.dt is None else cfg.dt for c, d in open_set.components]
-    except OverflowError:
-        raise ValidationError("the default dt, 1e-4 * width ** 2, overflows: give dt") from None
-    steps = [_step_count(cfg.t_max, dt) for dt in dts]  # refuse before any walk allocates
+    widths = [d - c for c, d in open_set.components]
+    times = []  # dt, then t_max, on each component; a given time is finite
+    for name, factor, given in (("dt", "1e-4", cfg.dt), ("t_max", "12.5", cfg.t_max)):
+        try:  # a square raises OverflowError, but 12.5 times a finite one rounds to inf
+            times.append([float(factor) * w**2 if given is None else given for w in widths])
+        except OverflowError:
+            times.append([math.inf])
+        if math.inf in times[-1]:
+            raise ValidationError(f"the default {name}, {factor} * width ** 2, overflows: give {name}")
+    dts, t_maxes = times
+    steps = list(map(_step_count, t_maxes, dts))  # refuse before any walk allocates
 
     # imported here, so that `import stefan1d` and the other commands do not load numpy
     from .walkers import simulate_component

@@ -474,7 +474,7 @@ def independence_check(
         if best_idx < 0:
             argmin_is_max.append(True)  # no admissible competitor
             continue
-        is_max = measures_allclose(candidates[best_idx], star, 1e-9)
+        is_max = measures_allclose(candidates[best_idx], star)
         argmin_is_max.append(is_max)
         if best_val < opt - tie or not is_max:
             ok = False

@@ -150,8 +150,28 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
             },
             "the default dt, 1e-4 * width ** 2, overflows: give dt",
         ),
+        # with dt given, the default t_max is 12.5 * width ** 2
+        (
+            "simulate",
+            {
+                "measure": {"breaks": [0.0, 1e160], "values": [1e-300]},
+                "open_set": {"components": [[0.0, 1e160]]},
+                "config": {"n_particles": 50, "dt": 1.0},
+            },
+            "the default t_max, 12.5 * width ** 2, overflows: give t_max",
+        ),
+        # the square 1.69e308 is finite, and its dt 1.69e304 too, but 12.5 times it is not
+        (
+            "simulate",
+            {
+                "measure": {"breaks": [0.0, 1.3e154], "values": [1e-300]},
+                "open_set": {"components": [[0.0, 1.3e154]]},
+                "config": {"n_particles": 50},
+            },
+            "the default t_max, 12.5 * width ** 2, overflows: give t_max",
+        ),
     ],
-    ids=["potential", "potential_sum", "simulate"],
+    ids=["potential", "potential_sum", "simulate", "simulate_t_max", "simulate_t_max_product"],
 )
 def test_commands_refuse_coordinates_whose_squares_overflow(
     tmp_path, capsys, command, payload, says
@@ -225,6 +245,34 @@ def test_simulate_deterministic_and_incomplete(tmp_path):
         },
     )
     assert main(["simulate", "--input", short, "--out", str(tmp_path / "r3.json")]) == 4
+
+
+def test_simulate_freezes_a_wide_component_by_default(tmp_path):
+    # a null t_max is the default, 12.5 * width ** 2: on (-10, 10) an absolute
+    # t_max of 50 stopped the walk with 267 of 2000 walkers unfrozen, exit 4
+    sim_in = write(
+        tmp_path / "sim.json",
+        {
+            "measure": {"breaks": [0.0, 10.0 * math.sqrt(0.75)], "values": [0.99]},
+            "open_set": {"components": [[-10.0, 10.0]]},
+            "config": {"n_particles": 2000, "dt": None, "t_max": None},
+        },
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", sim_in, "--out", str(out)]) == 0
+    payload = read(out)
+    assert payload["config"]["t_max"] is None and payload["all_frozen"] is True
+
+
+def test_a_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise cli.VerificationError("mass gap 1.0 above its bound")
+
+    monkeypatch.setattr(cli, "solve", failing)
+    inp, out = write(tmp_path / "in.json", SOLVE_INPUT), tmp_path / "out.json"
+    assert main(["solve", "--input", inp, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "verification failure: mass gap 1.0 above its bound\n"
+    assert not out.exists()
 
 
 def test_simulate_walks_far_from_0(tmp_path):

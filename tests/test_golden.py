@@ -26,7 +26,10 @@ when the L1 helpers came to sum from the float 0.0, which turned the two
 rows' ``"input_l1_gap": 0`` into ``0.0`` and left its CSV as it was;
 ``repro_json`` when the stationary point came to be read from the order
 walk's first maximum, which moved the stationary-point defect from
-1.17961196366e-16 to 1.11022302463e-16; nothing else moved). A change
+1.17961196366e-16 to 1.11022302463e-16; ``simulate_empty_middle`` when
+``t_max`` came to default to 12.5 * width ** 2 per component, which turned
+the echoed ``"t_max": 50.0`` into ``null`` and left the walk and its CSV
+as they were; nothing else moved). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -104,7 +107,7 @@ EXPECTED = {
     },
     "simulate_empty_middle": {
         "exit": 0,
-        "stdout": "0efd8d5d766bbb49e390abc2e2be2bf0bb832e7be59b222abfbeb776d106b880",
+        "stdout": "ba9bb6ffb588e9a2c5c3e86f3d1af0fc42bd08e15a1f8e56da386be381312861",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "csv": "f8c905a88c4fad3112156524cfe07a713d852d6b750a983c25b40d861a5ff4a4",
     },

@@ -117,6 +117,8 @@ def test_run_is_deterministic():
         ("seed", 1.5),
         ("seed", False),
         ("seed", -1),
+        ("n_particles", 0),
+        ("hist_bins", 0),
     ],
 )
 def test_sim_config_refuses_a_bad_integer_field(field, value):
@@ -176,6 +178,10 @@ def test_empty_component_gets_no_walkers():
     for stat in (comp.mean_freeze_time, comp.freeze_position_mean, comp.freeze_position_std):
         assert math.isnan(stat)
     assert sum(other.n for other in rep.components) == 500
+    # with no mass in the set at all, no component gets a walker
+    rep = run(zero_measure(), open_set, SimConfig(n_particles=500, seed=5, dt=1e-3))
+    assert rep.all_frozen and [comp.n for comp in rep.components] == [0, 0, 0]
+    assert rep.measure.mass == 0.0
 
 
 # -- multi-rate stepping in nested levels ----------------------------------------
@@ -323,25 +329,27 @@ def test_walk_report_bits_are_pinned():
         (  # both cuts clipped at the shared end 0
             indicator(-0.6, 0.4, 0.7),
             OpenSet1D.of((-1.0, 0.0), (0.0, 1.0)),
-            "5741f3f4fa043131ccc6b617b6d54cfa70c299c54a908ca515cdb793d71fe184",
+            "189b5c729944e6bfe5f0053c44bbb29e70abc652aa93efdeed26120a4dc108cd",
         ),
         (
             indicator(-0.8, -0.3, 0.9) + indicator(0.2, 0.7, 0.6),
             DOMAIN,
-            "39ded309f72a155726835b5cea9f2bc58e86a9cc0809532bdb7b216877f0f318",
+            "4edcb9fc0467eccb84a01abe609a633a500fb5b71f05ebbd89993a9ffdef34b5",
         ),
         (
             indicator(-0.7, -0.2, 0.8) + indicator(2.2, 2.9, 0.5),
             OpenSet1D.of((-1.0, 0.0), (0.5, 1.5), (2.0, 3.0)),
-            "73b7d5dc9f5a55ffaa29e0d93035dd6c98cb2241ff6c4a9400f18ed05f0e85e8",
+            "bf5d5dd6217009edf899d48dcd0848249389695da7c047a3f004cbf8873b34e3",
         ),
     ],
     ids=["touching-clipped", "interior-zero-cell", "empty-component"],
 )
 def test_run_report_bits_are_pinned_on_every_kind_of_cut(mu, open_set, digest):
     # the digests were recorded when the run restricted mu to a measure per
-    # component, and again when the freeze position statistics became closed
-    # forms, which moved the last bits of the float statistics and no other field
+    # component, again when the freeze position statistics became closed
+    # forms, which moved the last bits of the float statistics and no other
+    # field, and again when the config's t_max default became None (12.5 *
+    # width ** 2 per component), which moved the echoed config alone
     report = run(mu, open_set, SimConfig(n_particles=3000, seed=17, dt=1e-3))
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
@@ -459,7 +467,11 @@ def test_compare_to_formula_rejects_mismatched_components():
         OpenSet1D.interval(-2.0, 2.0),
         SimConfig(n_particles=2000, seed=4, dt=1e-3),
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="intervals disagree"):
+        compare_to_formula(rep, sol)
+    halves = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
+    rep = run(mu, halves, SimConfig(n_particles=200, seed=4, dt=1e-3))
+    with pytest.raises(ValidationError, match="count mismatch"):
         compare_to_formula(rep, sol)
 
 
@@ -547,6 +559,21 @@ def _mu1_run(s: float, shift: float = 0.0):
     mu = indicator(shift, shift + s * math.sqrt(0.75), 0.99)
     cfg = SimConfig(n_particles=2000, seed=20240817, dt=1e-3 * s * s, t_max=50.0 * s * s)
     return run(mu, OpenSet1D.interval(shift - s, shift + s), cfg).components[0]
+
+
+def test_default_times_scale_with_the_component():
+    # dt and t_max default to 1e-4 and 12.5 times width ** 2, so a rescaled
+    # input takes the same steps in its own frame. With an absolute t_max of
+    # 50, MU1's shape on (-10, 10) left 267 of 2000 walkers unfrozen
+    def frozen(s):
+        mu = indicator(0.0, s * math.sqrt(0.75), 0.99)
+        (comp,) = run(mu, OpenSet1D.interval(-s, s), SimConfig(n_particles=2000, seed=0)).components
+        return comp.frozen_left, comp.frozen_right
+
+    base = frozen(1.0)
+    assert sum(base) == 2000
+    assert all(frozen(2.0**j) == base for j in (-9, 3, 6))
+    assert sum(frozen(50.0)) == 2000
 
 
 def test_walk_does_not_depend_on_coordinates():

@@ -291,6 +291,8 @@ def test_light_input_is_solved_or_refused_by_name():
     O = OpenSet1D.interval(16.22393221576695, 261.3561094335877)
     try:
         assert solve(mu, O).certificate.ordered
+    except (InfeasibilityError, AdmissibilityError):
+        raise  # the input is feasible and admissible
     except ValidationError:
         pass
 
@@ -418,6 +420,8 @@ def test_zero_mass_solution():
     sol = solve(zero_measure(), DOMAIN)
     assert sol.measure.mass == 0.0
     assert sol.blocks[0].p == 0.0 and sol.blocks[0].q == 0.0
+    # the sweep has no block to merge: its answer is the whole component as gap
+    assert solve_by_sweep(zero_measure(), DOMAIN).blocks[0].as_tuple() == (-1.0, -1.0, 1.0, 1.0)
 
 
 # -- sweep oracle -------------------------------------------------------------
@@ -455,6 +459,20 @@ def test_sweep_rejects_overlapping_blocks():
         solve_by_sweep(mu, DOMAIN)
 
 
+@pytest.mark.parametrize(
+    "mu, open_set, says",
+    [
+        (indicator(-0.5, 0.0), OpenSet1D.of((-1.0, 0.0), (0.0, 1.0)), "single-interval"),
+        (indicator(-1.0, -0.5), DOMAIN, "strictly inside"),
+        (indicator(0.5, 1.0), DOMAIN, "strictly inside"),
+    ],
+    ids=["two-components", "touching-left", "touching-right"],
+)
+def test_sweep_rejects_domains_it_does_not_merge_in(mu, open_set, says):
+    with pytest.raises(ValidationError, match=says):
+        solve_by_sweep(mu, open_set)
+
+
 def test_sweep_oracle_equivalence_random():
     rng = np.random.default_rng(25)
     for trial in range(61):
@@ -470,7 +488,7 @@ def test_sweep_oracle_equivalence_random():
 def _outcome(run) -> str:
     try:
         return repr(run())
-    except (ValidationError, InfeasibilityError) as exc:
+    except ValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -659,6 +677,28 @@ def test_independence_check_rejects_inadmissible_candidate():
     report = independence_check(mu, DOMAIN, [bad, solve(mu, DOMAIN).measure], costs)
     assert not report.candidates[0].admissible
     assert "density" in report.candidates[0].certificate.note
+    # with no admissible competitor there is no argmin, and nothing to refute
+    report = independence_check(mu, DOMAIN, [bad], costs)
+    assert report.argmin_indices == (-1,) and report.argmin_is_maximal == (True,)
+    assert report.ok
+
+
+def test_independence_check_fails_a_non_maximal_target(monkeypatch):
+    # a solver that returns its input: the true target beats it on the
+    # concave cost and is not the claimed target, so the check fails
+    import dataclasses
+
+    from stefan1d import solver
+
+    mu = indicator(-0.25, 0.25)
+    target = solve(mu, DOMAIN).measure
+    monkeypatch.setattr(
+        solver, "solve", lambda m, o: dataclasses.replace(solve(m, o), measure=m)
+    )
+    costs = [ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, 501)]
+    report = independence_check(mu, DOMAIN, [target], costs)
+    assert report.argmin_indices == (0,) and report.argmin_is_maximal == (False,)
+    assert not report.ok
 
 
 # -- admissibility checks ----------------------------------------------------------

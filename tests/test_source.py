@@ -86,3 +86,27 @@ def test_first_moment_is_named_nowhere_in_the_package():
         if getattr(node, field, None) == "first_moment"
     ]
     assert not found, f"first_moment named in src/stefan1d: {found}"
+
+
+def test_every_refusal_is_a_validation_error():
+    # the exit code is one decision, made in errors.py: cli.main exits 2 on a
+    # ValidationError, 3 on a VerificationError and 1 on its own input errors,
+    # and names no other type, so a new refusal needs no second list
+    from stefan1d import errors
+
+    defined = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    others = {cls.__name__ for cls in defined if not issubclass(cls, errors.ValidationError)}
+    assert others == {"VerificationError"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    caught = [
+        getattr(handler.type, "id", ast.dump(handler.type))
+        for node in ast.walk(main)
+        if isinstance(node, ast.Try)
+        for handler in node.handlers
+    ]
+    assert sorted(caught) == ["CliInputError", "ValidationError", "VerificationError"]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stefan1d import stability
 from stefan1d import (
     LipschitzFamilyParams,
     OpenSet1D,
     ParameterError,
+    VerificationError,
     indicator,
     l1_distance,
     lipschitz_closed_form_gap,
@@ -133,7 +135,31 @@ def test_lipschitz_family_parameter_validation():
         LipschitzFamilyParams(x=0.5, y=1.2, r=0.5, c=0.9)
 
 
+@pytest.mark.parametrize(
+    "name, says",
+    [
+        ("lipschitz_closed_form_gap", "target gap"),  # read for the output gap alone
+        ("positive_part_l1", "input gap"),  # both gaps: the input's is checked first
+    ],
+)
+def test_lipschitz_ratio_refuses_a_gap_off_its_closed_form(monkeypatch, name, says):
+    # a transcription slip of 1e-6 in either gap fails loudly
+    original = getattr(stability, name)
+    monkeypatch.setattr(stability, name, lambda *args: original(*args) + 1e-6)
+    with pytest.raises(VerificationError, match=says):
+        lipschitz_ratio(LipschitzFamilyParams(x=0.9, y=0.01, r=0.9, c=0.99))
+
+
 # -- weak convergence ---------------------------------------------------------------
+
+
+def test_weak_convergence_refuses_a_gap_off_the_identity(monkeypatch):
+    # the measured L1 gap must equal the gaps' symmetric difference
+    l1 = stability.l1_distance
+    monkeypatch.setattr(stability, "l1_distance", lambda a, b: l1(a, b) + 1e-6)
+    mu = indicator(-0.5, 0.5)
+    with pytest.raises(VerificationError, match="member 0: .* gap identity"):
+        weak_convergence_experiment([indicator(-0.5, 0.5, 0.5)], mu, DOMAIN)
 
 
 def test_weak_convergence_shrinking_density_family():
