@@ -212,14 +212,15 @@ def cmd_simulate(args) -> int:
     seed = _config_value(raw_cfg, "seed", SimConfig.seed, int) if args.seed is None else args.seed
     if seed < 0:
         raise CliInputError(f"seed must be a non-negative integer, got {seed}")
-    t_max = _config_value(raw_cfg, "t_max", SimConfig.t_max, float)
     cfg = SimConfig(
         n_particles=_config_value(raw_cfg, "n_particles", 10000, int),
         seed=seed,
         dt=_config_value(raw_cfg, "dt", SimConfig.dt, float),
-        t_max=None if t_max is None else float(t_max),
+        t_max=_config_value(raw_cfg, "t_max", SimConfig.t_max, float),
         hist_bins=_config_value(raw_cfg, "hist_bins", SimConfig.hist_bins, int),
     )
+    if cfg.t_max is not None:  # the report echoes a given t_max as a float
+        cfg = dataclasses.replace(cfg, t_max=float(cfg.t_max))
     report = run(mu, open_set, cfg)
     _emit(report.to_json(), args.out)
     if args.hist:

@@ -18,7 +18,7 @@ class InfeasibilityError(ValidationError):
 
 
 class AdmissibilityError(ValidationError):
-    """Density exceeds the unit bound or the support leaves the domain."""
+    """Density exceeds the unit bound."""
 
 
 class ParameterError(ValidationError):

@@ -9,6 +9,7 @@ the block widths of the maximal target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
@@ -38,14 +39,14 @@ class SimConfig:
         for name in ("n_particles", "seed", "hist_bins"):
             if type(getattr(self, name)) is not int:  # bool is an int too
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_particles < 1:
-            raise ValidationError("n_particles must be at least 1")
+        if not 1 <= self.n_particles <= 2**53:  # each component's float share stays exact
+            raise ValidationError("n_particles must be from 1 to 2**53")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ValidationError("dt must be finite and positive")
-        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
-            raise ValidationError("t_max must be finite and positive")
+        for name in ("dt", "t_max"):  # a JSON integer may lie beyond the float range
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value <= sys.float_info.max:
+                raise ValidationError(f"{name} must be finite and positive")
         if self.hist_bins < 1:
             raise ValidationError("hist_bins must be at least 1")
 

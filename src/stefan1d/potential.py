@@ -158,13 +158,14 @@ def potential(mu: StepMeasure) -> PiecewiseQuadratic:
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """Outcome of a potential-order check.
+    """Outcome of a potential-order check, built only by this module's walk.
 
-    ``worst_gap`` is the maximum of U_nu - U_mu over the joint support hull,
-    taken exactly per cell by the cumulative walk (the difference is linear
-    beyond the hull, with slope controlled by the mass gap, and vanishes
-    identically once mass and moment gaps are zero); ``worst_point`` is the
-    first place along the line where it is attained. ``mass_gap`` is
+    Refused input raises instead of yielding a certificate. ``worst_gap`` is
+    the maximum of U_nu - U_mu over the joint support hull, taken exactly per
+    cell by the cumulative walk (the difference is linear beyond the hull,
+    with slope controlled by the mass gap, and vanishes identically once mass
+    and moment gaps are zero); ``worst_point`` is the first place along the
+    line where it is attained. ``mass_gap`` is
     |mass(mu) - mass(nu)|; ``moment_gap`` is |B|, the first moment of
     nu - mu taken about the walk's centre (the component's midpoint, or the
     joint hull's for :func:`dominates`), not about 0. ``ordered`` requires
@@ -180,7 +181,6 @@ class OrderCertificate:
     worst_gap: float
     per_component: tuple["OrderCertificate", ...] | None = None
     assumptions: tuple[str, ...] = ()
-    note: str = ""
 
     def to_json(self) -> dict:
         out = {
@@ -194,8 +194,6 @@ class OrderCertificate:
             out["per_component"] = [c.to_json() for c in self.per_component]
         if self.assumptions:
             out["assumptions"] = list(self.assumptions)
-        if self.note:
-            out["note"] = self.note
         return out
 
 

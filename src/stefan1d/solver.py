@@ -23,9 +23,8 @@ from .errors import VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _check_tol, _cuts
 from .measure import _unit, indicator, measures_allclose
 from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
-from .potential import OrderCertificate, _certify_parts, dominates
+from .potential import OrderCertificate, _certify_parts, dominates, order_leq_sh_O
 from .potential import potential  # noqa: F401  (uncalled: pinned as restrict is)
-from .potential import order_leq_sh_O  # noqa: F401  (uncalled: pinned as restrict is)
 
 
 @dataclass(frozen=True)
@@ -386,9 +385,11 @@ def primal_objective(nu: StepMeasure, cost: ConcaveGrid) -> float:
 
 @dataclass(frozen=True)
 class CandidateResult:
+    """One candidate's verdict; ``certificate`` is None where check_admissible refused it."""
+
     index: int
     admissible: bool
-    certificate: OrderCertificate
+    certificate: OrderCertificate | None
     objectives: tuple[float, ...]  # one per cost; nan when inadmissible
 
 
@@ -414,31 +415,11 @@ def check_admissible(
 ) -> OrderCertificate:
     """Certificate that nu is a reachable target for mu inside the open set.
 
-    nu too dense or outside the set fails it; mu outside the set raises SupportError.
+    A density of nu above 1 raises AdmissibilityError before either support is
+    read; mass outside the set raises SupportError, mu's where both leak.
     """
-    try:
-        _admit(nu, DEFAULT_TOL)
-        nus = _cuts(nu, open_set, DEFAULT_TOL)
-    except AdmissibilityError:
-        lo_s, hi_s, top = *nu.support(), nu.max_density()
-        return OrderCertificate(
-            ordered=False,
-            mass_gap=0.0,
-            moment_gap=0.0,
-            worst_point=0.5 * (lo_s + hi_s),
-            worst_gap=top - 1.0,
-            note=f"density {top:.9g} exceeds the unit bound",
-        )
-    except SupportError as exc:
-        return OrderCertificate(
-            ordered=False,
-            mass_gap=0.0,
-            moment_gap=0.0,
-            worst_point=0.0,
-            worst_gap=math.inf,
-            note=f"support violation: {exc}",
-        )
-    return _certify_parts(_cuts(mu, open_set, DEFAULT_TOL), nus, open_set, DEFAULT_TOL)
+    _admit(nu, DEFAULT_TOL)
+    return order_leq_sh_O(mu, nu, open_set)
 
 
 def independence_check(
@@ -454,12 +435,13 @@ def independence_check(
 
     rows: list[CandidateResult] = []
     for i, cand in enumerate(candidates):
-        cert = check_admissible(cand, mu, open_set)
-        if cert.ordered:
-            objs = tuple(primal_objective(cand, cost) for cost in costs)
-        else:
-            objs = tuple(math.nan for _ in costs)
-        rows.append(CandidateResult(i, cert.ordered, cert, objs))
+        try:
+            cert = check_admissible(cand, mu, open_set)
+        except (AdmissibilityError, SupportError):
+            cert = None
+        ordered = cert is not None and cert.ordered
+        objs = tuple(primal_objective(cand, cost) if ordered else math.nan for cost in costs)
+        rows.append(CandidateResult(i, ordered, cert, objs))
 
     argmins: list[int] = []
     argmin_is_max: list[bool] = []

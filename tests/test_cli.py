@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stefan1d import cli
+from stefan1d import SimConfig, ValidationError, cli
 from stefan1d.cli import build_parser, main
 from schemas import (
     CERTIFICATE_SCHEMA,
@@ -363,6 +363,9 @@ def test_simulate_rejects_ill_typed_config(tmp_path, capsys, config, argv):
     [
         ("[-0.25, 0.25]", '"t_max": 1e400'),  # JSON 1e400 reads as infinity
         ("[-0.25, 0.25]", '"dt": 1e400'),
+        # the same values as JSON integers, beyond the float range: refused alike
+        pytest.param("[-0.25, 0.25]", '"t_max": 1' + "0" * 400, id="t_max-int-1e400"),
+        pytest.param("[-0.25, 0.25]", '"dt": 1' + "0" * 400, id="dt-int-1e400"),
         ("[-0.25, 0.25]", '"dt": 1e-10, "t_max": 1e308'),  # t_max / dt overflows
         ("[-0.25, 0.25]", '"dt": 1e300'),  # t_max / dt rounds to zero steps
         ("[-0.25, 0.25]", '"dt": 2.0, "t_max": 1.0'),  # t_max / dt = 1/2 is zero steps too
@@ -381,6 +384,23 @@ def test_simulate_refuses_step_counts_it_cannot_form(tmp_path, capsys, support, 
     assert main(["simulate", "--input", str(sim_in), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**400], ids=["2**53+1", "int-1e400"])
+def test_simulate_refuses_walker_counts_floats_cannot_hold(tmp_path, capsys, n):
+    # refused before anything is allocated: no count this large is ever run
+    with pytest.raises(ValidationError, match=r"n_particles must be from 1 to 2\*\*53"):
+        SimConfig(n_particles=n)
+    sim_in = tmp_path / "sim.json"
+    sim_in.write_text(
+        '{"measure": {"breaks": [-0.25, 0.25], "values": [0.5]}, '
+        f'"open_set": {{"components": [[-1, 1]]}}, "config": {{"n_particles": {n}}}}}'
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", str(sim_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: n_particles"), err
     assert not out.exists()
 
 

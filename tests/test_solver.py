@@ -11,7 +11,6 @@ from stefan1d import (
     InfeasibilityError,
     MaximalSolution,
     OpenSet1D,
-    OrderCertificate,
     StepMeasure,
     SupportError,
     ValidationError,
@@ -676,7 +675,8 @@ def test_independence_check_rejects_inadmissible_candidate():
     costs = [ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, 501)]
     report = independence_check(mu, DOMAIN, [bad, solve(mu, DOMAIN).measure], costs)
     assert not report.candidates[0].admissible
-    assert "density" in report.candidates[0].certificate.note
+    assert report.candidates[0].certificate is None
+    assert all(map(math.isnan, report.candidates[0].objectives))
     # with no admissible competitor there is no argmin, and nothing to refute
     report = independence_check(mu, DOMAIN, [bad], costs)
     assert report.argmin_indices == (-1,) and report.argmin_is_maximal == (True,)
@@ -709,42 +709,36 @@ def test_check_admissible_examples():
     sol = solve(mu, DOMAIN)
     assert check_admissible(sol.measure, mu, DOMAIN).ordered
     assert check_admissible(mu, mu, DOMAIN).ordered
-    cert = check_admissible(indicator(0.0, 0.5, 1.5), mu, DOMAIN)
-    assert not cert.ordered and "density" in cert.note
+    with pytest.raises(AdmissibilityError, match="density 1.5 exceeds"):
+        check_admissible(indicator(0.0, 0.5, 1.5), mu, DOMAIN)
 
 
 # Two components with a gap (0, 0.5) between them; each "_OUT" measure puts mass
-# in the gap. Expected certificates and errors are those of the version that
-# restricted nu before calling order_leq_sh_O.
+# in the gap: 0.25 of mu's, 0.2 of nu's.
 ADM_O = OpenSet1D.of((-1.0, 0.0), (0.5, 1.5))
 ADM_MU = indicator(-0.8, -0.2, 0.5) + indicator(0.7, 1.2, 0.5)
 ADM_MU_OUT = indicator(-0.8, 0.75, 0.5)
 ADM_NU_OUT = indicator(-0.5, 0.8, 0.4)
-NU_OUTSIDE = OrderCertificate(
-    False, 0.0, 0.0, 0.0, math.inf,
-    note="support violation: measure carries mass 0.2 outside the open set",
-)
+
+
+def test_check_admissible_refuses_a_too_dense_nu_before_either_support(monkeypatch):
+    calls = []
+    _count_restrictions(monkeypatch, calls)
+    with pytest.raises(AdmissibilityError, match="density 1.5 exceeds the admissible bound 1"):
+        check_admissible(indicator(-0.5, 0.8, 1.5), ADM_MU_OUT, ADM_O)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
-    "nu, mu, expected",
-    [
-        (ADM_NU_OUT, ADM_MU, NU_OUTSIDE),
-        (ADM_NU_OUT, ADM_MU_OUT, NU_OUTSIDE),
-        # the density bound is checked before either support
-        (
-            indicator(-0.5, 0.8, 1.5),
-            ADM_MU_OUT,
-            OrderCertificate(
-                False, 0.0, 0.0, 0.15000000000000002, 0.5,
-                note="density 1.5 exceeds the unit bound",
-            ),
-        ),
-    ],
-    ids=["nu-outside", "both-outside", "nu-too-dense"],
+    "nu, mu, leaked",
+    [(ADM_NU_OUT, ADM_MU, 0.2), (ADM_NU_OUT, ADM_MU_OUT, 0.25)],
+    ids=["nu-outside", "both-outside"],
 )
-def test_check_admissible_failed_certificates(nu, mu, expected):
-    assert check_admissible(nu, mu, ADM_O) == expected
+def test_check_admissible_refuses_mass_outside_the_set(nu, mu, leaked):
+    with pytest.raises(SupportError) as err:
+        check_admissible(nu, mu, ADM_O)
+    assert str(err.value) == f"measure carries mass {leaked} outside the open set"
+    assert err.value.leaked_mass == pytest.approx(leaked, abs=1e-15)
 
 
 def test_check_admissible_raises_for_mu_outside():
@@ -753,6 +747,19 @@ def test_check_admissible_raises_for_mu_outside():
         check_admissible(nu, ADM_MU_OUT, ADM_O)
     assert str(err.value) == "measure carries mass 0.25 outside the open set"
     assert err.value.leaked_mass == 0.25
+
+
+def test_check_admissible_is_the_order_check_on_admissible_targets():
+    # the definition: a density at most 1 + tol, then order_leq_sh_O, bit for bit
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        open_set = random_open_set(rng)
+        mu = random_admissible_measure(rng, open_set)
+        drawn = random_admissible_measure(rng, open_set)
+        # up to the tolerance above 1 is admissible too
+        dense = make_step_measure(drawn.breaks, [v * (1.0 + 5e-10) for v in drawn.values])
+        for nu in (drawn, dense, solve(mu, open_set).measure):
+            assert check_admissible(nu, mu, open_set) == order_leq_sh_O(mu, nu, open_set)
 
 
 def test_check_admissible_restricts_nu_once(monkeypatch):

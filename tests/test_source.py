@@ -32,6 +32,20 @@ def test_measures_are_built_only_in_the_measure_module():
     assert not found, f"StepMeasure called outside measure.py: {found}"
 
 
+def test_order_certificates_are_built_only_in_the_potential_module():
+    # every certificate comes from the order walk; a refused input raises
+    # instead of yielding a certificate made up by hand
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "potential.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "OrderCertificate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, f"OrderCertificate called outside potential.py: {found}"
+
+
 def test_restrict_is_called_nowhere_in_the_package():
     # a component's part is read through measure._cuts alone; restrict is its
     # public wrapper, still imported where the traced benchmark rebinds it
