@@ -47,8 +47,8 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite and positive")
-        if self.hist_bins < 1:
-            raise ValidationError("hist_bins must be at least 1")
+        if not 1 <= self.hist_bins <= 2**16:  # the report lists every bin's edge and count
+            raise ValidationError("hist_bins must be from 1 to 2**16")
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,8 @@ def _certify_parts(
 
     Each cut is a component's (breaks, values, mass), as :func:`stefan1d.measure._cuts`
     gives it: the order holds iff it holds on every component; the worst gaps win.
+    :func:`stefan1d.solver.solve` passes its block pairs' cuts as ``nus``, equal
+    to ``_cuts``' cuts of the target it returns.
     """
     per = [
         _certify(m_k, n_k, *_sigma(nb, nv, mb, mv), c, d, tol)

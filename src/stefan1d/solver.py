@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import AdmissibilityError, InfeasibilityError, SupportError, ValidationError
 from .errors import VerificationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _bounds, _canonical, _check_tol, _cuts
-from .measure import _unit, indicator, measures_allclose
+from .measure import _mass, _unit, indicator, measures_allclose
 from .measure import restrict  # noqa: F401  (uncalled: tests/test_trace_contract.py pins it)
 from .potential import OrderCertificate, _certify_parts, dominates, order_leq_sh_O
 from .potential import potential  # noqa: F401  (uncalled: pinned as restrict is)
@@ -150,7 +150,9 @@ def solve(
 
     Each component is solved from the holes of its restricted input, which
     always fit: a density in [0, 1] with hole mass h has its hole barycentre
-    in [c + h/2, d - h/2]. A failed certificate raises VerificationError.
+    in [c + h/2, d - h/2]. Only mu is cut: the certificate reads each
+    component's target from its block pair. A failed certificate raises
+    VerificationError.
     """
     _check_tol(tol)
     _admit(mu, tol)
@@ -161,8 +163,10 @@ def solve(
         blocks.append(_gap(c, d, h, off))
         stats.append((k, k * (0.5 * (c + d)) + moment))
     target = _blocks_measure(b.as_tuple() for b in blocks)
-    # the target lies in the set by construction: the leak check is moot
-    certificate = _certify_parts(cuts, _cuts(target, open_set), open_set, tol)
+    parts = [*map(_pair_cut, blocks)]
+    if None in parts:  # a signed zero the pairs cannot settle: cut the target itself
+        parts = _cuts(target, open_set)
+    certificate = _certify_parts(cuts, parts, open_set, tol)
     if not certificate.ordered:
         raise VerificationError(
             "solver output failed the potential order certification "
@@ -170,6 +174,26 @@ def solve(
             certificate,
         )
     return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
+
+
+def _pair_cut(pair: BlockPair) -> tuple[tuple[float, ...], tuple[float, ...], float] | None:
+    """The pair's indicator on (c, d) as :func:`_cuts` cuts its target: no empty block, no zero end.
+
+    None where the gap, zero wide, lies between zeros of both signs: which one
+    the target keeps at the component's end depends on its neighbours.
+    """
+    c, e, f, d = breaks = pair.as_tuple()
+    if e == f:
+        if math.copysign(1.0, e) != math.copysign(1.0, f):
+            return None
+        breaks, values = (c, d), (1.0,)
+    elif e == c:
+        breaks, values = ((f, d), (1.0,)) if f < d else ((), ())
+    elif f == d:
+        breaks, values = (c, e), (1.0,)
+    else:
+        values = (1.0, 0.0, 1.0)
+    return breaks, values, _mass(breaks, values)
 
 
 def _admit(mu: StepMeasure, tol: float) -> None:

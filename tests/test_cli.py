@@ -404,6 +404,21 @@ def test_simulate_refuses_walker_counts_floats_cannot_hold(tmp_path, capsys, n):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_histogram_too_fine_to_report(tmp_path, capsys):
+    # a 31-digit bin count: refused by name before any walk, not in numpy after all of them
+    sim_in = tmp_path / "sim.json"
+    sim_in.write_text(
+        '{"measure": {"breaks": [-0.25, 0.25], "values": [0.5]}, '
+        '"open_set": {"components": [[-1, 1]]}, '
+        '"config": {"n_particles": 50, "hist_bins": 1' + "0" * 30 + "}}"
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", str(sim_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hist_bins"), err
+    assert not out.exists()
+
+
 def test_tol_only_where_read():
     for argv in (["potential", "--tol", "1e-3"], ["repro", "--tol", "1e-3"]):
         with pytest.raises(SystemExit):

@@ -119,6 +119,7 @@ def test_run_is_deterministic():
         ("seed", -1),
         ("n_particles", 0),
         ("hist_bins", 0),
+        ("hist_bins", 2**16 + 1),
     ],
 )
 def test_sim_config_refuses_a_bad_integer_field(field, value):

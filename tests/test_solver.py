@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from stefan1d import (
     solve_component,
     sweep_states,
 )
+from stefan1d.measure import _cuts
+from stefan1d.solver import _pair_cut
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +262,37 @@ _EDGE_CASES = [
 ]
 
 
+#: Block pairs whose cut is not (c, e, f, d): an empty component, (0, 0, 1, 1),
+#: beside a massive one; a right block of 2.5e-16 dropped by the sliver rule;
+#: touching components whose blocks merge into one cell of the target; and gaps
+#: of zero width between -0.0 and 0.0, where the target's neighbours pick the
+#: sign of its zero break (the first reads worst_point 0.0, not -0.0).
+_BLOCK_PAIR_CASES = [
+    (indicator(-1.8, -1.2, 0.6), OpenSet1D.of((-2.0, -1.0), (0.0, 1.0))),
+    (indicator(-1.0, -0.5) + indicator(1.0 - 1e-15, 1.0, 0.25), DOMAIN),
+    (
+        indicator(-1.9, -1.5, 0.5) + indicator(-0.6, 0.5, 0.9),
+        OpenSet1D.of((-2.0, -1.0), (-1.0, 0.5), (0.5, 1.0)),
+    ),
+    (indicator(1e-300, 1.0), OpenSet1D.of((-1.0, 0.0), (-0.0, 1.0))),
+    (indicator(-1.0, -1e-300) + indicator(0.0, 0.5), OpenSet1D.of((-1.0, -0.0), (0.0, 1.0))),
+]
+
+
+def _assert_certificate_is_the_order_check(mu, O):
+    try:
+        sol = solve(mu, O)
+        cert = sol.certificate
+    except VerificationError as exc:
+        cert = exc.certificate
+        sol = solve(mu, O, tol=math.inf)
+    assert repr(cert) == repr(order_leq_sh_O(mu, sol.measure, O))
+    # each pair's cut is the target's, where the pairs settle it
+    for pair, cut in zip(sol.blocks, _cuts(sol.measure, O)):
+        mine = _pair_cut(pair)
+        assert mine is None or repr(mine) == repr(cut)
+
+
 @settings(max_examples=300, deadline=None)
 @given(measures_inside())
 @example(_EDGE_CASES[0])
@@ -266,17 +300,38 @@ _EDGE_CASES = [
 @example(_EDGE_CASES[2])
 @example(_EDGE_CASES[3])
 @example(_EDGE_CASES[4])
+@example(_BLOCK_PAIR_CASES[0])
+@example(_BLOCK_PAIR_CASES[1])
+@example(_BLOCK_PAIR_CASES[2])
+@example(_BLOCK_PAIR_CASES[3])
+@example(_BLOCK_PAIR_CASES[4])
 def test_certificate_matches_order_check_of_the_target(case):
-    # solve certifies its cuts of mu against the cuts of the target it returns:
-    # the certificate must be the order check's of that target, bit for bit
-    mu, O = case
-    try:
-        sol = solve(mu, O)
-        cert, target = sol.certificate, sol.measure
-    except VerificationError as exc:
-        cert = exc.certificate
-        target = solve(mu, O, tol=math.inf).measure
-    assert repr(cert) == repr(order_leq_sh_O(mu, target, O))
+    # solve certifies its cuts of mu against its block pairs' cuts, which must
+    # be the target's: the certificate is the order check's of the target, bit for bit
+    _assert_certificate_is_the_order_check(*case)
+
+
+def test_certificate_matches_order_check_on_random_multi_component_draws():
+    # up to six components: some touching, some shifted so that one starts at
+    # 0.0, some with a saturated component or a full block flush with one end
+    rng = np.random.default_rng(34)
+    for _ in range(2500):
+        comps = list(random_open_set(rng, max_components=6).components)
+        if rng.random() < 0.3:  # each component starts where the last one ends
+            ends = [*accumulate((d - c for c, d in comps), initial=comps[0][0])]
+            comps = [*zip(ends, ends[1:])]
+        if rng.random() < 0.3:
+            start = comps[int(rng.integers(len(comps)))][0]
+            comps = [(c - start, d - start) for c, d in comps]
+        O = OpenSet1D.of(*comps)
+        mu = random_admissible_measure(rng, O)
+        if rng.random() < 0.3:
+            i, parts = int(rng.integers(len(comps))), restrict(mu, O)
+            c, d = comps[i]
+            w = float(rng.uniform(0.1, 0.9)) * (d - c)
+            parts[i] = [indicator(c, d), indicator(c, c + w), indicator(d - w, d)][rng.integers(3)]
+            mu = sum_measures(parts)
+        _assert_certificate_is_the_order_check(mu, O)
 
 
 @pytest.mark.xfail(
@@ -380,13 +435,14 @@ def _count_restrictions(monkeypatch, calls: list) -> None:
 
 
 def test_solve_restricts_once(monkeypatch):
-    # mu is cut once, with the leak check; the cut of the target skips it
+    # mu is cut once, with the leak check; the target is certified from its
+    # block pairs, so no second cut can come back unnoticed
     calls = []
     _count_restrictions(monkeypatch, calls)
     O = OpenSet1D.of((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.5))
     mu = indicator(-2.8, -2.5) + indicator(-0.5, 0.5, 0.7) + indicator(2.5, 3.0)
     solve(mu, O)
-    assert [tol is not None for m, tol in calls if m is mu] == [True]
+    assert [(m is mu, tol is not None) for m, tol in calls] == [(True, True)]
 
 
 def _many_components(n: int = 200):
