@@ -219,8 +219,6 @@ def cmd_simulate(args) -> int:
         t_max=_config_value(raw_cfg, "t_max", SimConfig.t_max, float),
         hist_bins=_config_value(raw_cfg, "hist_bins", SimConfig.hist_bins, int),
     )
-    if cfg.t_max is not None:  # the report echoes a given t_max as a float
-        cfg = dataclasses.replace(cfg, t_max=float(cfg.t_max))
     report = run(mu, open_set, cfg)
     _emit(report.to_json(), args.out)
     if args.hist:

@@ -122,6 +122,7 @@ class OpenSet1D:
 
     Components may touch (d_n == c_{n+1}); the shared boundary point still
     separates them, which matters for the component-wise order relation.
+    An end of -0.0 is stored as 0.0.
     """
 
     components: tuple[tuple[float, float], ...]
@@ -138,6 +139,7 @@ class OpenSet1D:
                     f"component {i} overlaps or is out of order at {c!r}"
                 )
             prev_end = d
+        object.__setattr__(self, "components", tuple((c + 0.0, d + 0.0) for c, d in self.components))
 
     @classmethod
     def interval(cls, c: float, d: float) -> "OpenSet1D":
@@ -209,7 +211,7 @@ def _canonical(breaks: Sequence[float], values: Iterable[float]) -> StepMeasure:
     A value past the last cell is ignored. A cell goes when its right break is not above every
     break before it: breaks may repeat, or step back where a particle front overshoots. Densities
     below _MIN_DENSITY become 0, equal neighbours merge, zero end cells go. A repeated break
-    keeps its first copy, but a zero keeps the sign of the nonzero cell it bounds.
+    keeps its first copy; a zero break is 0.0.
     """
     v, cuts, top = [], [], breaks[0] if breaks else 0.0
     for hi, x in zip(breaks[1:], values):
@@ -222,10 +224,8 @@ def _canonical(breaks: Sequence[float], values: Iterable[float]) -> StepMeasure:
     cuts.append(top)
     if v and not v[-1]:  # a trailing zero run ends the measure at its start
         del v[-1], cuts[-1]
-    if v and 0.0 in cuts:
-        k = cuts.index(0.0)
-        if k == 0 or not v[k - 1]:  # after a zero run or none: the next cell's own start
-            cuts[k] = next(x for x in reversed(breaks) if x == 0.0)
+    if 0.0 in cuts:
+        cuts[cuts.index(0.0)] = 0.0
     return _checked(tuple(cuts), tuple(v)) if v else StepMeasure((), ())
 
 

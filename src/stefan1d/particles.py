@@ -45,8 +45,10 @@ class SimConfig:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
         for name in ("dt", "t_max"):  # a JSON integer may lie beyond the float range
             value = getattr(self, name)
-            if value is not None and not 0.0 < value <= sys.float_info.max:
-                raise ValidationError(f"{name} must be finite and positive")
+            if value is not None:
+                if not 0.0 < value <= sys.float_info.max:
+                    raise ValidationError(f"{name} must be finite and positive")
+                object.__setattr__(self, name, float(value))  # an integer is echoed as a float
         if not 1 <= self.hist_bins <= 2**16:  # the report lists every bin's edge and count
             raise ValidationError("hist_bins must be from 1 to 2**16")
 

@@ -200,9 +200,9 @@ class OrderCertificate:
 def _sigma(nb: Sequence, nv: Sequence, mb: Sequence, mv: Sequence) -> tuple[list, list]:
     """Both grids' breaks, a shared one twice with nu's copy first, and nu - mu right of each.
 
-    Each side comes as its breaks and values, a measure's or a cut's. The walk
-    reads nu's sign of zero at a shared break; the cell between the copies, of
-    width zero, and the last break's right tail add nothing.
+    Each side comes as its breaks and values, a measure's or a cut's. The cell
+    between a shared break's copies, of width zero, and the last break's right
+    tail add nothing.
     """
     xs, a, b = _merged(nb, (0.0, *nv, 0.0), mb, (0.0, *mv, 0.0))
     return xs, [*map(operator.sub, a, b)]

@@ -163,10 +163,7 @@ def solve(
         blocks.append(_gap(c, d, h, off))
         stats.append((k, k * (0.5 * (c + d)) + moment))
     target = _blocks_measure(b.as_tuple() for b in blocks)
-    parts = [*map(_pair_cut, blocks)]
-    if None in parts:  # a signed zero the pairs cannot settle: cut the target itself
-        parts = _cuts(target, open_set)
-    certificate = _certify_parts(cuts, parts, open_set, tol)
+    certificate = _certify_parts(cuts, [*map(_pair_cut, blocks)], open_set, tol)
     if not certificate.ordered:
         raise VerificationError(
             "solver output failed the potential order certification "
@@ -176,16 +173,10 @@ def solve(
     return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
 
 
-def _pair_cut(pair: BlockPair) -> tuple[tuple[float, ...], tuple[float, ...], float] | None:
-    """The pair's indicator on (c, d) as :func:`_cuts` cuts its target: no empty block, no zero end.
-
-    None where the gap, zero wide, lies between zeros of both signs: which one
-    the target keeps at the component's end depends on its neighbours.
-    """
+def _pair_cut(pair: BlockPair) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """The pair's indicator on (c, d) as :func:`_cuts` cuts its target: no zero end cell."""
     c, e, f, d = breaks = pair.as_tuple()
     if e == f:
-        if math.copysign(1.0, e) != math.copysign(1.0, f):
-            return None
         breaks, values = (c, d), (1.0,)
     elif e == c:
         breaks, values = ((f, d), (1.0,)) if f < d else ((), ())

@@ -307,8 +307,8 @@ def simulate_component(
         unfrozen=int(pos.size),
         p_hat=m * nl,
         q_hat=m * nr,
-        left_front=c + m * nl if nl else c,
-        right_front=d - m * nr if nr else d,
+        left_front=c + m * nl,
+        right_front=d - m * nr,
         mean_freeze_time=walk.step_sum / (nl + nr) * dt if nl + nr else math.nan,
         freeze_position_mean=mean,
         freeze_position_std=std,

@@ -100,6 +100,8 @@ def from_cells_reference(cells: Iterable[tuple[float, float, float]]) -> StepMea
         else:
             values.append(v)
             breaks.append(hi)
+    if 0.0 in breaks:  # a zero break is 0.0
+        breaks[breaks.index(0.0)] = 0.0
     return _checked(tuple(breaks), tuple(values))
 
 
@@ -533,10 +535,8 @@ def canonical_reference(breaks: Sequence[float], values: Iterable[float]) -> Ste
         del values[-1], cuts[-1]
     if values and not values[0]:
         del values[0], cuts[0]
-    if 0.0 in cuts:
-        k = cuts.index(0.0)
-        if k == 0 or not values[k - 1]:  # after a zero run or none: the next cell's own start
-            cuts[k] = next(x for x in reversed(breaks) if x == 0.0)
+    if 0.0 in cuts:  # a zero break is 0.0
+        cuts[cuts.index(0.0)] = 0.0
     return _checked(tuple(cuts), tuple(values)) if values else StepMeasure((), ())
 
 

@@ -264,6 +264,39 @@ def test_simulate_freezes_a_wide_component_by_default(tmp_path):
     assert payload["config"]["t_max"] is None and payload["all_frozen"] is True
 
 
+def test_simulate_echoes_a_given_dt_and_t_max_as_floats(tmp_path):
+    # JSON integers run as floats, and the report's config prints them so
+    sim_in = write(
+        tmp_path / "sim.json",
+        {
+            "measure": {"breaks": [-0.25, 0.25], "values": [1.0]},
+            "open_set": {"components": [[-1.0, 1.0]]},
+            "config": {"n_particles": 50, "dt": 1, "t_max": 50},
+        },
+    )
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--input", sim_in, "--out", str(out)]) == 0
+    config = read(out)["config"]
+    assert (repr(config["dt"]), repr(config["t_max"])) == ("1.0", "50.0")
+
+
+def test_solve_reports_a_zero_written_as_minus_zero_as_zero(tmp_path):
+    # mu = 0.5 * chi(-0.0, 0.5) in (-0.0, 1): the blocks and breaks start at 0.0
+    inp = write(
+        tmp_path / "in.json",
+        {
+            "measure": {"breaks": [-0.0, 0.5], "values": [0.5]},
+            "open_set": {"components": [[-0.0, 1.0]]},
+        },
+    )
+    out = tmp_path / "out.json"
+    assert main(["solve", "--input", inp, "--out", str(out)]) == 0
+    payload = read(out)
+    assert repr(payload["blocks"][0][0]) == "0.0"
+    assert repr(payload["measure"]["breaks"][0]) == "0.0"
+    assert "-0.0" not in out.read_text()
+
+
 def test_a_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     def failing(*args):
         raise cli.VerificationError("mass gap 1.0 above its bound")

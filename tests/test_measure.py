@@ -592,7 +592,7 @@ _UP = math.nextafter(0.5, 1.0)  # one ulp above 0.5
 @example(("blocks", [(-1.0, -1.0, -0.25, 0.0), (0.0, 0.0, 0.5, 1.0)]))  # e == c
 @example(("blocks", [(-1.0, -0.5, 0.0, 0.0), (0.0, 0.25, 1.0, 1.0)]))  # f == d
 @example(("blocks", [(-1.0, 0.0, 0.0, 0.5), (0.5, 0.75, 0.75, 1.0)]))  # e == f
-# a zero's copies differ in sign: the break is the nonzero cell's own
+# a zero's copies differ in sign: the break is 0.0
 @example(("blocks", [(-1.0, -0.5, 0.0, 0.0), (-0.0, 0.25, 0.5, 1.0)]))
 @example(("blocks", [(-1.0, -0.5, -0.0, -0.0), (0.0, 0.0, 0.5, 1.0)]))
 @example(("blocks", [(-0.0, -0.0, 0.0, 1.0)]))

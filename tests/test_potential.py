@@ -392,10 +392,10 @@ def test_dominates_matches_referee(mu, nu):
 
 def test_shared_break_keeps_nus_sign_of_zero():
     # the merged grid holds a break both measures have twice, nu's copy first,
-    # so a worst point there carries nu's sign
+    # and a measure's zero break is 0.0 whichever sign it was written with
     plus, minus = make_step_measure([0.0, 1.0], [0.5]), make_step_measure([-0.0, 1.0], [0.5])
     assert repr(dominates(minus, plus).worst_point) == "0.0"
-    assert repr(dominates(plus, minus).worst_point) == "-0.0"
+    assert repr(dominates(plus, minus).worst_point) == "0.0"
 
 
 def _shifted(mu, s: float):
