@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -64,9 +65,13 @@ class MaximalSolution:
     """Two-block target per component, with the per-component (k, beta) data."""
 
     blocks: tuple[BlockPair, ...]
-    measure: StepMeasure
     provenance: tuple[tuple[float, float], ...]
     certificate: OrderCertificate | None = None
+
+    @cached_property
+    def measure(self) -> StepMeasure:
+        """The target, built from the blocks on first read: ValidationError if its moments overflow."""
+        return _blocks_measure(b.as_tuple() for b in self.blocks)
 
     def to_json(self) -> dict:
         out = {
@@ -104,7 +109,7 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
         side = "below the lower" if lean > 0.0 else "above the upper"
         bound = k * mid - math.copysign(half * h, lean)
         raise InfeasibilityError(f"first moment {beta!r} {side} bound {bound!r}")
-    return _gap(c, d, h, min(max(lean / h, -half), half) if h else 0.0)
+    return _gap(c + 0.0, d + 0.0, h, min(max(lean / h, -half), half) if h else 0.0)
 
 
 def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[float, float, float]:
@@ -162,7 +167,6 @@ def solve(
         h, off, moment = _holes(breaks, values, c, d)
         blocks.append(_gap(c, d, h, off))
         stats.append((k, k * (0.5 * (c + d)) + moment))
-    target = _blocks_measure(b.as_tuple() for b in blocks)
     certificate = _certify_parts(cuts, [*map(_pair_cut, blocks)], open_set, tol)
     if not certificate.ordered:
         raise VerificationError(
@@ -170,7 +174,7 @@ def solve(
             f"(worst gap {certificate.worst_gap:.3e} at {certificate.worst_point:.9g})",
             certificate,
         )
-    return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
+    return MaximalSolution(tuple(blocks), tuple(stats), certificate)
 
 
 def _pair_cut(pair: BlockPair) -> tuple[tuple[float, ...], tuple[float, ...], float]:
@@ -267,7 +271,7 @@ def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
     block, _, _ = _sweep(mu, open_set)
     c, d = block.c, block.d
     beta = mu.mass * (0.5 * (c + d)) + _holes(mu.breaks, mu.values, c, d)[2]
-    return MaximalSolution((block,), block.measure(), ((mu.mass, beta),), certificate=None)
+    return MaximalSolution((block,), ((mu.mass, beta),), certificate=None)
 
 
 def sweep_states(mu: StepMeasure, open_set: OpenSet1D) -> list[StepMeasure]:

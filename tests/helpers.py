@@ -311,7 +311,7 @@ def solve_reference(
             f"(worst gap {certificate.worst_gap:.3e} at {certificate.worst_point:.9g})",
             certificate,
         )
-    return MaximalSolution(tuple(blocks), target, tuple(stats), certificate)
+    return MaximalSolution(tuple(blocks), tuple(stats), certificate)
 
 
 def merged_cells_reference(mu: StepMeasure, nu: StepMeasure) -> list[tuple]:

@@ -125,6 +125,23 @@ def test_solve_rejects_a_measure_whose_width_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == "error: breaks span too wide: (-1e+308, 1e+308)\n"
 
 
+def test_solve_refuses_a_target_whose_moments_overflow(tmp_path, capsys):
+    # mu's own moments are finite; its target's mass 1e148 out to 1e161 is not
+    inp = write(
+        tmp_path / "far.json",
+        {
+            "measure": {"breaks": [-5e147, 5e147], "values": [1.0]},
+            "open_set": {"components": [[-1e161, 1e161]]},
+        },
+    )
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    assert main(["solve", "--input", inp, "--out", str(out), "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mass times coordinates (the moments' scale) overflows on (-1e+161, 1e+161)\n"
+    )
+    assert not out.exists() and not csv.exists()
+
+
 @pytest.mark.parametrize(
     "command, payload, says",
     [

@@ -34,8 +34,8 @@ from stefan1d import (
     solve_component,
     sweep_states,
 )
-from stefan1d.measure import _cuts
-from stefan1d.solver import _pair_cut
+from stefan1d.measure import DEFAULT_TOL, _cuts
+from stefan1d.solver import BlockPair, _blocks_measure, _pair_cut
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +89,15 @@ def test_solve_component_left_leaning_block():
     target = bp.measure()
     assert target.mass == pytest.approx(0.5, abs=1e-12)
     assert first_moment_reference(target) == pytest.approx(-0.125, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, d, k, beta",
+    [(-0.0, 1.0, 0.5, 0.125), (-1.0, -0.0, 0.5, -0.125), (-0.0, 1.0, 1.0, 0.5), (-1.0, -0.0, 0.0, 0.0)],
+)
+def test_solve_component_stores_zero_as_0(c, d, k, beta):
+    # an end written -0.0 is stored as 0.0, as OpenSet1D stores it
+    assert _negative_zeros(solve_component(c, d, k, beta).as_tuple()) == []
 
 
 def test_solve_component_infeasible_inputs():
@@ -389,10 +398,44 @@ def test_light_input_is_solved_or_refused_by_name():
         pass
 
 
-def _result(run) -> str:
-    """repr of what run returns, or of the error with its leaked mass and certificate."""
+def _each_target_carries_its_mass(mu, O):
     try:
-        return repr(run())
+        sol = solve(mu, O)
+    except (InfeasibilityError, AdmissibilityError):
+        raise  # the input is feasible and admissible
+    except ValidationError:
+        return  # refused by name
+    for b, (k, _) in zip(sol.blocks, sol.provenance):
+        assert abs(b.p + b.q - k) <= DEFAULT_TOL * k, (b, k)
+
+
+def test_wide_components_keep_their_mass():
+    # 0.5 * chi(-1, 1) on (-W, 0) u (0, W): k = 0.5 per component, target (-0.5, 0), (0, 0.5)
+    mu, O = indicator(-1.0, 1.0, 0.5), OpenSet1D.of((-3e15, 0.0), (0.0, 3e15))
+    assert [b.as_tuple() for b in solve(mu, O).blocks] == [
+        (-3e15, -3e15, -0.5, 0.0),
+        (0.0, 0.5, 3e15, 3e15),
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="h = W - k rounds to W, so both blocks are empty, and the 4-ulp floor (8 at 1e16), "
+    "read as a mass, hides the mass gap of 0.5: the certificate reads ordered",
+)
+def test_light_mass_on_a_wide_component_is_kept_or_refused_by_name():
+    # at W = 3e15 the blocks are right; from 1e16 solve returns two empty pairs, mass 0.0
+    _each_target_carries_its_mass(indicator(-1.0, 1.0, 0.5), OpenSet1D.of((-1e16, 0.0), (0.0, 1e16)))
+
+
+def _result(run) -> str:
+    """repr of what run returns, or of the error with its leaked mass and certificate.
+
+    A solution is read with its target, so the target's bits and refusals are compared too.
+    """
+    try:
+        out = run()
+        return repr((out, out.measure) if isinstance(out, MaximalSolution) else out)
     except (ValueError, RuntimeError) as exc:
         extra = getattr(exc, "leaked_mass", None), getattr(exc, "certificate", None)
         return f"{type(exc).__name__}: {exc} {extra!r}"
@@ -500,15 +543,46 @@ def _many_components(n: int = 200):
 
 
 def test_solve_builds_one_measure_for_many_components(monkeypatch):
-    # each component is certified from cuts of mu and of the target: only the
-    # target passes the door, where the per-component parts made 2n + 1 calls
+    # each component is certified from cuts of mu and of its block pair: only the
+    # target, read once, passes the door, where the per-component parts made 2n + 1 calls
     mu, O = _many_components()
     measure = importlib.import_module("stefan1d.measure")
     calls = []
     real = measure._checked
     monkeypatch.setattr(measure, "_checked", lambda b, v: calls.append(1) or real(b, v))
     sol = solve(mu, O)
+    sol.measure
     assert len(calls) == 1 and len(sol.certificate.per_component) == 200
+
+
+def test_target_is_built_from_the_blocks_on_first_read(monkeypatch):
+    # solve and the sweep return blocks; the target passes the door once, when first read
+    mu, O = _many_components()
+    blocks = random_unit_blocks(np.random.default_rng(27), -1.0, 1.0, 6)
+    measure = importlib.import_module("stefan1d.measure")
+    calls = []
+    real = measure._checked
+    monkeypatch.setattr(measure, "_checked", lambda b, v: calls.append(1) or real(b, v))
+    for solve_it in (lambda: solve(mu, O), lambda: solve_by_sweep(blocks, DOMAIN)):
+        calls.clear()
+        sol = solve_it()
+        assert calls == []
+        target = sol.measure
+        assert len(calls) == 1
+        assert sol.measure is target and len(calls) == 1
+        assert repr(target) == repr(_blocks_measure(b.as_tuple() for b in sol.blocks))
+
+
+def test_target_whose_moments_overflow_is_refused_on_first_read():
+    # mu passes its own checks; its target, mass 1e148 out to 1e161, does not
+    mu, O = indicator(-5e147, 5e147), OpenSet1D.interval(-1e161, 1e161)
+    sol = solve(mu, O)
+    assert sol.certificate.ordered and len(sol.blocks) == 1
+    with pytest.raises(ValidationError) as err:
+        sol.measure
+    assert str(err.value) == (
+        "mass times coordinates (the moments' scale) overflows on (-1e+161, 1e+161)"
+    )
 
 
 def test_zero_mass_solution():
@@ -582,7 +656,8 @@ def test_sweep_oracle_equivalence_random():
 
 def _outcome(run) -> str:
     try:
-        return repr(run())
+        out = run()
+        return repr((out, out.measure) if isinstance(out, MaximalSolution) else out)
     except ValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -591,7 +666,7 @@ def _sweep_solution_reference(mu: StepMeasure) -> MaximalSolution:
     block, _ = sweep_reference(mu, DOMAIN)
     c, d = DOMAIN.components[0]
     beta = mu.mass * (0.5 * (c + d)) + holes_reference(mu.breaks, mu.values, c, d)[2]
-    return MaximalSolution((block,), block.measure(), ((mu.mass, beta),), certificate=None)
+    return MaximalSolution((block,), ((mu.mass, beta),), certificate=None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -611,7 +686,7 @@ def test_sweep_builds_only_the_target(monkeypatch):
     calls = []
     real = measure._checked
     monkeypatch.setattr(measure, "_checked", lambda b, v: calls.append(1) or real(b, v))
-    solve_by_sweep(mu, DOMAIN)
+    solve_by_sweep(mu, DOMAIN).measure
     assert len(calls) == 1
 
 
@@ -788,8 +863,11 @@ def test_independence_check_fails_a_non_maximal_target(monkeypatch):
 
     mu = indicator(-0.25, 0.25)
     target = solve(mu, DOMAIN).measure
+    # the target is its blocks: one pair with no gap, (c, e) = mu's support, is mu
     monkeypatch.setattr(
-        solver, "solve", lambda m, o: dataclasses.replace(solve(m, o), measure=m)
+        solver,
+        "solve",
+        lambda m, o: dataclasses.replace(solve(m, o), blocks=(BlockPair(-0.25, 0.25, 0.25, 0.25),)),
     )
     costs = [ConcaveGrid.from_function(lambda x: -x * x, -1.0, 1.0, 501)]
     report = independence_check(mu, DOMAIN, [target], costs)
