@@ -109,7 +109,8 @@ def solve_component(c: float, d: float, k: float, beta: float) -> BlockPair:
         side = "below the lower" if lean > 0.0 else "above the upper"
         bound = k * mid - math.copysign(half * h, lean)
         raise InfeasibilityError(f"first moment {beta!r} {side} bound {bound!r}")
-    return _gap(c + 0.0, d + 0.0, h, min(max(lean / h, -half), half) if h else 0.0)
+    c, d, off = c + 0.0, d + 0.0, min(max(lean / h, -half), half) if h else 0.0
+    return BlockPair(c, *_gap(c, d, h, off), d)
 
 
 def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[float, float, float]:
@@ -133,11 +134,12 @@ def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[floa
     return h / unit, (0.5 * off / h if h else 0.0), 0.5 * sum(centred, 0.0) / unit / unit
 
 
-def _gap(c: float, d: float, h: float, off: float) -> BlockPair:
-    """Blocks of (c, d) around the gap (g - h/2, g + h/2), g = midpoint + off.
+def _gap(c: float, d: float, h: float, off: float) -> tuple[float, float]:
+    """Ends (e, f) of the blocks of (c, d) around the gap (g - h/2, g + h/2), g = midpoint + off.
 
     The gap's ends are clamped into (c, d), where rounding may put them, and
     the narrower block is dropped below the policy's floor: a rounding sliver.
+    So c <= e <= f <= d; only a caller's result is built as a :class:`BlockPair`.
     """
     mid = 0.5 * (c + d)
     e, f = mid + (off - 0.5 * h), mid + (off + 0.5 * h)
@@ -145,7 +147,7 @@ def _gap(c: float, d: float, h: float, off: float) -> BlockPair:
         e, f = min(max(e, c), d), min(max(f, c), d)
     if min(e - c, d - f) <= _bounds(0.0, 0.0, c, d)[0]:
         e, f = (c, f) if e - c <= d - f else (e, d)
-    return BlockPair(c, e, f, d)
+    return e, f
 
 
 def solve(
@@ -165,7 +167,8 @@ def solve(
     blocks, stats = [], []
     for (c, d), (breaks, values, k) in zip(open_set.components, cuts):
         h, off, moment = _holes(breaks, values, c, d)
-        blocks.append(_gap(c, d, h, off))
+        e, f = _gap(c, d, h, off)
+        blocks.append(BlockPair(c, e, f, d))
         stats.append((k, k * (0.5 * (c + d)) + moment))
     certificate = _certify_parts(cuts, [*map(_pair_cut, blocks)], open_set, tol)
     if not certificate.ordered:
@@ -230,7 +233,7 @@ def _two_holes(e: float, h: float, right: float, end: float) -> tuple[float, flo
 
 
 def _sweep(mu: StepMeasure, open_set: OpenSet1D):
-    """Final block pair, unit blocks and one (sat_end, carry, i) per merge.
+    """Final block pair (the one pair built), unit blocks and one (sat_end, carry, i) per merge.
 
     Linear in the blocks. (c, e) is saturated, a hole of mass h follows, and
     the carried block ends at right: each merge carries h, not rounded ends.
@@ -249,11 +252,11 @@ def _sweep(mu: StepMeasure, open_set: OpenSet1D):
     e, h, right = c, blocks[0][0] - c, blocks[0][1]
     for i, (lo, hi) in enumerate(blocks[1:], start=1):
         h, off = _two_holes(e, h, right, lo)
-        sub = _gap(e, lo, h, off)
-        e, right = sub.e, hi  # the produced right block touches the next one
-        merges.append((e, (sub.f, hi), i))
-    final = _gap(e, d, *_two_holes(e, h, right, d))
-    return BlockPair(c, final.e, final.f, d), blocks, merges
+        e, f = _gap(e, lo, h, off)
+        right = hi  # the produced right block touches the next one
+        merges.append((e, (f, hi), i))
+    e, f = _gap(e, d, *_two_holes(e, h, right, d))
+    return BlockPair(c, e, f, d), blocks, merges
 
 
 def solve_by_sweep(mu: StepMeasure, open_set: OpenSet1D) -> MaximalSolution:
@@ -310,7 +313,7 @@ def critical_point(k: float, beta: float) -> float:
     b = beta / k + 0.5 * k
     source = indicator(a, b)
     # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
-    target = _gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)).measure()
+    target = _blocks_measure([(-1.0, *_gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)), 1.0)])
     cert = dominates(source, target)
     if not cert.ordered:
         raise VerificationError(f"the source does not precede its target: {cert.to_json()}")

@@ -192,17 +192,16 @@ def sweep_reference(mu: StepMeasure, open_set: OpenSet1D):
     for i, nxt in enumerate(blocks[1:], start=1):
         # the carried block's gap in the sub-domain, from the hole's mass and the next hole
         hole, off = _two_holes(sat_end, hole, carry[1], nxt[0])
-        sub = _gap(sat_end, nxt[0], hole, off)
-        sat_end = sub.e
-        carry = (sub.f, nxt[1])  # produced right block touches the next one
+        sat_end, f = _gap(sat_end, nxt[0], hole, off)
+        carry = (f, nxt[1])  # produced right block touches the next one
         states.append(
             from_cells_reference(
                 [(c, sat_end, 1.0), (carry[0], carry[1], 1.0)]
                 + [(lo, hi, 1.0) for lo, hi in blocks[i + 1 :]]
             )
         )
-    final = _gap(sat_end, d, *_two_holes(sat_end, hole, carry[1], d))
-    return BlockPair(c, final.e, final.f, d), states
+    e, f = _gap(sat_end, d, *_two_holes(sat_end, hole, carry[1], d))
+    return BlockPair(c, e, f, d), states
 
 
 def density_at(mu: StepMeasure, y: float) -> float:
@@ -301,7 +300,7 @@ def solve_reference(
     blocks, stats = [], []
     for (c, d), mu_n in zip(open_set.components, parts):
         h, off, moment = _holes(mu_n.breaks, mu_n.values, c, d)
-        blocks.append(_gap(c, d, h, off))
+        blocks.append(BlockPair(c, *_gap(c, d, h, off), d))
         stats.append((mu_n.mass, mu_n.mass * (0.5 * (c + d)) + moment))
     target = _blocks_measure(b.as_tuple() for b in blocks)
     certificate = certify_parts_reference(parts, slices_reference(target, open_set), open_set, tol)

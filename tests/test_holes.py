@@ -37,7 +37,7 @@ from stefan1d import (
     solve_by_sweep,
 )
 from stefan1d.cli import main
-from stefan1d.solver import _gap, _holes
+from stefan1d.solver import BlockPair, _gap, _holes
 
 #: Endpoint error allowed against the exact gap, in ulps of max(|c|, |d|).
 ULPS = 8
@@ -169,8 +169,41 @@ def test_potentials_at_1e200_are_rejected_but_the_hole_pass_still_places_the_gap
     with pytest.raises(ValidationError, match="overflows"):
         make_step_measure(breaks, [0.5, 0.8, 0.3])
     mu, c, d = StepMeasure(breaks, (0.5, 0.8, 0.3)), s, s + 2.0 * unit
-    blocks = _gap(c, d, *_holes(mu.breaks, mu.values, c, d)[:2])
+    blocks = BlockPair(c, *_gap(c, d, *_holes(mu.breaks, mu.values, c, d)[:2]), d)
     assert max(_endpoint_errors(blocks, mu, c, d)) <= ULPS
+
+
+@st.composite
+def gap_inputs(draw):
+    """(c, d, h, off): c < d from a few ulps wide to near the float range, h in [0, d - c].
+
+    off reaches slightly beyond the fitting range -+(d - c - h)/2, so the clamp runs.
+    """
+    c = draw(st.floats(-1e300, 1e300) | st.sampled_from([-1e300, -1.0, 0.0, 1.0, 1e300]))
+    if draw(st.booleans()):
+        d = c
+        for _ in range(draw(st.integers(1, 8))):
+            d = math.nextafter(d, math.inf)
+    else:
+        d = max(c + 10.0 ** draw(st.floats(-300.0, 300.0)), math.nextafter(c, math.inf))
+    width = d - c
+    h = min(width * draw(st.floats(0.0, 1.0)), width)
+    ulps = draw(st.integers(-4, 4)) * math.ulp(max(abs(c), abs(d)))
+    return c, d, h, 0.5 * (width - h) * draw(st.floats(-1.1, 1.1)) + ulps
+
+
+@settings(max_examples=500, deadline=None)
+@given(gap_inputs())
+@example((0.0, 1.0, 0.5, 0.3))  # f lands past d and is clamped
+@example((-1e300, math.nextafter(-1e300, 0.0), 0.0, -2.0 * math.ulp(1e300)))
+@example((1e300, 1e300 + 3 * math.ulp(1e300), 2 * math.ulp(1e300), math.ulp(1e300)))
+def test_gap_ends_are_floats_in_order(case):
+    # the sweep's intermediate merges are never built as BlockPairs: _gap's own
+    # clamp is what keeps c <= e <= f <= d
+    c, d, h, off = case
+    ends = _gap(c, d, h, off)
+    assert len(ends) == 2 and all(type(x) is float for x in ends)
+    assert c <= ends[0] <= ends[1] <= d
 
 
 @st.composite

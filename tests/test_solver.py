@@ -690,6 +690,32 @@ def test_sweep_builds_only_the_target(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_block_pairs(monkeypatch) -> list:
+    calls = []
+    real = BlockPair.__post_init__
+    monkeypatch.setattr(BlockPair, "__post_init__", lambda self: calls.append(1) or real(self))
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_builds_one_block_pair(monkeypatch, n):
+    # the merges carry floats: only the pair returned is built
+    mu = random_unit_blocks(np.random.default_rng(27), -1.0, 1.0, n)
+    calls = _count_block_pairs(monkeypatch)
+    sol = solve_by_sweep(mu, DOMAIN)
+    assert len(calls) == 1 and len(sol.blocks) == 1
+    calls.clear()
+    assert len(sweep_states(mu, DOMAIN)) == n - 1
+    assert len(calls) == 1  # _sweep's final pair, which sweep_states discards
+
+
+def test_solve_builds_one_block_pair_per_component(monkeypatch):
+    mu, O = _many_components()
+    calls = _count_block_pairs(monkeypatch)
+    sol = solve(mu, O)
+    assert len(calls) == len(sol.blocks) == 200
+
+
 def test_sweep_states_are_admissible_waypoints():
     rng = np.random.default_rng(26)
     mu = random_unit_blocks(rng, -1.0, 1.0, 4)
