@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 from .errors import ValidationError
 from .measure import DEFAULT_TOL, OpenSet1D, StepMeasure, _cuts, l1_distance
@@ -44,10 +45,10 @@ class SimConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
         for name in ("dt", "t_max"):  # a JSON integer may lie beyond the float range
-            value = getattr(self, name)
-            if value is not None:
-                if not 0.0 < value <= sys.float_info.max:
-                    raise ValidationError(f"{name} must be finite and positive")
+            if (value := getattr(self, name)) is not None:
+                real = isinstance(value, Real) and not isinstance(value, bool)
+                if not (real and 0.0 < value <= sys.float_info.max):
+                    raise ValidationError(f"{name} must be a positive finite number, not {value!r}")
                 object.__setattr__(self, name, float(value))  # an integer is echoed as a float
         if not 1 <= self.hist_bins <= 2**16:  # the report lists every bin's edge and count
             raise ValidationError("hist_bins must be from 1 to 2**16")

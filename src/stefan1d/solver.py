@@ -137,16 +137,14 @@ def _holes(breaks: Sequence, values: Sequence, c: float, d: float) -> tuple[floa
 def _gap(c: float, d: float, h: float, off: float) -> tuple[float, float]:
     """Ends (e, f) of the blocks of (c, d) around the gap (g - h/2, g + h/2), g = midpoint + off.
 
-    The gap's ends are clamped into (c, d), where rounding may put them, and
-    the narrower block is dropped below the policy's floor: a rounding sliver.
-    So c <= e <= f <= d; only a caller's result is built as a :class:`BlockPair`.
+    The gap's ends are clamped into [c, d] only where rounding puts them
+    outside; no block is dropped, however narrow. So c <= e <= f <= d; only a
+    caller's result is built as a :class:`BlockPair`.
     """
     mid = 0.5 * (c + d)
     e, f = mid + (off - 0.5 * h), mid + (off + 0.5 * h)
     if not c <= e <= f <= d:
         e, f = min(max(e, c), d), min(max(f, c), d)
-    if min(e - c, d - f) <= _bounds(0.0, 0.0, c, d)[0]:
-        e, f = (c, f) if e - c <= d - f else (e, d)
     return e, f
 
 
@@ -309,8 +307,9 @@ def critical_point(k: float, beta: float) -> float:
         raise InfeasibilityError(f"mass must satisfy 0 < k < 2, got {k!r}")
     if not abs(beta) < k - 0.5 * k * k:
         raise InfeasibilityError(f"first moment {beta!r} outside the window -+{k - 0.5 * k * k!r}")
-    a = beta / k - 0.5 * k
-    b = beta / k + 0.5 * k
+    a, b = beta / k - 0.5 * k, beta / k + 0.5 * k
+    if not a < b:  # k/2 is below half an ulp of beta/k
+        raise InfeasibilityError(f"mass {k!r}, first moment {beta!r}: the source rounds to a point")
     source = indicator(a, b)
     # holes of mass h = 2 - k about the midpoint 0, with h * offset = -beta
     target = _blocks_measure([(-1.0, *_gap(-1.0, 1.0, 2.0 - k, -beta / (2.0 - k)), 1.0)])

@@ -28,7 +28,6 @@ from stefan1d import (
     OpenSet1D,
     StepMeasure,
     ValidationError,
-    VerificationError,
     dominates,
     indicator,
     make_step_measure,
@@ -268,10 +267,9 @@ def test_solve_reports_the_exact_first_moment(case):
         sol = solve(mu, OpenSet1D.interval(c, d))
     except (InfeasibilityError, AdmissibilityError):
         raise  # a valid light component is never refused as infeasible or inadmissible
-    except (ValidationError, VerificationError):
-        # about 1% of draws: a light target keeps a rounding sliver of density 1 (its
-        # mass times coordinates overflows), or fails its certificate as in test_solver's
-        # strict xfail. Neither reports a beta to check.
+    except ValidationError:
+        # an input refused by name reports no beta to check; none of 4,000 draws
+        # was, and a VerificationError fails: every block the hole form places is kept
         reject()
     _check_beta(sol, mu, c, d)
 

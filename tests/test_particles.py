@@ -128,6 +128,14 @@ def test_sim_config_refuses_a_bad_integer_field(field, value):
         SimConfig(**{"n_particles": 10, field: value})
 
 
+@pytest.mark.parametrize("field", ["dt", "t_max"])
+@pytest.mark.parametrize("value", ["0.1", [1], True, 1j], ids=["str", "list", "bool", "complex"])
+def test_sim_config_refuses_a_time_that_is_not_a_real_number(field, value):
+    # refused by name as the CLI refuses it, not a TypeError; True is not 1.0
+    with pytest.raises(ValidationError, match=field):
+        SimConfig(**{"n_particles": 10, field: value})
+
+
 def test_t_max_flags_unfrozen_walkers():
     mu = indicator(-0.25, 0.25)
     rep = run(mu, DOMAIN, SimConfig(n_particles=500, seed=1, dt=1e-4, t_max=5e-3))
