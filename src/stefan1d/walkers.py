@@ -32,13 +32,15 @@ half the component, since no walker could be coarse at a coarser one.
 Memory: the walk keeps each side's frozen count and the sum of the freeze
 steps, from which the report's statistics come in closed form
 (`_midpoint_stats`), and holds nothing per walker beyond the positions of
-the live ones. Each fine step allocates float32 arrays for its fine set
-alone (the new positions, the uniforms and each front's crossing
-probability), a small share of the walkers, since most of them are coarse
-at most steps. The start is sampled in place. On 0.99 chi_(0, sqrt(0.75))
-in (-1, 1) at dt = 1e-3 the tracemalloc peak is 25.1, 25.3 and 24.0 B per
-walker for n = 2e4, 1e5 and 1e6: in the walk for the first two, and
-sampling the start for the third.
+the live ones. The live positions are the walk's alone: a level hands the
+array it splits down to the levels below and keeps only its coarse group,
+whose start positions go before the block's end. Each fine step allocates
+float32 arrays for its fine set alone (the new positions, the uniforms and
+each front's crossing probability), a small share of the walkers, since
+most of them are coarse at most steps. The start is sampled in place, at
+24 B per walker, and that is the run's tracemalloc peak: on 0.99
+chi_(0, sqrt(0.75)) in (-1, 1) at dt = 1e-3 the walk itself peaks at 15-17 B
+per walker for n = 2e4 and 1e5.
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ class _Walk:
         self.sqrt_dt = math.sqrt(dt)
         self.inv_dt = -2.0 / dt
         self.coarse: list[_Coarse] = []  # the blocks in force, outermost first
+        self.pos = np.empty(0, dtype=np.float32)  # the live walkers after the last step
 
     def freeze(self, nl: int, nr: int, step: int) -> int:
         # fronts stay at exactly c + m*count and d - m*count, so each walker
@@ -178,32 +181,42 @@ class _Walk:
             pos = self.settle(np.concatenate((pos, mid)), step)
             group.keep(x0[~near], x1[~near])
 
-    def block(self, level: int, start: int, pos: np.ndarray) -> np.ndarray:
-        """Walk pos, the walkers after step start, through a level-`level` block."""
-        if not level:
-            return self.fine_step(pos, start + 1)
-        end = min(start + _RADIX**level, self.n_steps)  # the last block ends at n_steps
+    def split(self, start: int, end: int) -> _Coarse:
+        """Take the walkers far from both fronts out of self.pos, as the coarse
+        group of the block of steps start + 1 to end."""
         span = (end - start) * self.dt
         band = _Z * math.sqrt(span)
-        split = band * 1.0625  # a margin for the fronts' travel keeps refinement rare
-        far = np.minimum(pos - self.left, self.right - pos) > split
+        pos = self.pos
+        t = pos - self.left
+        np.minimum(t, self.right - pos, out=t)
+        far = t > band * 1.0625  # a margin for the fronts' travel keeps refinement rare
         x0 = pos[far]
         x1 = self.rng.standard_normal(x0.size, dtype=np.float32)
         x1 *= math.sqrt(span)
         x1 += x0
-        group = _Coarse(x0, x1, start, end, span, band)
-        self.coarse.append(group)
-        pos = pos[~far]
-        for sub in range(start, end, _RADIX ** (level - 1)):
-            if not pos.size:
-                break  # the fronts stand still until the coarse walkers land
-            pos = self.block(level - 1, sub, pos)
-        self.coarse.pop()
-        # a coarse endpoint beyond a front (probability < 2**-24) freezes here
-        return self.refine(self.settle(np.concatenate((pos, group.x1)), end), end)
+        self.pos = pos[~far]
+        return _Coarse(x0, x1, start, end, span, band)
 
-    def fine_step(self, pos: np.ndarray, step: int) -> np.ndarray:
-        """Move every walker of pos through fine step `step`."""
+    def block(self, level: int, start: int):
+        """Walk self.pos, the walkers after step start, through a level-`level` block."""
+        if not level:
+            self.fine_step(start + 1)
+            return
+        end = min(start + _RADIX**level, self.n_steps)  # the last block ends at n_steps
+        # pos is handed down the levels and held by the walk alone, so no level
+        # keeps the array it split
+        self.coarse.append(self.split(start, end))
+        for sub in range(start, end, _RADIX ** (level - 1)):
+            if not self.pos.size:
+                break  # the fronts stand still until the coarse walkers land
+            self.block(level - 1, sub)
+        x1 = self.coarse.pop().x1  # the group's x0 goes before the concatenation
+        # a coarse endpoint beyond a front (probability < 2**-24) freezes here
+        self.pos = self.refine(self.settle(np.concatenate((self.pos, x1)), end), end)
+
+    def fine_step(self, step: int):
+        """Move every walker of self.pos through fine step `step`."""
+        pos = self.pos
         new = self.rng.standard_normal(pos.size, dtype=np.float32)
         new *= self.sqrt_dt
         new += pos
@@ -219,10 +232,11 @@ class _Walk:
         cross = u < p[0] + p[1]
         n_cross = int(np.count_nonzero(cross))
         if not n_cross:
-            return self.settle(new, step)
-        nl = int(np.count_nonzero(u < p[0]))  # u < p_l implies u < p_l + p_r
-        self.freeze(nl, n_cross - nl, step)
-        return self.refine(self.settle(new[~cross], step), step)
+            self.pos = self.settle(new, step)
+        else:
+            nl = int(np.count_nonzero(u < p[0]))  # u < p_l implies u < p_l + p_r
+            self.freeze(nl, n_cross - nl, step)
+            self.pos = self.refine(self.settle(new[~cross], step), step)
 
 
 def _midpoint_stats(
@@ -284,7 +298,8 @@ def simulate_component(
     pos = _quantiles([(x - mid) * unit for x in breaks], values, pos)
     walk = _Walk(lc, ld, n, m * unit, local_dt, n_steps, rng)
     # mass starting on the boundary freezes at once
-    pos = walk.settle(pos, 0).astype(np.float32)
+    walk.pos = walk.settle(pos, 0).astype(np.float32)
+    del pos
     # the coarsest level is the last whose band is narrower than half the
     # component: a coarser one could hold no walker
     top = 0
@@ -292,9 +307,9 @@ def simulate_component(
         top += 1
     with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
         for start in range(0, n_steps, _RADIX**top):
-            if not pos.size:
+            if not walk.pos.size:
                 break
-            pos = walk.block(top, start, pos)
+            walk.block(top, start)
 
     nl, nr = walk.frozen_left, walk.frozen_right
     mean, std, edges, counts = _midpoint_stats(nl, nr, c, d, m, hist_bins)
@@ -304,7 +319,7 @@ def simulate_component(
         unit_mass=m,
         frozen_left=nl,
         frozen_right=nr,
-        unfrozen=int(pos.size),
+        unfrozen=int(walk.pos.size),
         p_hat=m * nl,
         q_hat=m * nr,
         left_front=c + m * nl,

@@ -315,9 +315,10 @@ def _traced_walk(n: int):
 
 def test_walk_peak_memory_per_walker():
     # the walk keeps two frozen counts and a step sum, no per-walker record:
-    # the peak, about 25 B, sits in the walk at both sizes, just above the
-    # 24 B of sampling the start in place. The freeze record held through
-    # the walk read 50 B at n = 2e4; n-sized step scratch, 100 B.
+    # the peak is the 24 B of sampling the start in place at both sizes, as
+    # the walk's own 15-17 B stay below it. A walk whose levels each kept the
+    # array they split read 25 B; the freeze record held through the walk,
+    # 50 B at n = 2e4; n-sized step scratch, 100 B.
     for n in (20000, 100_000):
         per_walker, report = _traced_walk(n)
         assert report.unfrozen == 0
