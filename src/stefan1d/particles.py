@@ -26,8 +26,8 @@ class SimConfig:
     dt is the time step in units of Brownian time and t_max the time the walk
     stops at; None picks 1e-4 and 12.5 times (component length)^2 per
     component, since exit times scale diffusively (t_max 50 at length 2).
-    Seeds for component i derive from (seed, i), so per-component results do
-    not depend on execution order.
+    Component i's streams are spawned from [seed, i], so per-component
+    results do not depend on execution order.
     """
 
     n_particles: int
@@ -126,7 +126,10 @@ def _allocate(n_total: int, masses: list[float]) -> list[int]:
 def run(mu: StepMeasure, open_set: OpenSet1D, cfg: SimConfig) -> RunReport:
     """Simulate every component independently and assemble the frozen measure.
 
-    Component i draws from a generator seeded by (cfg.seed, i).
+    Component i draws from two streams spawned from the seed sequence of
+    [cfg.seed, i], its uniforms' and its Gaussian increments', so the report
+    is byte-identical for a seed on any host, whether or not a thread fills
+    the increments ahead of the walk (`walkers._Normals`).
     """
     _admit(mu, DEFAULT_TOL)
     cuts = _cuts(mu, open_set, DEFAULT_TOL)

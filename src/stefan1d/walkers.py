@@ -29,6 +29,15 @@ in force, the walker rejoins the walk from its Brownian bridge point, which
 is exact in law. The coarsest level is the last whose band is narrower than
 half the component, since no walker could be coarse at a coarser one.
 
+Randomness: the uniforms (the start, and each fine step's crossing test)
+and the float32 standard normals (every Gaussian increment and bridge
+point) come from two streams spawned from the component's seed. The normals
+are read in order through `_Normals.take`; with n walkers, when a chunk of
+min(n // 2, 2**16) normals holds at least 2**15, a worker thread fills the
+next two chunks while the walk steps, since numpy releases the GIL as it
+fills. numpy's float32 normals form one sequence however they are chunked,
+so the report depends on the seed alone.
+
 Memory: the walk keeps each side's frozen count and the sum of the freeze
 steps, from which the report's statistics come in closed form
 (`_midpoint_stats`), and holds nothing per walker beyond the positions of
@@ -40,12 +49,15 @@ each front's crossing probability), a small share of the walkers, since
 most of them are coarse at most steps. The start is sampled in place, at
 24 B per walker, and that is the run's tracemalloc peak: on 0.99
 chi_(0, sqrt(0.75)) in (-1, 1) at dt = 1e-3 the walk itself peaks at 15-17 B
-per walker for n = 2e4 and 1e5.
+per walker for n = 2e4 and 1e5, and at 23 B with the worker's chunks at
+n = 1e5.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +71,8 @@ from .particles import ComponentRunReport
 # both fronts meets one with probability 2 * erfc(_Z / sqrt(2)) = 5.7e-8 <= 2**-24.
 _Z = 5.55
 _RADIX = 4  # sub-blocks per block
+_CHUNK = 2**16  # normals per chunk of the fill worker, at most half the walkers
+_MIN_CHUNK = 2**15  # a smaller chunk is drawn on demand: the thread would not pay
 
 
 def _quantiles(breaks: Sequence[float], values: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -81,10 +95,76 @@ def _quantiles(breaks: Sequence[float], values: Sequence[float], u: np.ndarray) 
     return u
 
 
-def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, rng) -> np.ndarray:
+class _Normals:
+    """The walk's float32 standard normals, read in order by `take`.
+
+    numpy's float32 normals form one sequence however they are chunked, so
+    the values depend only on the generator. With n walkers, when a chunk of
+    min(n // 2, _CHUNK) normals holds at least _MIN_CHUNK, a worker thread
+    fills the next two chunks while the walk steps (numpy releases the GIL
+    while it fills); otherwise `take` draws on demand. A fill that raises is
+    raised by `take`. Use as a context manager: leaving it stops the worker.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng = rng
+        self.buf, self.at = np.empty(0, dtype=np.float32), 0
+        self.worker = None
+        size = min(n // 2, _CHUNK)
+        if size >= _MIN_CHUNK:
+            self.chunks = queue.Queue(maxsize=2)
+            self.stop = threading.Event()
+            self.worker = threading.Thread(target=self._fill, args=(size,), daemon=True)
+            self.worker.start()
+
+    def _fill(self, size: int):
+        try:
+            while not self.stop.is_set():
+                self.chunks.put(self.rng.standard_normal(size, dtype=np.float32))
+        except BaseException as exc:  # raised in the walk by take
+            self.chunks.put(exc)
+
+    def take(self, k: int, scale: float) -> np.ndarray:
+        """The next k normals times scale, as a fresh float32 array."""
+        if self.worker is None:
+            z = self.rng.standard_normal(k, dtype=np.float32)
+            z *= scale
+            return z
+        parts = []
+        while k > self.buf.size - self.at:
+            parts.append(self.buf[self.at :])
+            k -= self.buf.size - self.at
+            chunk = self.chunks.get()
+            if isinstance(chunk, BaseException):
+                raise chunk
+            self.buf, self.at = chunk, 0
+        parts.append(self.buf[self.at : self.at + k])
+        self.at += k
+        if len(parts) == 1:
+            return parts[0] * scale
+        z = np.concatenate(parts)
+        z *= scale
+        return z
+
+    def __enter__(self) -> "_Normals":
+        return self
+
+    def __exit__(self, *exc):
+        if self.worker is not None:
+            self.stop.set()
+            # a put blocked on a full queue returns once it is drained, and the
+            # worker then sees the stop before it fills again
+            while True:
+                try:
+                    self.chunks.get_nowait()
+                except queue.Empty:
+                    break
+            self.worker.join()
+
+
+def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, normals: _Normals) -> np.ndarray:
     """Levy's bridge: the path at fraction a of span, N(x0 + a (x1 - x0), a (1 - a) span)."""
-    z = rng.standard_normal(x0.size, dtype=np.float32)
-    return x0 + a * (x1 - x0) + math.sqrt(a * (1.0 - a) * span) * z
+    return x0 + a * (x1 - x0) + normals.take(x0.size, math.sqrt(a * (1.0 - a) * span))
 
 
 class _Coarse:
@@ -117,8 +197,9 @@ class _Walk:
     serves both.
     """
 
-    def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng):
-        self.c, self.d, self.m, self.dt, self.rng = c, d, m, dt, rng
+    def __init__(self, c: float, d: float, n: int, m: float, dt: float, n_steps: int, rng, normals):
+        self.c, self.d, self.m, self.dt = c, d, m, dt
+        self.rng, self.normals = rng, normals  # the uniforms' generator, the normals' stream
         self.n_steps = n_steps
         self.left, self.right = c, d  # fronts; left <= right always
         self.fronts = np.array([[c], [d]], dtype=np.float32)
@@ -177,7 +258,7 @@ class _Walk:
                 np.add(x0, band, dtype=np.float64) > self.right
             )
             a = (step - group.start) / (group.end - group.start)
-            mid = _bridge_point(x0[near], x1[near], a, group.span, self.rng)
+            mid = _bridge_point(x0[near], x1[near], a, group.span, self.normals)
             pos = self.settle(np.concatenate((pos, mid)), step)
             group.keep(x0[~near], x1[~near])
 
@@ -191,8 +272,7 @@ class _Walk:
         np.minimum(t, self.right - pos, out=t)
         far = t > band * 1.0625  # a margin for the fronts' travel keeps refinement rare
         x0 = pos[far]
-        x1 = self.rng.standard_normal(x0.size, dtype=np.float32)
-        x1 *= math.sqrt(span)
+        x1 = self.normals.take(x0.size, math.sqrt(span))
         x1 += x0
         self.pos = pos[~far]
         return _Coarse(x0, x1, start, end, span, band)
@@ -217,8 +297,7 @@ class _Walk:
     def fine_step(self, step: int):
         """Move every walker of self.pos through fine step `step`."""
         pos = self.pos
-        new = self.rng.standard_normal(pos.size, dtype=np.float32)
-        new *= self.sqrt_dt
+        new = self.normals.take(pos.size, self.sqrt_dt)
         new += pos
         u = self.rng.random(pos.size, dtype=np.float32)
         # Brownian bridge crossing probability exp(-2 (x - f)(y - f) / dt) of each
@@ -285,7 +364,8 @@ def simulate_component(
     """Walk n walkers from cut, the input's (breaks, values, mass) on (c, d) as
     :func:`stefan1d.measure._cuts` gives it, for n_steps steps of dt, seeded by seed."""
     breaks, values, k = cut
-    rng = np.random.default_rng(seed)
+    uniform_seed, normal_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(uniform_seed)
     m = k / n if n else 0.0
     # the walk runs in the component's frame x -> (x - mid) * unit, exact when
     # mid = 0; values stay densities in x, so the masses scale by unit
@@ -296,20 +376,22 @@ def simulate_component(
     pos = rng.random(n)
     pos *= k * unit
     pos = _quantiles([(x - mid) * unit for x in breaks], values, pos)
-    walk = _Walk(lc, ld, n, m * unit, local_dt, n_steps, rng)
-    # mass starting on the boundary freezes at once
-    walk.pos = walk.settle(pos, 0).astype(np.float32)
-    del pos
     # the coarsest level is the last whose band is narrower than half the
     # component: a coarser one could hold no walker
     top = 0
     while _Z * math.sqrt(_RADIX ** (top + 1) * local_dt) < 0.5 * (ld - lc):
         top += 1
-    with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
-        for start in range(0, n_steps, _RADIX**top):
-            if not walk.pos.size:
-                break
-            walk.block(top, start)
+    # after the sampling, so that its peak and the worker's chunks do not add up
+    with _Normals(np.random.default_rng(normal_seed), n) as normals:
+        walk = _Walk(lc, ld, n, m * unit, local_dt, n_steps, rng, normals)
+        # mass starting on the boundary freezes at once
+        walk.pos = walk.settle(pos, 0).astype(np.float32)
+        del pos
+        with np.errstate(over="ignore"):  # exp overflow on deep crossings means p >= 1
+            for start in range(0, n_steps, _RADIX**top):
+                if not walk.pos.size:
+                    break
+                walk.block(top, start)
 
     nl, nr = walk.frozen_left, walk.frozen_right
     mean, std, edges, counts = _midpoint_stats(nl, nr, c, d, m, hist_bins)

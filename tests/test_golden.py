@@ -29,7 +29,10 @@ walk's first maximum, which moved the stationary-point defect from
 1.17961196366e-16 to 1.11022302463e-16; ``simulate_empty_middle`` when
 ``t_max`` came to default to 12.5 * width ** 2 per component, which turned
 the echoed ``"t_max": 50.0`` into ``null`` and left the walk and its CSV
-as they were; nothing else moved). A change
+as they were; ``simulate_empty_middle`` and ``repro_json`` when the walk's
+normals and uniforms got a stream each, spawned from the component's seed,
+which moved the frozen splits and the particle rows of ``repro`` within
+their noise; nothing else moved). A change
 that moves any output byte fails here; when the change is meant, record the
 new digests and say why in CHANGES.md.
 """
@@ -102,14 +105,14 @@ EXPECTED = {
     },
     "repro_json": {
         "exit": 0,
-        "stdout": "824761b2cc9f5f4d43c000a1a70a4aa78775c0f538728c7130fb2467321ce956",
+        "stdout": "cf4a52018bf5bcdc4bb0da8d34c50e4615ba1dca008766fddc6941e4e121d770",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "simulate_empty_middle": {
         "exit": 0,
-        "stdout": "ba9bb6ffb588e9a2c5c3e86f3d1af0fc42bd08e15a1f8e56da386be381312861",
+        "stdout": "1f4bbfd9e53a3597043aa1aced57e217f14a0aa10388c54742005a9facc50dcc",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "csv": "f8c905a88c4fad3112156524cfe07a713d852d6b750a983c25b40d861a5ff4a4",
+        "csv": "08325a71bb61e1aac0d2836a7ee26b076a8c62229a8a4a7b8c51ad5316266eda",
     },
     "solve_readme": {
         "exit": 0,

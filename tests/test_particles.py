@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -204,10 +205,10 @@ def _law_gaps(monkeypatch, mu, n, dt, t_max, seeds=24):
     bridge_point = walkers._bridge_point
     unit = _unit(-1.0, 1.0)  # span is in the component's frame
 
-    def counting_bridge(x0, x1, a, span, rng):
+    def counting_bridge(x0, x1, a, span, normals):
         # a level-l block spans at most _RADIX**l steps, and the last one may be cut short
         refined[math.ceil(math.log(span / (dt * unit * unit), walkers._RADIX) - 1e-9)] += 1
-        return bridge_point(x0, x1, a, span, rng)
+        return bridge_point(x0, x1, a, span, normals)
 
     monkeypatch.setattr(walkers, "_bridge_point", counting_bridge)
     mu_n = restrict(mu, DOMAIN)[0]
@@ -328,9 +329,86 @@ def test_walk_peak_memory_per_walker():
 def test_walk_report_bits_are_pinned():
     # how the step's arrays are allocated must not move a bit of the report:
     # the digest was recorded with n-sized scratch and slot tables, and with a
-    # freeze record filled batch by batch during the walk
+    # freeze record filled batch by batch during the walk; it moved when the
+    # normals got a stream of their own
     digest = hashlib.sha256(repr(_traced_walk(20000)[1]).encode()).hexdigest()
-    assert digest == "ab896dd140c94e9a4999491d8e10650896686088aa0358473aebeee2b9057b62"
+    assert digest == "14188cb1b24b910c8697cf2fff623025787e798d7a382429cc910df714eea043"
+
+
+def test_normal_chunks_and_the_fill_worker_leave_the_report_unchanged(monkeypatch):
+    # numpy's float32 normals form one sequence however they are chunked, so
+    # a report depends on the seed alone: n = 1e5 fills chunks of 2**16 on the
+    # worker, then chunks of 4099 that many takes straddle, then draws on demand
+    mu = indicator(0.0, math.sqrt(0.75), 0.99)
+    cfg = SimConfig(n_particles=100_000, seed=4, dt=1e-3)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads trade the lock far more often than by default
+    try:
+        for chunk, min_chunk in ((walkers._CHUNK, walkers._MIN_CHUNK), (4099, 4096), (2**16, 2**60)):
+            monkeypatch.setattr(walkers, "_CHUNK", chunk)
+            monkeypatch.setattr(walkers, "_MIN_CHUNK", min_chunk)
+            reports.append(repr(run(mu, DOMAIN, cfg)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _workers(monkeypatch) -> list:
+    """The fill threads the walks start from now on; 1,000 walkers get one."""
+    monkeypatch.setattr(walkers, "_MIN_CHUNK", 500)
+    started = []
+    init = walkers._Normals.__init__
+
+    def recording_init(self, rng, n):
+        init(self, rng, n)
+        started.append(self.worker)
+
+    monkeypatch.setattr(walkers._Normals, "__init__", recording_init)
+    return started
+
+
+def test_no_fill_worker_outlives_a_run(monkeypatch):
+    threads = threading.active_count()
+    started = _workers(monkeypatch)
+    mu = indicator(-0.8, -0.3, 0.9) + indicator(0.2, 0.7, 0.6)
+    run(mu, OpenSet1D.of((-1.0, 0.0), (0.0, 1.0)), SimConfig(n_particles=4000, seed=2, dt=1e-3))
+    assert len(started) == 2 and None not in started
+    assert not any(w.is_alive() for w in started)
+    # a walk that raises partway stops its worker too
+    fine_step, steps = walkers._Walk.fine_step, Counter()
+
+    def failing_step(self, step):
+        steps["fine"] += 1
+        if steps["fine"] > 50:
+            raise RuntimeError("walk failed")
+        fine_step(self, step)
+
+    monkeypatch.setattr(walkers._Walk, "fine_step", failing_step)
+    with pytest.raises(RuntimeError, match="walk failed"):
+        run(mu, DOMAIN, SimConfig(n_particles=4000, seed=2, dt=1e-3))
+    assert len(started) == 3 and started[2] is not None
+    assert not any(w.is_alive() for w in started)
+    assert threading.active_count() == threads
+
+
+def test_a_fill_that_raises_is_raised_by_take():
+    class FailingGenerator:
+        calls = 0
+
+        def standard_normal(self, size, dtype):
+            self.calls += 1
+            if self.calls > 1:
+                raise RuntimeError("fill failed")
+            return np.zeros(size, dtype=dtype)
+
+    n = 4 * walkers._CHUNK  # chunks of _CHUNK normals, on the worker
+    with walkers._Normals(FailingGenerator(), n) as normals:
+        assert normals.worker is not None
+        assert not normals.take(walkers._CHUNK, 1.0).any()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            normals.take(1, 1.0)
+    assert not normals.worker.is_alive()
 
 
 @pytest.mark.parametrize(
@@ -339,17 +417,17 @@ def test_walk_report_bits_are_pinned():
         (  # both cuts clipped at the shared end 0
             indicator(-0.6, 0.4, 0.7),
             OpenSet1D.of((-1.0, 0.0), (0.0, 1.0)),
-            "189b5c729944e6bfe5f0053c44bbb29e70abc652aa93efdeed26120a4dc108cd",
+            "a1c3668b663cef5037fb624a349d9505b8cad2499356614ce8bbc0caf571aa66",
         ),
         (
             indicator(-0.8, -0.3, 0.9) + indicator(0.2, 0.7, 0.6),
             DOMAIN,
-            "4edcb9fc0467eccb84a01abe609a633a500fb5b71f05ebbd89993a9ffdef34b5",
+            "fe7d4aae708d9f0559a6889c5ebc86cbda25f478726a09799cddac57b232151d",
         ),
         (
             indicator(-0.7, -0.2, 0.8) + indicator(2.2, 2.9, 0.5),
             OpenSet1D.of((-1.0, 0.0), (0.5, 1.5), (2.0, 3.0)),
-            "bf5d5dd6217009edf899d48dcd0848249389695da7c047a3f004cbf8873b34e3",
+            "824ea0fcd78b5bfb5872e57d2ad79d835d9c3e08524096536ab02384773f4a6d",
         ),
     ],
     ids=["touching-clipped", "interior-zero-cell", "empty-component"],
@@ -359,7 +437,8 @@ def test_run_report_bits_are_pinned_on_every_kind_of_cut(mu, open_set, digest):
     # component, again when the freeze position statistics became closed
     # forms, which moved the last bits of the float statistics and no other
     # field, and again when the config's t_max default became None (12.5 *
-    # width ** 2 per component), which moved the echoed config alone
+    # width ** 2 per component), which moved the echoed config alone, and
+    # again when the normals and the uniforms got a stream each
     report = run(mu, open_set, SimConfig(n_particles=3000, seed=17, dt=1e-3))
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
@@ -418,7 +497,8 @@ def test_bridge_point_follows_the_levy_construction():
     size, span, a = 20000, 8e-4, 0.375
     x0 = rng.uniform(-0.5, 0.5, size).astype(np.float32)
     x1 = (x0 + math.sqrt(span) * rng.standard_normal(size)).astype(np.float32)
-    mid = walkers._bridge_point(x0, x1, a, span, rng)
+    with walkers._Normals(np.random.default_rng(32), size) as normals:
+        mid = walkers._bridge_point(x0, x1, a, span, normals)
     assert mid.dtype == np.float32
     # conditionally on both ends, and marginally given the start alone
     z_bridge = (mid - (x0 + a * (x1 - x0))) / math.sqrt(a * (1.0 - a) * span)
@@ -536,13 +616,17 @@ def test_saturated_component_with_density_just_above_one_freezes_whole():
 
 
 def test_left_fronts_past_touching_component_ends_join_the_frozen_blocks():
-    # one walker per component at density 1 + 5e-10: both walkers freeze left,
-    # so each left front passes its component's end d by 5e-10, over the next
-    # component's start, by more than the sort-and-clamp reference
-    # (helpers.from_cells_reference) lets overlap; the frozen blocks join into one
+    # one walker per component at density 1 + 5e-10: where both walkers freeze
+    # left, which the search below finds a seed for, each left front passes its component's end d by
+    # 5e-10, over the next component's start, by more than the sort-and-clamp
+    # reference (helpers.from_cells_reference) lets overlap; the frozen blocks
+    # join into one
     O = OpenSet1D.of((-1.0, 0.0), (0.0, 1.0))
     mu = make_step_measure([-1.0, 1.0], [1.0 + 5e-10])
-    rep = run(mu, O, SimConfig(n_particles=2, seed=3))
+    reports = (run(mu, O, SimConfig(n_particles=2, seed=seed)) for seed in range(64))
+    both_left = (r for r in reports if all(c.frozen_left for c in r.components))
+    rep = next(both_left, None)
+    assert rep is not None, "no seed below 64 sends both walkers left"
     assert all(c.left_front > c.interval[1] for c in rep.components)
     assert rep.measure == make_step_measure([-1.0, rep.components[1].left_front], [1.0])
 
