@@ -162,7 +162,7 @@ class _Normals:
             self.worker.join()
 
 
-def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, normals: _Normals) -> np.ndarray:
+def _bridge_point(x0: np.ndarray, x1: np.ndarray, a: float, span: float, normals) -> np.ndarray:
     """Levy's bridge: the path at fraction a of span, N(x0 + a (x1 - x0), a (1 - a) span)."""
     return x0 + a * (x1 - x0) + normals.take(x0.size, math.sqrt(a * (1.0 - a) * span))
 

@@ -345,7 +345,8 @@ def test_normal_chunks_and_the_fill_worker_leave_the_report_unchanged(monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the threads trade the lock far more often than by default
     try:
-        for chunk, min_chunk in ((walkers._CHUNK, walkers._MIN_CHUNK), (4099, 4096), (2**16, 2**60)):
+        sizes = ((walkers._CHUNK, walkers._MIN_CHUNK), (4099, 4096), (2**16, 2**60))
+        for chunk, min_chunk in sizes:
             monkeypatch.setattr(walkers, "_CHUNK", chunk)
             monkeypatch.setattr(walkers, "_MIN_CHUNK", min_chunk)
             reports.append(repr(run(mu, DOMAIN, cfg)))

@@ -60,7 +60,8 @@ def main(argv=None) -> int:
         a, b = [row[i] for row in mine], [row[i] for row in theirs]
         p = stats.ks_2samp(a, b).pvalue
         worst = min(worst, p)
-        print(f"{name}: KS p = {p:.3f} (means {sum(a) / len(a):.6g} here, {sum(b) / len(b):.6g} there)")
+        means = f"{sum(a) / len(a):.6g} here, {sum(b) / len(b):.6g} there"
+        print(f"{name}: KS p = {p:.3f} (means {means})")
     print("same law" if worst >= ALPHA else f"law differs: p < {ALPHA}")
     return 0 if worst >= ALPHA else 1
 
